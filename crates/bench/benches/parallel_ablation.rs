@@ -32,14 +32,14 @@ fn bench_parallel(c: &mut Criterion) {
     group.bench_function("execute_parallel_minwork", |b| {
         b.iter_batched(
             || sc.warehouse.clone(),
-            |mut w| w.execute_parallel(&p1).unwrap(),
+            |mut w| w.execute(&p1.linearize()).unwrap(),
             BatchSize::LargeInput,
         )
     });
     group.bench_function("execute_parallel_dual_stage", |b| {
         b.iter_batched(
             || sc.warehouse.clone(),
-            |mut w| w.execute_parallel(&pd).unwrap(),
+            |mut w| w.execute(&pd.linearize()).unwrap(),
             BatchSize::LargeInput,
         )
     });

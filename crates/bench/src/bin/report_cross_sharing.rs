@@ -2,10 +2,9 @@
 //! and the sharing-aware planner objective on two workloads.
 //!
 //! **Figure-4 warehouse** (all TPC-D summary views, paper change batch):
-//! the MinWork strategy is executed uncached, with the per-`Comp` cache,
-//! and with the strategy-scope cache (sequential and term-threaded). The
-//! final state and the logical (paper-metric) `WorkMeter` must be
-//! identical across all engines; the strategy scope must record
+//! the MinWork strategy is executed with the per-`Comp` cache and with the
+//! strategy-scope cache. The final state and the logical (paper-metric)
+//! `WorkMeter` must be identical at both scopes; the strategy scope must record
 //! cross-expression hash-table reuses (> 0) and cached raw reads, touch no
 //! more physical rows than the per-`Comp` scope, and match
 //! `plan_strategy_sharing`'s static prediction *exactly*, counter by
@@ -43,12 +42,10 @@ struct Run {
     wall_us: u128,
 }
 
-fn run(w: &Warehouse, strategy: &Strategy, share: bool, cache: bool, threads: usize) -> Run {
+fn run(w: &Warehouse, strategy: &Strategy, cache: bool) -> Run {
     let mut clone = w.clone();
     let opts = ExecOptions {
-        term_sharing: share,
         strategy_sharing: cache,
-        term_threads: threads,
         ..ExecOptions::default()
     };
     let start = Instant::now();
@@ -183,26 +180,14 @@ fn main() {
     let sizes = SizeCatalog::estimate(w).expect("sizes");
     let strategy = min_work(w.vdag(), &sizes).expect("min_work").strategy;
 
-    let uncached = run(w, &strategy, false, false, 0);
-    let percomp = run(w, &strategy, true, false, 0);
-    let strat = run(w, &strategy, true, true, 0);
-    let threaded = run(w, &strategy, true, true, 4);
+    let percomp = run(w, &strategy, false);
+    let strat = run(w, &strategy, true);
 
-    for (name, other) in [
-        ("per-Comp", &percomp),
-        ("strategy", &strat),
-        ("threaded", &threaded),
-    ] {
-        assert_eq!(uncached.state, other.state, "fig4: state diverged ({name})");
-        assert_eq!(
-            uncached.work.logical(),
-            other.work.logical(),
-            "fig4: logical work moved ({name})"
-        );
-    }
-    assert!(
-        percomp.work.physical_rows_touched <= uncached.work.physical_rows_touched,
-        "fig4: per-Comp cache touched more rows than uncached"
+    assert_eq!(percomp.state, strat.state, "fig4: state diverged");
+    assert_eq!(
+        percomp.work.logical(),
+        strat.work.logical(),
+        "fig4: logical work moved"
     );
     assert!(
         strat.work.physical_rows_touched <= percomp.work.physical_rows_touched,
@@ -216,19 +201,15 @@ fn main() {
         strat.work.hash_tables_cross_reused > 0,
         "fig4: strategy cache served no cross-expression reuse"
     );
-    assert_eq!(
-        strat.work.physical_rows_touched, threaded.work.physical_rows_touched,
-        "fig4: threaded physical rows diverged"
-    );
 
     let plan = plan_strategy_sharing(w, &strategy, SharingScope::Strategy).expect("plan");
     assert_conformant("fig4", &plan, &strat);
 
     let model = CostModel::new(w.vdag(), &sizes);
     let outcome = min_work_shared(w, &model).expect("min_work_shared");
-    let fig4_chosen = run(w, &outcome.strategy, true, true, 0);
+    let fig4_chosen = run(w, &outcome.strategy, true);
     assert_eq!(
-        uncached.state, fig4_chosen.state,
+        percomp.state, fig4_chosen.state,
         "fig4: shared choice diverged"
     );
     assert!(
@@ -238,10 +219,8 @@ fn main() {
 
     let ratio = percomp.work.physical_rows_touched as f64 / strat.work.physical_rows_touched as f64;
     println!(
-        "  physical rows: uncached {} | per-Comp {} | strategy {} ({ratio:.2}x vs per-Comp)",
-        uncached.work.physical_rows_touched,
-        percomp.work.physical_rows_touched,
-        strat.work.physical_rows_touched,
+        "  physical rows: per-Comp {} | strategy {} ({ratio:.2}x vs per-Comp)",
+        percomp.work.physical_rows_touched, strat.work.physical_rows_touched,
     );
     println!(
         "  hash tables:   per-Comp {} built / {} reused | strategy {} built / {} reused ({} cross) | {} cached reads",
@@ -269,8 +248,8 @@ fn main() {
         fx_outcome.differs,
         "fixture: MinWorkShared must flip away from plain MinWork"
     );
-    let fx_chosen = run(&fx, &fx_outcome.strategy, true, true, 0);
-    let fx_base = run(&fx, &fx_outcome.baseline, true, true, 0);
+    let fx_chosen = run(&fx, &fx_outcome.strategy, true);
+    let fx_base = run(&fx, &fx_outcome.baseline, true);
     assert_eq!(
         fx_chosen.state, fx_base.state,
         "fixture: strategies diverged"
@@ -290,11 +269,6 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"scale\": {scale},");
     json.push_str("  \"fig4\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"physical_rows_uncached\": {},",
-        uncached.work.physical_rows_touched
-    );
     let _ = writeln!(
         json,
         "    \"physical_rows_per_comp\": {},",
@@ -350,10 +324,8 @@ fn main() {
         "    \"physical_rows_shared_choice\": {},",
         fig4_chosen.work.physical_rows_touched
     );
-    let _ = writeln!(json, "    \"wall_us_uncached\": {},", uncached.wall_us);
     let _ = writeln!(json, "    \"wall_us_per_comp\": {},", percomp.wall_us);
-    let _ = writeln!(json, "    \"wall_us_strategy\": {},", strat.wall_us);
-    let _ = writeln!(json, "    \"wall_us_threaded\": {}", threaded.wall_us);
+    let _ = writeln!(json, "    \"wall_us_strategy\": {}", strat.wall_us);
     json.push_str("  },\n");
     json.push_str("  \"objective_fixture\": {\n");
     let _ = writeln!(json, "    \"differs\": {},", fx_outcome.differs);

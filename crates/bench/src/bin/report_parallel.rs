@@ -2,7 +2,7 @@
 //! paper's sketched future work): total work vs makespan for the MinWork
 //! 1-way strategy and the dual-stage strategy on the Figure 4 warehouse.
 
-use uww::core::{makespan, min_work, parallelize, total_work, CostModel, SizeCatalog};
+use uww::core::{makespan, min_work, parallelize, total_work, CostModel, ExecOptions, SizeCatalog};
 use uww_bench::{bench_scale, figure4_with_changes};
 
 fn main() {
@@ -58,11 +58,11 @@ fn main() {
     for (label, p) in [("MinWork", &one_way), ("dual-stage", &dual)] {
         let mut seq = sc.warehouse.clone();
         let expected = seq.expected_final_state().unwrap();
-        let seq_report = seq.execute_parallel(p).unwrap();
+        let seq_report = seq.execute(&p.linearize()).unwrap();
         assert!(seq.diff_state(&expected).is_empty());
 
         let mut par = sc.warehouse.clone();
-        let par_report = par.execute_parallel_threaded(p).unwrap();
+        let par_report = par.execute_staged(p, ExecOptions::default()).unwrap();
         assert!(par.diff_state(&expected).is_empty());
 
         println!(

@@ -8,13 +8,21 @@
 //! pushes single-source filters below the joins, greedily hash-joins
 //! starting from the smallest operand (deltas are small, so they anchor the
 //! join order), and applies residual filters at the end.
+//!
+//! The engine itself evaluates a `Comp`'s terms through the shared operand
+//! cache of `engine::share`; [`reference_comp_fragment`] keeps the plain
+//! term-at-a-time evaluation as the reference tests compare it against.
 
+use crate::engine::share::surviving_terms;
+use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
+use crate::error::{CoreError, CoreResult};
 use std::collections::BTreeSet;
 use uww_relational::ops::{self, SignedRows};
 use uww_relational::{
     AggFunc, BoundExpr, Predicate, RelError, RelResult, Schema, ValueType, ViewDef, ViewOutput,
     WorkMeter,
 };
+use uww_vdag::ViewId;
 
 /// Evaluates one maintenance term of `def`.
 ///
@@ -79,9 +87,9 @@ pub fn eval_term(
         let (lk, rk) = join_keys(def, &in_set, next, &joined_schema, &qschemas[next])?;
         let right = rows[next].take().expect("operand joined twice");
         joined_rows = if lk.is_empty() {
-            ops::cross_join(&joined_rows, &right, meter)
+            ops::cross_join(&joined_rows, &right, meter)?
         } else {
-            ops::hash_join(&joined_rows, &lk, &right, &rk, meter)
+            ops::hash_join(&joined_rows, &lk, &right, &rk, meter)?
         };
         joined_schema = joined_schema.concat(&qschemas[next])?;
         in_set[next] = true;
@@ -259,6 +267,47 @@ pub(crate) fn agg_spec(def: &ViewDef, term_schema: &Schema) -> RelResult<ops::Ag
             detail: format!("{} is not an aggregate view", def.name),
         }),
     }
+}
+
+/// Reference evaluation of `Comp(view, over)` against the warehouse's current
+/// state and pending deltas, **without mutating it**: every surviving term
+/// (footnote 5) re-scans each of its operands and joins them from scratch
+/// through [`eval_term`] — no operand cache, no interned build tables, no
+/// partitioning. No option selects it and the engine never calls it; tests
+/// hold the shared evaluator to its fragment bytes and logical meter, and
+/// to touching no more physical rows than it does.
+pub fn reference_comp_fragment(
+    w: &Warehouse,
+    view: ViewId,
+    over: &BTreeSet<ViewId>,
+) -> CoreResult<(PendingDelta, WorkMeter)> {
+    let name = w.vdag().name(view);
+    let def = w
+        .def(name)
+        .ok_or_else(|| CoreError::Warehouse(format!("no definition for {name}")))?;
+    let (state, pending) = (w.state(), w.pending_map());
+    let mut fragment = w.empty_pending_for(name)?;
+    let mut total = WorkMeter::new();
+    for subset in surviving_terms(w, &w.view_names(over)) {
+        let mut scans = WorkMeter::new();
+        let (schema, rows) = eval_term(
+            def,
+            |v| state.get(v).map(|t| t.schema().clone()),
+            |v| scan_operand(state, pending, v, subset.contains(v), &mut scans),
+            &mut total,
+        )?;
+        total.absorb(&scans);
+        match &mut fragment {
+            PendingDelta::Rows(acc) => {
+                let out = project_output(def, &schema, &rows, &mut total)?;
+                for (t, m) in ops::consolidate(out) {
+                    acc.add(t, m);
+                }
+            }
+            PendingDelta::Summary(acc) => acc.merge_groups(group_output(def, &schema, &rows)?),
+        }
+    }
+    Ok((fragment, total))
 }
 
 /// All non-empty subsets of `set`, ordered by size then lexicographically —

@@ -1,44 +1,39 @@
-//! Strategy execution.
+//! Strategy execution: one window runner behind four entry points.
+//!
+//! An update window is a sequence of `(manifest idx, stage, expression)`
+//! items. `Warehouse::run_window` is the only code that validates one,
+//! opens and commits its WAL, opens its run/stage/expression spans, journals
+//! its records, folds its meters and builds its report; `execute`,
+//! `execute_with`, `execute_carried`, `execute_staged` and
+//! [`crate::recovery`] differ only in the items they hand it.
 
-use crate::engine::eval;
-use crate::engine::share::{self, TermOptions};
-use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
+use crate::engine::share::{self, WindowCarry};
+use crate::engine::warehouse::{PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
+use crate::parallel::{canonical_stage_order, ParallelStrategy};
 use crate::wal::{encode_pending, Manifest, ManifestExpr, RecordBody, WalConfig, WalWriter};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use uww_obs as obs;
-use uww_relational::ops;
-use uww_relational::{catalog_to_string, deltas_to_string, digest64, ViewOutput, WorkMeter};
+use uww_relational::{catalog_to_string, deltas_to_string, digest64, WorkMeter};
 use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr, ViewId};
 
 /// Execution options.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Check conditions C1–C8 before executing (default: on).
+    /// Check conditions C1–C8 before executing (default: on). For the full
+    /// lint with `UWW###` rule ids, call `uww_analysis::analyze` first.
     pub validate: bool,
-    /// Run the static strategy analyzer first and refuse any strategy it
-    /// flags, reporting *all* defects with `UWW###` rule ids instead of the
-    /// dynamic checker's first violation (default: off).
-    pub analyze_first: bool,
     /// Journal execution to an install WAL so a crashed run can be resumed
     /// by [`crate::recovery::recover`] (default: off).
     pub wal: Option<WalConfig>,
-    /// Evaluate each `Comp`'s terms through a shared operand cache
-    /// (default: on). The logical work metric and every computed delta are
-    /// byte-identical either way; only physical rows touched and hash-table
-    /// builds shrink. Off restores the historical per-term scans.
-    pub term_sharing: bool,
-    /// Worker threads for term evaluation within one `Comp` (default: 0 =
-    /// inline). Effective only with `term_sharing`; terms are read-only and
-    /// independent, so results are deterministic regardless.
-    pub term_threads: usize,
     /// Share operand materializations and hash-join build tables *across*
-    /// expressions through a strategy-scope cache (default: off). Requires
-    /// `term_sharing`; invalidation follows the `UWW012` liveness predicate,
-    /// so deltas, WAL bytes, and the logical meter are byte-identical to
-    /// per-`Comp` caching — only `physical_rows_touched`,
-    /// `hash_tables_cross_reused`, and `operand_reads_cached` move.
+    /// expressions through a strategy-scope cache (default: off).
+    /// Invalidation follows the `UWW012` liveness predicate, so deltas, WAL
+    /// bytes, and the logical meter are byte-identical to per-`Comp` caching
+    /// — only `physical_rows_touched`, `hash_tables_cross_reused`, and
+    /// `operand_reads_cached` move. Sequential windows only:
+    /// [`Warehouse::execute_staged`] refuses it.
     pub strategy_sharing: bool,
     /// Planner-predicted linear work per expression, in execution (manifest)
     /// order — attached to expression spans when tracing is enabled so
@@ -57,24 +52,10 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             validate: true,
-            analyze_first: false,
             wal: None,
-            term_sharing: true,
-            term_threads: 0,
             strategy_sharing: false,
             predicted_work: None,
             partition: crate::engine::pool::PartitionOptions::default(),
-        }
-    }
-}
-
-impl ExecOptions {
-    /// The term-engine slice of these options.
-    pub(crate) fn term_options(&self) -> TermOptions {
-        TermOptions {
-            share: self.term_sharing,
-            threads: self.term_threads,
-            partition: self.partition,
         }
     }
 }
@@ -97,8 +78,12 @@ pub struct ExprReport {
 /// Measurements for a whole strategy execution: the update window.
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionReport {
-    /// Per-expression breakdown, in execution order.
+    /// Per-expression breakdown, in execution (manifest) order.
     pub per_expr: Vec<ExprReport>,
+    /// Wall-clock time of each §9 stage of a staged run (its `Comp`s ran
+    /// concurrently, so this is close to the slowest `Comp` plus the serial
+    /// installs). Empty for sequential and recovered runs.
+    pub stage_walls: Vec<Duration>,
 }
 
 impl ExecutionReport {
@@ -111,9 +96,15 @@ impl ExecutionReport {
         total
     }
 
-    /// Total wall-clock time: the measured update window.
+    /// Total wall-clock time: the measured update window. A staged run's
+    /// `Comp`s overlap, so its window is the sum of its stage walls (the
+    /// measured makespan) rather than of its expressions' walls.
     pub fn wall(&self) -> Duration {
-        self.per_expr.iter().map(|e| e.wall).sum()
+        if self.stage_walls.is_empty() {
+            self.per_expr.iter().map(|e| e.wall).sum()
+        } else {
+            self.stage_walls.iter().sum()
+        }
     }
 
     /// The paper's measured linear work (scanned + installed rows).
@@ -147,23 +138,7 @@ impl ExecutionReport {
                 m.operand_reads_cached
             )
         }
-        fn json_str(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
+        use obs::json::escape;
 
         let mut out = String::from("{\"per_expr\":[");
         for (n, e) in self.per_expr.iter().enumerate() {
@@ -175,15 +150,15 @@ impl ExecutionReport {
                 UpdateExpr::Inst(view) => ("inst", *view, Vec::new()),
             };
             out.push_str(&format!(
-                "{{\"expr\":{},\"kind\":\"{kind}\",\"view\":{},\"over\":[",
-                json_str(&e.expr.display(g).to_string()),
-                json_str(g.name(view)),
+                "{{\"expr\":\"{}\",\"kind\":\"{kind}\",\"view\":\"{}\",\"over\":[",
+                escape(&e.expr.display(g).to_string()),
+                escape(g.name(view)),
             ));
             for (m, v) in over.iter().enumerate() {
                 if m > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_str(g.name(*v)));
+                out.push_str(&format!("\"{}\"", escape(g.name(*v))));
             }
             out.push_str(&format!(
                 "],\"elapsed_us\":{},\"replayed\":{},\"work\":{}}}",
@@ -251,15 +226,56 @@ pub struct WindowOutcome {
     /// Build tables and raw materializations that outlived this window —
     /// pass to the next window's [`Warehouse::execute_carried`] call (or
     /// drop to run it cold, e.g. after crash recovery).
-    pub carry: share::WindowCarry,
+    pub carry: WindowCarry,
     /// Predicted-vs-measured sharing counters for this window.
     pub conformance: CarryConformance,
+}
+
+/// One window item: `(manifest idx, §9 stage, expression)`.
+pub(crate) type Item<'a> = (usize, usize, &'a UpdateExpr);
+
+/// A sequential strategy as window items: one serial stage.
+fn serial_items(strategy: &Strategy) -> Vec<Item<'_>> {
+    strategy
+        .exprs
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (i, 0, e))
+        .collect()
+}
+
+/// The journal, strategy cache and report of the window in flight.
+struct Run<'a> {
+    opts: &'a ExecOptions,
+    wal: Option<WalWriter>,
+    scache: Option<share::StrategyCache>,
+    report: ExecutionReport,
+}
+
+impl Run<'_> {
+    /// Appends `body` when the window is journaled.
+    fn journal(&mut self, body: RecordBody) -> CoreResult<()> {
+        if let Some(w) = &mut self.wal {
+            w.append(&body)?;
+        }
+        Ok(())
+    }
 }
 
 impl Warehouse {
     /// Executes a VDAG strategy with default options.
     pub fn execute(&mut self, strategy: &Strategy) -> CoreResult<ExecutionReport> {
         self.execute_with(strategy, ExecOptions::default())
+    }
+
+    /// Executes a VDAG strategy: one serial stage.
+    pub fn execute_with(
+        &mut self,
+        strategy: &Strategy,
+        opts: ExecOptions,
+    ) -> CoreResult<ExecutionReport> {
+        let items = serial_items(strategy);
+        Ok(self.run_window(&items, None, &opts, None, None)?.report)
     }
 
     /// Executes one continuous-mode window: like [`Warehouse::execute_with`]
@@ -272,223 +288,344 @@ impl Warehouse {
         &mut self,
         strategy: &Strategy,
         opts: ExecOptions,
-        carry: share::WindowCarry,
+        carry: WindowCarry,
     ) -> CoreResult<WindowOutcome> {
-        if !opts.term_sharing {
-            return Err(CoreError::Warehouse(
-                "execute_carried requires term_sharing (the strategy cache rides on it)".into(),
-            ));
-        }
-        if opts.analyze_first {
-            let report = uww_analysis::analyze(self.vdag(), strategy);
-            if report.has_errors() {
-                return Err(CoreError::Analysis(Box::new(report)));
+        let items = serial_items(strategy);
+        self.run_window(&items, None, &opts, None, Some(carry))
+    }
+
+    /// Executes a §9 parallel strategy: within each stage, every `Comp`'s
+    /// fragment is computed on its own thread against the frozen stage-entry
+    /// state (fragments are pure reads), then the fragments merge and the
+    /// stage's `Inst`s apply serially at the stage boundary — through the
+    /// same install funnel as a sequential window, so an attached
+    /// [`InstallPublisher`](crate::engine::InstallPublisher) publishes them.
+    ///
+    /// The WAL manifest records [`canonical_stage_order`]: a `STG` record
+    /// opens each stage, every `CS` lands before the threads spawn, each
+    /// `CD` (log-ahead) as the fragments merge after the join, and `IS`/`ID`
+    /// bracket each install — so a crash at any record boundary resumes from
+    /// the exact expression it interrupted. To run the stages one expression
+    /// at a time instead, `execute` the strategy's `linearize()`.
+    pub fn execute_staged(
+        &mut self,
+        p: &ParallelStrategy,
+        opts: ExecOptions,
+    ) -> CoreResult<ExecutionReport> {
+        let canonical = canonical_stage_order(p);
+        let items: Vec<Item<'_>> = canonical
+            .iter()
+            .enumerate()
+            .map(|(i, (stage, e))| (i, *stage, e))
+            .collect();
+        Ok(self.run_window(&items, Some(p), &opts, None, None)?.report)
+    }
+
+    /// Runs one update window — the single executor every entry point
+    /// adapts to.
+    ///
+    /// `items` are the window's expressions in manifest order. Consecutive
+    /// items of one stage form a group; a `STG` record marks every stage
+    /// change. With `staged` set the window came from that parallel
+    /// strategy: it is race-checked, each group gets a stage span, and the
+    /// group's leading `Comp`s fan out over threads; otherwise every item
+    /// runs on its own. `resume` continues a recovered window on its
+    /// reopened journal from the stage its replayed prefix ended in
+    /// (recovery has already gated prefix + suffix and holds the run span
+    /// open). `carry` seeds the strategy-scope cache with the previous
+    /// window's survivors, forcing `strategy_sharing` on.
+    pub(crate) fn run_window(
+        &mut self,
+        items: &[Item<'_>],
+        staged: Option<&ParallelStrategy>,
+        opts: &ExecOptions,
+        resume: Option<(Option<usize>, WalWriter)>,
+        carry: Option<WindowCarry>,
+    ) -> CoreResult<WindowOutcome> {
+        let linear = || match staged {
+            Some(p) => p.linearize(),
+            None => Strategy::from_exprs(items.iter().map(|i| i.2.clone()).collect()),
+        };
+        let fresh = resume.is_none();
+        let (mut last_stage, wal) = match resume {
+            Some((last_stage, wal)) => (last_stage, Some(wal)),
+            None => {
+                if opts.validate {
+                    check_vdag_strategy(self.vdag(), &linear())?;
+                }
+                if let Some(p) = staged {
+                    // The linearized check cannot see stage races: a
+                    // same-stage pair like `Comp(V5, {V4}); Comp(V4, ..)`
+                    // linearizes to a C8-legal order yet computes against
+                    // the frozen stage-entry state here, silently dropping
+                    // ΔV4's contribution. The static analyzer (UWW001) can
+                    // — and it also underwrites the WAL manifest's
+                    // canonical order, so it always runs.
+                    let lint = uww_analysis::analyze_parallel(self.vdag(), &p.stages);
+                    if lint.has_errors() {
+                        return Err(CoreError::Analysis(Box::new(lint)));
+                    }
+                    if opts.strategy_sharing {
+                        return Err(CoreError::Warehouse(
+                            "strategy_sharing is not supported by execute_staged: the sharing \
+                             plan orders cache publishes and consumes sequentially, and a \
+                             stage's Comps run concurrently"
+                                .into(),
+                        ));
+                    }
+                }
+                let wal = match &opts.wal {
+                    Some(cfg) => Some(self.wal_begin(cfg, items)?),
+                    None => None,
+                };
+                (None, wal)
             }
-        }
-        if opts.validate {
-            check_vdag_strategy(self.vdag(), strategy)?;
-        }
-        let mut wal = match &opts.wal {
-            Some(cfg) => {
-                let staged: Vec<(usize, &UpdateExpr)> =
-                    strategy.exprs.iter().map(|e| (0, e)).collect();
-                Some(self.wal_begin(cfg, &staged)?)
+        };
+
+        // Strategy-scope sharing is planned statically before anything runs:
+        // the directives fix exactly which keyed builds cross expression
+        // boundaries, so measured cross counters equal the plan. A carry
+        // built at a different partition count cannot seed this window — its
+        // tables are split differently than this run's probes — so it is
+        // dropped *before* planning, keeping plan and runtime cache agreed.
+        let parts = opts.partition.partitions;
+        let seed = match carry {
+            Some(c) if c.is_empty() || c.partitions() == parts => Some(c),
+            Some(_) => Some(WindowCarry::empty()),
+            None => opts.strategy_sharing.then(WindowCarry::empty),
+        };
+        let mut conformance = CarryConformance::default();
+        let scache = match seed {
+            Some(seed) => {
+                let plan = share::plan_strategy_sharing_carried(self, &linear(), &seed)?;
+                conformance.predicted_cross_reuses = plan.cross_reuses();
+                conformance.predicted_cached_reads = plan.cached_reads();
+                conformance.predicted_carried_table_hits = plan.carried_table_hits;
+                conformance.predicted_carried_raw_hits = plan.carried_raw_hits;
+                Some(plan.cache_with(seed))
             }
             None => None,
         };
-        // A carry built at a different partition count cannot seed this
-        // window: its tables are split differently than this run's probes,
-        // so serving one would be a cross-partition stale hit. Drop it
-        // *before* planning, so the plan and the runtime cache agree.
-        let carry = if carry.is_empty() || carry.partitions() == opts.partition.partitions {
-            carry
-        } else {
-            share::WindowCarry::empty()
-        };
-        // The seeded plan starts its liveness walk from the carried entries,
-        // so the front of the strategy can consume the previous window's
-        // builds; seeding the runtime cache with the *same* carry makes
-        // measured and predicted counters equal by construction.
-        let plan = share::plan_strategy_sharing_carried(self, strategy, &carry)?;
-        let mut conformance = CarryConformance {
-            predicted_cross_reuses: plan.cross_reuses(),
-            predicted_cached_reads: plan.cached_reads(),
-            predicted_carried_table_hits: plan.carried_table_hits,
-            predicted_carried_raw_hits: plan.carried_raw_hits,
-            ..CarryConformance::default()
-        };
-        let scache = plan.cache_with(carry);
-        let mut run_span = obs::span(obs::SpanKind::Run, "execute");
-        run_span.attr_u64("expressions", strategy.exprs.len() as u64);
-        let items: Vec<(usize, usize, UpdateExpr)> = strategy
-            .exprs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, 0, e.clone()))
-            .collect();
+
+        // The staged label predates `execute_staged`; trace diffs key on it.
+        let _run_span = fresh.then(|| {
+            let (label, key, n) = match staged {
+                Some(p) => ("execute_parallel_threaded", "stages", p.stages.len()),
+                None => ("execute", "expressions", items.len()),
+            };
+            let mut span = obs::span(obs::SpanKind::Run, label);
+            span.attr_u64(key, n as u64);
+            span
+        });
         let start_meter = *self.meter();
-        let report = self.run_exprs_journaled(
-            &items,
-            None,
-            &mut wal,
-            opts.term_options(),
-            Some(&scache),
-            opts.predicted_work.as_deref(),
-        )?;
-        if let Some(w) = &mut wal {
-            w.append(&RecordBody::Commit)?;
+        let mut run = Run {
+            opts,
+            wal,
+            scache,
+            report: ExecutionReport::default(),
+        };
+        for group in items.chunk_by(|a, b| a.1 == b.1) {
+            let stage = group[0].1;
+            let t0 = Instant::now();
+            let _stage_span = staged.map(|_| {
+                let mut span = obs::span_dyn(obs::SpanKind::Stage, || format!("stage {stage}"));
+                span.attr_u64(obs::keys::STAGE, stage as u64);
+                span
+            });
+            if last_stage != Some(stage) {
+                run.journal(RecordBody::Stage(stage))?;
+                last_stage = Some(stage);
+            }
+            // Canonical order puts a stage's Comps first; they all read the
+            // frozen stage-entry state, so a staged window runs them as one
+            // concurrent batch.
+            let is_comp = |i: &&Item<'_>| matches!(i.2, UpdateExpr::Comp { .. });
+            let fan = staged.map_or(0, |_| group.iter().take_while(is_comp).count());
+            self.run_comps(&group[..fan], &mut run)?;
+            for item in &group[fan..] {
+                match item.2 {
+                    UpdateExpr::Comp { .. } => {
+                        self.run_comps(std::slice::from_ref(item), &mut run)?
+                    }
+                    UpdateExpr::Inst(_) => self.run_inst(item, &mut run)?,
+                }
+            }
+            if staged.is_some() {
+                run.report.stage_walls.push(t0.elapsed());
+            }
         }
-        let measured = self.meter().since(&start_meter);
-        conformance.measured_cross_reuses = measured.hash_tables_cross_reused;
-        conformance.measured_cached_reads = measured.operand_reads_cached;
-        let (table_hits, raw_hits) = scache.carried_hits();
-        conformance.measured_carried_table_hits = table_hits;
-        conformance.measured_carried_raw_hits = raw_hits;
+        run.journal(RecordBody::Commit)?;
+
+        let carry = match run.scache {
+            Some(cache) => {
+                let measured = self.meter().since(&start_meter);
+                conformance.measured_cross_reuses = measured.hash_tables_cross_reused;
+                conformance.measured_cached_reads = measured.operand_reads_cached;
+                (
+                    conformance.measured_carried_table_hits,
+                    conformance.measured_carried_raw_hits,
+                ) = cache.carried_hits();
+                cache.harvest(parts)
+            }
+            None => WindowCarry::empty(),
+        };
         Ok(WindowOutcome {
-            report,
-            carry: scache.harvest(opts.partition.partitions),
+            report: run.report,
+            carry,
             conformance,
         })
     }
 
-    /// Executes a VDAG strategy.
-    pub fn execute_with(
-        &mut self,
-        strategy: &Strategy,
-        opts: ExecOptions,
-    ) -> CoreResult<ExecutionReport> {
-        if opts.analyze_first {
-            let report = uww_analysis::analyze(self.vdag(), strategy);
-            if report.has_errors() {
-                return Err(CoreError::Analysis(Box::new(report)));
-            }
+    /// Opens `item`'s expression span under `parent`, with its static
+    /// attributes and the planner's prediction for it.
+    fn expr_span(&self, parent: u64, item: &Item<'_>, opts: &ExecOptions) -> obs::Span {
+        let &(idx, _, expr) = item;
+        let g = self.vdag();
+        let mut span = obs::span_under_dyn(obs::SpanKind::Expression, parent, || {
+            expr.display(g).to_string()
+        });
+        expr_attrs(&mut span, g, expr);
+        if let Some(p) = opts.predicted_work.as_ref().and_then(|p| p.get(idx)) {
+            span.attr_f64(obs::keys::PREDICTED_WORK, *p);
         }
-        if opts.validate {
-            check_vdag_strategy(self.vdag(), strategy)?;
-        }
-        let mut wal = match &opts.wal {
-            Some(cfg) => {
-                let staged: Vec<(usize, &UpdateExpr)> =
-                    strategy.exprs.iter().map(|e| (0, e)).collect();
-                Some(self.wal_begin(cfg, &staged)?)
-            }
-            None => None,
-        };
-        // Strategy-scope sharing is planned statically before anything runs:
-        // the directives fix exactly which keyed builds cross expression
-        // boundaries, so measured cross counters equal the plan.
-        let scache = if opts.strategy_sharing && opts.term_sharing {
-            Some(
-                share::plan_strategy_sharing(self, strategy, share::SharingScope::Strategy)?
-                    .cache(),
-            )
-        } else {
-            None
-        };
-        let mut run_span = obs::span(obs::SpanKind::Run, "execute");
-        run_span.attr_u64("expressions", strategy.exprs.len() as u64);
-        let items: Vec<(usize, usize, UpdateExpr)> = strategy
-            .exprs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, 0, e.clone()))
-            .collect();
-        let report = self.run_exprs_journaled(
-            &items,
-            None,
-            &mut wal,
-            opts.term_options(),
-            scache.as_ref(),
-            opts.predicted_work.as_deref(),
-        )?;
-        if let Some(w) = &mut wal {
-            w.append(&RecordBody::Commit)?;
-        }
-        Ok(report)
+        span
     }
 
-    /// Runs a sequence of `(manifest idx, stage, expr)` items, journaling
-    /// each expression boundary when a WAL writer is attached. Emits a stage
-    /// record whenever the stage changes from `last_stage` (recovery passes
-    /// the stage of the last completed prefix expression).
-    pub(crate) fn run_exprs_journaled(
-        &mut self,
-        items: &[(usize, usize, UpdateExpr)],
-        mut last_stage: Option<usize>,
-        wal: &mut Option<WalWriter>,
-        topts: TermOptions,
-        scache: Option<&share::StrategyCache>,
-        predicted: Option<&[f64]>,
-    ) -> CoreResult<ExecutionReport> {
-        let mut report = ExecutionReport::default();
-        for (idx, stage, expr) in items {
-            if let Some(w) = wal {
-                if last_stage != Some(*stage) {
-                    w.append(&RecordBody::Stage(*stage))?;
-                }
-            }
-            last_stage = Some(*stage);
-            let mut span = {
-                let g = self.vdag();
-                obs::span_dyn(obs::SpanKind::Expression, || expr.display(g).to_string())
+    /// Runs a batch of `Comp`s against the current state: a `CS` for each
+    /// (log-ahead intent), the fragments — concurrently when there are
+    /// several, each a pure read of `self` — then, in manifest order, each
+    /// fragment's `CD` (journaled *before* the merge, so a `CD` record
+    /// guarantees the fragment is durably reproducible) and its merge into
+    /// the view's pending delta.
+    fn run_comps(&mut self, batch: &[Item<'_>], run: &mut Run<'_>) -> CoreResult<()> {
+        let parent = obs::current_span_id();
+        // A lone Comp's span covers its journal records and merge too; a
+        // fanned-out Comp's span lives on its worker thread.
+        let mut solo = match batch {
+            [one] => Some(self.expr_span(parent, one, run.opts)),
+            _ => None,
+        };
+        let t0 = Instant::now();
+        for item in batch {
+            run.journal(RecordBody::CompStart(item.0))?;
+        }
+        let this: &Warehouse = self;
+        let (opts, scache) = (run.opts, run.scache.as_ref());
+        let fragment_of = move |item: &Item<'_>| {
+            let UpdateExpr::Comp { view, over } = item.2 else {
+                unreachable!("run_comps is handed Comp items only");
             };
-            if span.is_recording() {
-                expr_attrs(&mut span, self.vdag(), expr);
-                if let Some(p) = predicted.and_then(|p| p.get(*idx)) {
-                    span.attr_f64(obs::keys::PREDICTED_WORK, *p);
-                }
+            let t = Instant::now();
+            let strategy = scache.map(|c| (c, item.0));
+            share::comp_fragment(this, *view, over, opts.partition, strategy)
+                .map(|(fragment, work)| (fragment, work, t.elapsed()))
+        };
+        let results: Vec<CoreResult<(PendingDelta, WorkMeter, Duration)>> = match batch {
+            [one] => vec![fragment_of(one)],
+            _ => std::thread::scope(|scope| {
+                let handles: Vec<_> = batch
+                    .iter()
+                    .map(|item| {
+                        scope.spawn(move || {
+                            let mut span = this.expr_span(parent, item, opts);
+                            let out = fragment_of(item);
+                            if let Ok((_, work, _)) = &out {
+                                meter_attrs(&mut span, work);
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("comp thread panicked"))
+                    .collect()
+            }),
+        };
+        for (&(idx, _, expr), result) in batch.iter().zip(results) {
+            let (fragment, mut work, wall) = result?;
+            if let Some(w) = &mut run.wal {
+                let payload = encode_pending(&fragment);
+                w.append(&RecordBody::CompDone {
+                    idx,
+                    digest: digest64(&payload),
+                    payload,
+                })?;
             }
-            let start_meter = *self.meter();
-            let t0 = Instant::now();
-            let installed = match expr {
-                UpdateExpr::Comp { view, over } => {
-                    self.exec_comp_journaled(
-                        *view,
-                        over,
-                        *idx,
-                        wal,
-                        topts,
-                        scache.map(|c| (c, *idx)),
-                    )?;
-                    None
+            let name = self.vdag().name(expr.subject()).to_string();
+            self.merge_fragment(&name, fragment)?;
+            work.comp_expressions = 1;
+            self.meter_mut().absorb(&work);
+            // Drop strategy-cache entries this expression invalidated — the
+            // same liveness walk the static plan performed.
+            if let Some(c) = &run.scache {
+                c.invalidate_after(self.vdag(), expr);
+            }
+            let wall = match &mut solo {
+                Some(span) => {
+                    meter_attrs(span, &work);
+                    t0.elapsed()
                 }
-                UpdateExpr::Inst(view) => Some(self.exec_inst_journaled(*view, *idx, wal)?),
+                None => wall,
             };
-            // Drop strategy-cache entries this expression invalidated —
-            // the same liveness walk the static plan performed. An `Inst`
-            // that installed zero rows left every operand bit-identical, so
-            // its entries stay: consumption is directive-driven, so the lax
-            // retention can never serve an unplanned hit — it only lets more
-            // entries survive into a cross-window harvest.
-            if let Some(c) = scache {
-                if installed != Some(0) {
-                    c.invalidate_after(self.vdag(), expr);
-                }
-            }
-            let work = self.meter().since(&start_meter);
-            meter_attrs(&mut span, &work);
-            drop(span);
-            report.per_expr.push(ExprReport {
+            run.report.per_expr.push(ExprReport {
                 expr: expr.clone(),
                 work,
-                wall: t0.elapsed(),
+                wall,
                 replayed: false,
             });
         }
-        Ok(report)
+        Ok(())
+    }
+
+    /// Runs `Inst(view)` between its `IS`/`ID` records. The `ID` record
+    /// carries the installed row count and a digest of the view's new
+    /// extent, which recovery verifies after redoing the install.
+    fn run_inst(&mut self, item: &Item<'_>, run: &mut Run<'_>) -> CoreResult<()> {
+        let &(idx, _, expr) = item;
+        let view = expr.subject();
+        let mut span = self.expr_span(obs::current_span_id(), item, run.opts);
+        let start_meter = *self.meter();
+        let t0 = Instant::now();
+        run.journal(RecordBody::InstStart(idx))?;
+        let delta_len = self.exec_inst(view)?;
+        if let Some(w) = &mut run.wal {
+            let post_digest = uww_relational::table_digest(self.table(self.vdag().name(view))?);
+            w.append(&RecordBody::InstDone {
+                idx,
+                delta_len,
+                post_digest,
+            })?;
+        }
+        // An `Inst` that installed zero rows left every operand
+        // bit-identical, so its strategy-cache entries stay: consumption is
+        // directive-driven, so the lax retention can never serve an
+        // unplanned hit — it only lets more entries survive into a
+        // cross-window harvest.
+        if delta_len != 0 {
+            if let Some(c) = &run.scache {
+                c.invalidate_after(self.vdag(), expr);
+            }
+        }
+        let work = self.meter().since(&start_meter);
+        meter_attrs(&mut span, &work);
+        drop(span);
+        run.report.per_expr.push(ExprReport {
+            expr: expr.clone(),
+            work,
+            wall: t0.elapsed(),
+            replayed: false,
+        });
+        Ok(())
     }
 
     /// Snapshots the warehouse into a fresh WAL directory and writes the
-    /// manifest for the staged strategy (canonical execution order).
+    /// manifest for the window's items (canonical execution order).
     ///
     /// Fails if any derived view already has an in-flight delta: the WAL
     /// journals a whole update window, so it must start from a clean batch
     /// of base-view changes.
-    pub(crate) fn wal_begin(
-        &self,
-        cfg: &WalConfig,
-        staged: &[(usize, &UpdateExpr)],
-    ) -> CoreResult<WalWriter> {
+    fn wal_begin(&self, cfg: &WalConfig, items: &[Item<'_>]) -> CoreResult<WalWriter> {
         let mut changes = BTreeMap::new();
         for (name, p) in self.pending_map() {
             let id = self.vdag().id_of(name)?;
@@ -511,69 +648,12 @@ impl Warehouse {
             changes_digest: digest64(&changes_text),
             fsync: cfg.fsync,
             ctx: cfg.ctx.clone(),
-            exprs: staged
+            exprs: items
                 .iter()
-                .map(|(stage, e)| ManifestExpr::from_expr(self.vdag(), *stage, e))
+                .map(|&(_, stage, e)| ManifestExpr::from_expr(self.vdag(), stage, e))
                 .collect(),
         };
         WalWriter::create(cfg, &manifest, &state_text, &changes_text)
-    }
-
-    /// Executes `Comp(view, over)`: computes the fragment against the
-    /// current state and folds it into the view's pending delta. With a WAL
-    /// attached, the fragment is journaled *before* the merge (log-ahead),
-    /// so a `CD` record guarantees the fragment is durably reproducible.
-    pub(crate) fn exec_comp_journaled(
-        &mut self,
-        view: ViewId,
-        over: &BTreeSet<ViewId>,
-        idx: usize,
-        wal: &mut Option<WalWriter>,
-        topts: TermOptions,
-        scache: Option<(&share::StrategyCache, usize)>,
-    ) -> CoreResult<()> {
-        if let Some(w) = wal {
-            w.append(&RecordBody::CompStart(idx))?;
-        }
-        let (name, fragment, meter) = comp_fragment(self, view, over, topts, scache)?;
-        if let Some(w) = wal {
-            let payload = encode_pending(&fragment);
-            w.append(&RecordBody::CompDone {
-                idx,
-                digest: digest64(&payload),
-                payload,
-            })?;
-        }
-        self.merge_fragment(&name, fragment)?;
-        let total = self.meter_mut();
-        total.comp_expressions += 1;
-        share::fold_term_meter(total, &meter);
-        Ok(())
-    }
-
-    /// Executes `Inst(view)` between its `IS`/`ID` records. The `ID` record
-    /// carries the installed row count and a digest of the view's new
-    /// extent, which recovery verifies after redoing the install.
-    pub(crate) fn exec_inst_journaled(
-        &mut self,
-        view: ViewId,
-        idx: usize,
-        wal: &mut Option<WalWriter>,
-    ) -> CoreResult<u64> {
-        if let Some(w) = wal {
-            w.append(&RecordBody::InstStart(idx))?;
-        }
-        let len = self.exec_inst(view)?;
-        if let Some(w) = wal {
-            let name = self.vdag().name(view).to_string();
-            let post_digest = uww_relational::table_digest(self.table(&name)?);
-            w.append(&RecordBody::InstDone {
-                idx,
-                delta_len: len,
-                post_digest,
-            })?;
-        }
-        Ok(len)
     }
 
     /// Folds a computed fragment into `view`'s pending accumulator.
@@ -598,10 +678,10 @@ impl Warehouse {
     /// delta is pending, e.g. an unchanged base view). Returns the number of
     /// delta rows installed.
     ///
-    /// This is the single funnel through which *every* executor path installs
-    /// (`execute_with` and the threaded parallel executor both reach it), so
-    /// an attached [`InstallPublisher`](crate::engine::publish::InstallPublisher)
-    /// sees every install and publishes the new extent to online readers.
+    /// This is the single funnel through which *every* install lands (the
+    /// window runner and recovery's replay both reach it), so an attached
+    /// [`InstallPublisher`](crate::engine::publish::InstallPublisher) sees
+    /// every install and publishes the new extent to online readers.
     pub(crate) fn exec_inst(&mut self, view: ViewId) -> CoreResult<u64> {
         let name = self.vdag().name(view).to_string();
         self.meter_mut().inst_expressions += 1;
@@ -662,119 +742,6 @@ pub(crate) fn meter_attrs(span: &mut obs::Span, work: &WorkMeter) {
     span.attr_u64(obs::keys::CACHED_READS, work.operand_reads_cached);
 }
 
-/// Display label for a maintenance term: the delta subset it scans.
-pub(crate) fn term_label(subset: &BTreeSet<String>) -> String {
-    let mut out = String::from("d{");
-    for (i, v) in subset.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(v);
-    }
-    out.push('}');
-    out
-}
-
-/// Computes the delta fragment a `Comp(view, over)` expression contributes,
-/// **without mutating the warehouse**: all `2^|over| − 1` maintenance terms
-/// evaluated against the current state and pending deltas, accumulated into
-/// a fresh [`PendingDelta`]. Terms whose delta subset includes a view with
-/// an empty pending delta are skipped (footnote 5 of the paper), costing
-/// nothing — for *every* strategy alike.
-///
-/// Pure over `&Warehouse`, so independent `Comp` expressions of one parallel
-/// stage can run on separate threads (Section 9).
-///
-/// With `topts.share` the surviving terms evaluate through a per-`Comp`
-/// [`share::OperandCache`] (optionally across `topts.threads` workers);
-/// otherwise each term re-scans its operands, the historical baseline. Both
-/// paths produce byte-identical fragments and identical logical meters —
-/// only the physical counters differ.
-/// `scache` attaches the strategy-scope cache together with this
-/// expression's strategy position (for its planned directives); only the
-/// shared path consults it — the per-term baseline, the parallel stage
-/// executor, and recovery replay all pass `None`.
-pub(crate) fn comp_fragment(
-    w: &Warehouse,
-    view: ViewId,
-    over: &BTreeSet<ViewId>,
-    topts: TermOptions,
-    scache: Option<(&share::StrategyCache, usize)>,
-) -> CoreResult<(String, PendingDelta, WorkMeter)> {
-    let name = w.vdag().name(view).to_string();
-    let def = w
-        .def(&name)
-        .ok_or_else(|| CoreError::Warehouse(format!("no definition for {name}")))?
-        .clone();
-    let over_names: BTreeSet<String> = over.iter().map(|v| w.vdag().name(*v).to_string()).collect();
-
-    // Terms whose delta subset includes an empty pending delta are skipped
-    // up front (footnote 5) — in particular a change-free `Comp` builds no
-    // operand cache and costs nothing, for every strategy alike. The same
-    // filter backs the static sharing prediction, so plans and execution
-    // always agree on the term set.
-    let terms = share::surviving_terms(w, &over_names);
-
-    let mut fragment = w.empty_pending_for(&name)?;
-    if topts.share {
-        let (outs, total) = share::eval_terms_shared(w, &def, &terms, topts, scache)?;
-        for out in outs {
-            match (out, &mut fragment) {
-                (share::TermOut::Rows(rows), PendingDelta::Rows(acc)) => {
-                    for (t, m) in rows {
-                        acc.add(t, m);
-                    }
-                }
-                (share::TermOut::Groups(groups), PendingDelta::Summary(acc)) => {
-                    acc.merge_groups(groups);
-                }
-                _ => unreachable!("empty_pending_for matches the output shape"),
-            }
-        }
-        return Ok((name, fragment, total));
-    }
-
-    let mut total = WorkMeter::new();
-    for subset in &terms {
-        let mut term_span = obs::span_dyn(obs::SpanKind::Term, || term_label(subset));
-        let mut scan_meter = WorkMeter::new();
-        let mut meter = WorkMeter::new();
-        let (schema, rows) = {
-            let state = w.state();
-            let pending = w.pending_map();
-            eval::eval_term(
-                &def,
-                |v| state.get(v).map(|t| t.schema().clone()),
-                |v| scan_operand(state, pending, v, subset.contains(v), &mut scan_meter),
-                &mut meter,
-            )
-            .map_err(CoreError::Rel)?
-        };
-        match (&def.output, &mut fragment) {
-            (ViewOutput::Project(_), PendingDelta::Rows(acc)) => {
-                let out = eval::project_output(&def, &schema, &rows, &mut meter)
-                    .map_err(CoreError::Rel)?;
-                for (t, m) in ops::consolidate(out) {
-                    acc.add(t, m);
-                }
-            }
-            (ViewOutput::Aggregate { .. }, PendingDelta::Summary(acc)) => {
-                let groups = eval::group_output(&def, &schema, &rows).map_err(CoreError::Rel)?;
-                acc.merge_groups(groups);
-            }
-            _ => unreachable!("empty_pending_for matches the output shape"),
-        }
-        if term_span.is_recording() {
-            let mut combined = scan_meter;
-            combined.absorb(&meter);
-            meter_attrs(&mut term_span, &combined);
-        }
-        share::fold_term_meter(&mut total, &scan_meter);
-        share::fold_term_meter(&mut total, &meter);
-    }
-    Ok((name, fragment, total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,7 +749,7 @@ mod tests {
     use std::collections::BTreeMap;
     use uww_relational::{
         tup, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, ScalarExpr, Schema,
-        Table, Value, ValueType, ViewDef, ViewSource,
+        Table, Value, ValueType, ViewDef, ViewOutput, ViewSource,
     };
 
     fn base_r() -> Table {
@@ -933,34 +900,27 @@ mod tests {
     }
 
     #[test]
-    fn analyze_first_refuses_flagged_strategies_with_rule_ids() {
+    fn staged_execution_refuses_strategy_sharing_before_touching_anything() {
+        // The staged path used to drop `strategy_sharing` without a word.
         let mut w = warehouse_with_changes();
-        let v = w.view_id("V").unwrap();
-        let r = w.view_id("R").unwrap();
-        let s = w.view_id("S").unwrap();
-        let bad = Strategy::from_exprs(vec![
-            UpdateExpr::inst(r),
-            UpdateExpr::comp1(v, r),
-            UpdateExpr::comp1(v, s),
-            UpdateExpr::inst(s),
-            UpdateExpr::inst(v),
-        ]);
+        let before = catalog_to_string(w.state());
+        let p = crate::parallel::parallelize(w.vdag(), &strategy_dual_stage(&w));
+        let dir = std::env::temp_dir().join(format!("uww-staged-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let opts = ExecOptions {
-            validate: false,
-            analyze_first: true,
+            strategy_sharing: true,
+            wal: Some(WalConfig::new(&dir)),
             ..ExecOptions::default()
         };
-        let err = w.execute_with(&bad, opts.clone()).unwrap_err();
-        match err {
-            CoreError::Analysis(report) => {
-                assert!(report.has_errors());
-                assert!(report.diagnostics.iter().any(|d| d.rule.id() == "UWW006"));
-            }
-            other => panic!("expected analysis rejection, got {other:?}"),
+        match w.execute_staged(&p, opts) {
+            Err(CoreError::Warehouse(msg)) => assert!(msg.contains("strategy_sharing"), "{msg}"),
+            other => panic!("expected a typed refusal, got {other:?}"),
         }
-        // A correct strategy still passes with the analyzer on.
-        let good = strategy_1way_rs(&w);
-        w.execute_with(&good, opts).unwrap();
+        assert!(!dir.exists(), "refusal must precede the WAL snapshot");
+        assert_eq!(catalog_to_string(w.state()), before);
+        assert_eq!(w.meter().linear_work(), 0);
+        // Without the option the same schedule runs.
+        w.execute_staged(&p, ExecOptions::default()).unwrap();
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! remaining chunks instead of idling at the barrier.
 //!
 //! The pool is deliberately scoped and ephemeral (`std::thread::scope`, no
-//! global executor): a `Comp` term already runs inside the term-thread
-//! scope of `eval_terms_shared`, and nested scoped pools compose without a
+//! global executor): a staged window already runs each of a stage's `Comp`s
+//! on its own scoped thread, and nested scoped pools compose without a
 //! shared-runtime deadlock surface.
 
 use std::collections::VecDeque;

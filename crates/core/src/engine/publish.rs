@@ -6,7 +6,7 @@
 //! publishes the view's new extent as a fresh catalog version, so concurrent
 //! readers move from the pre-install extent to the post-install extent with
 //! nothing in between. The publisher is the single funnel through which both
-//! the sequential executor and the threaded parallel executor make installs
+//! the window runner (sequential or staged) and recovery's replay make installs
 //! visible — parallel stages install at stage boundaries on the coordinating
 //! thread, so they flow through the exact same path.
 

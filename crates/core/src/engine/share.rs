@@ -8,8 +8,8 @@
 //! answer: an [`OperandCache`] materializes each `(source, role)` operand
 //! once (single-source filters pushed down and applied once) and interns
 //! hash-join build tables keyed by `(source, role, key columns)`, then
-//! every term evaluates against the cache — sequentially or across a
-//! `std::thread` scope, since terms are read-only and independent.
+//! every term evaluates against the cache, one after another (intra-`Comp`
+//! parallelism is [`PartitionOptions`]' job).
 //!
 //! **The intern decision is static.** Because the greedy join order sizes
 //! operands by their *cached* (filtered) lengths — never by the accumulated
@@ -20,7 +20,7 @@
 //! builds every unshared step fresh. The resulting
 //! `hash_tables_built`/`hash_tables_reused` counters equal the plan's
 //! [`CompSharingPlan::predicted_builds`]/[`CompSharingPlan::predicted_reuses`]
-//! *exactly*, independent of data and of `threads` — the conformance oracle
+//! *exactly*, independent of data and of the partition count — the conformance oracle
 //! `uww analyze --sharing --verify-against` replays traces against.
 //!
 //! Three invariants make the cache safe to enable by default:
@@ -29,13 +29,14 @@
 //!   greedy join order and residual filters, and join output is an
 //!   orientation-independent multiset, so every term's consolidated
 //!   fragment, the merged `ΔW`, the final state, and the WAL `CD` payload
-//!   (canonically sorted) are byte-identical to the per-term path;
+//!   (canonically sorted) are byte-identical to the per-term reference
+//!   ([`eval::reference_comp_fragment`]);
 //! * **logical-meter identity** — each term still charges
 //!   [`WorkMeter::scan_logical`] for the full raw operand it *would* have
 //!   scanned, so `operand_rows_scanned` (the planner's linear metric) and
 //!   `rows_emitted` are unchanged; only `physical_rows_touched` and the
 //!   hash-table counters reveal the savings;
-//! * **static conformance** — unlike the per-term path, the shared path
+//! * **static conformance** — unlike the per-term reference, the shared path
 //!   performs every planned join step even when an intermediate empties
 //!   (joining an empty side costs nothing and emits nothing), so the
 //!   hash-table counters never drift below the static prediction.
@@ -54,7 +55,7 @@
 //! interchangeable build table.
 
 use crate::engine::eval;
-use crate::engine::exec::{meter_attrs, term_label};
+use crate::engine::exec::meter_attrs;
 use crate::engine::pool::{self, PartitionOptions};
 use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
@@ -66,32 +67,7 @@ use uww_relational::ops::{self, GroupAcc, PartitionedTable, Partitioner, SignedR
 use uww_relational::{
     BoundPredicate, Catalog, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter,
 };
-use uww_vdag::{Strategy, UpdateExpr, Vdag};
-
-/// How a `Comp`'s term set is evaluated.
-#[derive(Clone, Copy, Debug)]
-pub struct TermOptions {
-    /// Evaluate terms through a shared [`OperandCache`] (default). Off
-    /// reproduces the historical per-term scans — useful for A/B metering.
-    pub share: bool,
-    /// Worker threads for term evaluation; `0` or `1` evaluates inline.
-    /// Only meaningful with `share` (the per-term path is the baseline).
-    pub threads: usize,
-    /// Intra-term partition parallelism: hash-partitioned joins and chunked
-    /// aggregation on a work-stealing pool. `PartitionOptions::default()`
-    /// (one partition) is the sequential engine.
-    pub partition: PartitionOptions,
-}
-
-impl Default for TermOptions {
-    fn default() -> Self {
-        TermOptions {
-            share: true,
-            threads: 0,
-            partition: PartitionOptions::default(),
-        }
-    }
-}
+use uww_vdag::{Strategy, UpdateExpr, Vdag, ViewId};
 
 /// One materialized operand: the filtered rows every term sees, plus the
 /// raw (pre-filter) extent size the logical metric charges per term.
@@ -288,11 +264,6 @@ pub(crate) struct StrategyCache {
 }
 
 impl StrategyCache {
-    /// A cache primed with the plan's per-expression directives.
-    pub(crate) fn new(directives: Vec<CompCacheDirectives>) -> StrategyCache {
-        StrategyCache::with_carry(directives, WindowCarry::empty())
-    }
-
     /// A cache primed with the plan's directives plus the previous window's
     /// surviving entries (flagged so carried hits are counted separately).
     pub(crate) fn with_carry(
@@ -426,7 +397,7 @@ impl StrategyCache {
 ///
 /// Built once per `Comp` from the terms that will actually run, so a
 /// `Comp` whose every term is skipped (empty deltas, footnote 5) still
-/// costs nothing. Shared by reference across term-evaluation threads.
+/// costs nothing.
 /// When a [`StrategyCache`] is attached, raw reads are served from (and
 /// published to) it, and the plan's consume/publish directives route keyed
 /// builds through the strategy-scope table store.
@@ -456,8 +427,6 @@ pub(crate) struct OperandCache<'a> {
     /// The static plan itself, for prediction consumers.
     plan: CompSharingPlan,
     /// Interned build tables: `(source, as_delta, key columns)` → table.
-    /// The lock is held across the build so `hash_tables_built` counts
-    /// each distinct key exactly once even under threads.
     tables: Mutex<HashMap<TableKey, Arc<PartitionedTable>>>,
 }
 
@@ -756,25 +725,26 @@ fn pooled_rows<F>(
     n: usize,
     f: F,
     meter: &mut WorkMeter,
-) -> SignedRows
+) -> RelResult<SignedRows>
 where
-    F: Fn(usize, &mut WorkMeter) -> SignedRows + Sync,
+    F: Fn(usize, &mut WorkMeter) -> RelResult<SignedRows> + Sync,
 {
     let results = pool::run_tasks(n, popt.workers(n), popt.steal, |i| {
         let mut span =
             obs::span_under_dyn(obs::SpanKind::Operator, parent, || format!("{label}[p{i}]"));
         let mut m = WorkMeter::new();
-        let out = f(i, &mut m);
+        let out = f(i, &mut m)?;
         span.attr_u64(obs::keys::PARTITION, i as u64);
         span.attr_u64(obs::keys::ROWS, out.len() as u64);
-        (out, m)
+        Ok((out, m))
     });
+    let results = results.into_iter().collect::<RelResult<Vec<_>>>()?;
     let mut rows = Vec::with_capacity(results.iter().map(|(r, _)| r.len()).sum());
     for (out, m) in results {
         rows.extend(out);
         meter.absorb(&m);
     }
-    rows
+    Ok(rows)
 }
 
 /// Probes a partitioned table with `probe` rows, co-partitioning them onto
@@ -790,7 +760,7 @@ fn probe_pooled(
     probe_keys: &[usize],
     build_is_left: bool,
     meter: &mut WorkMeter,
-) -> SignedRows {
+) -> RelResult<SignedRows> {
     let mut sp = obs::span(obs::SpanKind::Operator, "hash_probe");
     let out = if table.parts() > 1 {
         sp.attr_u64(obs::keys::PARTITIONS, table.parts() as u64);
@@ -803,12 +773,12 @@ fn probe_pooled(
             table.parts(),
             |i, m| table.probe_chunk(i, &chunks[i], probe_keys, build_is_left, m),
             meter,
-        )
+        )?
     } else {
-        table.probe_chunk(0, probe, probe_keys, build_is_left, meter)
+        table.probe_chunk(0, probe, probe_keys, build_is_left, meter)?
     };
     sp.attr_u64(obs::keys::ROWS, out.len() as u64);
-    out
+    Ok(out)
 }
 
 /// [`scan_operand`], chunk-parallel over the pool for base-extent reads.
@@ -1017,8 +987,8 @@ fn plan_term_steps(
 }
 
 /// A term's projected (or grouped) output, ready to fold into the `Comp`'s
-/// pending fragment in term order.
-pub(crate) enum TermOut {
+/// pending fragment.
+enum TermOut {
     /// Consolidated projection delta (non-aggregate views).
     Rows(SignedRows),
     /// Per-group accumulator deltas (aggregate views).
@@ -1027,7 +997,7 @@ pub(crate) enum TermOut {
 
 /// Evaluates one maintenance term against the cache — the output-identical
 /// mirror of [`eval::eval_term`] plus the downstream projection/grouping.
-pub(crate) fn eval_term_cached(
+fn eval_term_cached(
     def: &ViewDef,
     cache: &OperandCache,
     subset: &BTreeSet<String>,
@@ -1127,9 +1097,9 @@ fn join_term(
                     chunks.len(),
                     |i, m| ops::cross_join(&chunks[i], &right.rows, m),
                     meter,
-                )
+                )?
             } else {
-                ops::cross_join(&joined_rows, &right.rows, meter)
+                ops::cross_join(&joined_rows, &right.rows, meter)?
             };
             sp.attr_u64(obs::keys::ROWS, out.len() as u64);
             out
@@ -1142,7 +1112,7 @@ fn join_term(
                 let mut sp = obs::span(obs::SpanKind::Operator, "hash_table_cross");
                 sp.attr_u64(obs::keys::ROWS, right.rows.len() as u64);
             }
-            probe_pooled(popt, &table, &joined_rows, &lk, false, meter)
+            probe_pooled(popt, &table, &joined_rows, &lk, false, meter)?
         } else if cache.shared.contains(&(next, role[next], rk.clone())) {
             // The static plan marked this (source, role, keys) as repeating
             // across the Comp's terms: intern the pure-operand table — the
@@ -1153,7 +1123,7 @@ fn join_term(
                 sp.attr_u64(obs::keys::ROWS, right.rows.len() as u64);
                 cache.table(next, role[next], &rk, meter)
             };
-            probe_pooled(popt, &table, &joined_rows, &lk, false, meter)
+            probe_pooled(popt, &table, &joined_rows, &lk, false, meter)?
         } else if joined_rows.len() <= right.rows.len() {
             // Unshared step, intermediate smaller: build fresh exactly as
             // hash_join would — one build, no reuse, either orientation.
@@ -1162,7 +1132,7 @@ fn join_term(
                 sp.attr_u64(obs::keys::ROWS, joined_rows.len() as u64);
                 build_pooled(popt, &joined_rows, &lk, meter)
             };
-            probe_pooled(popt, &table, &right.rows, &rk, true, meter)
+            probe_pooled(popt, &table, &right.rows, &rk, true, meter)?
         } else {
             // Unshared step, operand smaller: build fresh over the operand
             // without interning — the key occurs once, so a cache entry
@@ -1172,12 +1142,12 @@ fn join_term(
                 sp.attr_u64(obs::keys::ROWS, right.rows.len() as u64);
                 build_pooled(popt, &right.rows, &rk, meter)
             };
-            probe_pooled(popt, &table, &joined_rows, &lk, false, meter)
+            probe_pooled(popt, &table, &joined_rows, &lk, false, meter)?
         };
         joined_schema = joined_schema.concat(&cache.qschemas[next])?;
         in_set[next] = true;
         // Deliberately no empty-intermediate short circuit here (the
-        // per-term baseline keeps it): the static plan prices every step,
+        // per-term reference keeps it): the static plan prices every step,
         // and joining an empty intermediate emits nothing and touches only
         // the planned build — so the hash-table counters match the
         // prediction exactly while the output bytes are unaffected.
@@ -1194,20 +1164,50 @@ fn join_term(
     Ok((joined_schema, joined_rows))
 }
 
-/// Evaluates `terms` through a fresh cache, inline or across `threads`
-/// workers, returning per-term outputs **in term order** together with the
-/// folded meter (cache materialization + every term). `strategy` attaches
-/// the strategy-scope cache (and this expression's position in it).
-pub(crate) fn eval_terms_shared(
+/// Display label for a maintenance term: the delta subset it scans.
+fn term_label(subset: &BTreeSet<String>) -> String {
+    let mut out = String::from("d{");
+    for (i, v) in subset.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(v);
+    }
+    out.push('}');
+    out
+}
+
+/// Computes the delta fragment a `Comp(view, over)` expression contributes,
+/// **without mutating the warehouse**: all `2^|over| − 1` maintenance terms
+/// evaluated, in term order, against the current state and pending deltas
+/// through a fresh [`OperandCache`] and accumulated into a fresh
+/// [`PendingDelta`]; the meter folds cache materialization and every term.
+/// Terms whose delta subset includes a view with an empty pending delta are
+/// skipped (footnote 5 of the paper), costing nothing — for *every* strategy
+/// alike; the same filter backs the static sharing prediction, so plans and
+/// execution always agree on the term set.
+///
+/// Pure over `&Warehouse`, so independent `Comp` expressions of one parallel
+/// stage can run on separate threads (Section 9). `strategy` attaches the
+/// strategy-scope cache together with this expression's strategy position
+/// (for its planned directives). The fragment bytes and logical meter equal
+/// [`eval::reference_comp_fragment`]'s; only the physical counters differ.
+pub(crate) fn comp_fragment(
     w: &Warehouse,
-    def: &ViewDef,
-    terms: &[BTreeSet<String>],
-    topts: TermOptions,
+    view: ViewId,
+    over: &BTreeSet<ViewId>,
+    partition: PartitionOptions,
     strategy: Option<(&StrategyCache, usize)>,
-) -> CoreResult<(Vec<TermOut>, WorkMeter)> {
+) -> CoreResult<(PendingDelta, WorkMeter)> {
+    let name = w.vdag().name(view);
+    let def = w
+        .def(name)
+        .ok_or_else(|| CoreError::Warehouse(format!("no definition for {name}")))?;
+    let terms = surviving_terms(w, &w.view_names(over));
+    let mut fragment = w.empty_pending_for(name)?;
     let (cache, mut total) = {
         let mut sp = obs::span(obs::SpanKind::Operator, "materialize_operands");
-        let (cache, meter) = OperandCache::build(w, def, terms, strategy, topts.partition)?;
+        let (cache, meter) = OperandCache::build(w, def, &terms, strategy, partition)?;
         sp.attr_u64(obs::keys::PHYSICAL_ROWS, meter.physical_rows_touched);
         sp.attr_u64(
             obs::keys::PREDICTED_HASH_BUILDS,
@@ -1224,71 +1224,23 @@ pub(crate) fn eval_terms_shared(
         sp.attr_u64(obs::keys::PREDICTED_CACHED_READS, cache.plan.cached_reads);
         (cache, meter)
     };
-    let workers = topts.threads.min(terms.len());
-    // Worker threads do not inherit the spawner's span stack; parent every
-    // term span to the enclosing expression span explicitly.
-    let parent = obs::current_span_id();
-    let eval_one = |subset: &BTreeSet<String>| {
-        let mut span = obs::span_under_dyn(obs::SpanKind::Term, parent, || term_label(subset));
+    for subset in &terms {
+        let mut span = obs::span_dyn(obs::SpanKind::Term, || term_label(subset));
         let mut meter = WorkMeter::new();
         let out = eval_term_cached(def, &cache, subset, &mut meter);
         meter_attrs(&mut span, &meter);
-        out.map(|out| (meter, out))
-    };
-    let mut results: Vec<Option<CoreResult<(WorkMeter, TermOut)>>> = if workers > 1 {
-        // Mirror execute_parallel_threaded: scoped workers over a shared
-        // read-only warehouse/cache. Worker k takes terms k, k+W, k+2W, …
-        // and results are re-assembled in term order, so the merged
-        // fragment and meter are independent of scheduling.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let eval_one = &eval_one;
-                    scope.spawn(move || {
-                        terms
-                            .iter()
-                            .enumerate()
-                            .skip(worker)
-                            .step_by(workers)
-                            .map(|(i, subset)| (i, eval_one(subset)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<CoreResult<(WorkMeter, TermOut)>>> =
-                (0..terms.len()).map(|_| None).collect();
-            for h in handles {
-                for (i, r) in h.join().expect("term worker panicked") {
-                    slots[i] = Some(r);
+        total.absorb(&meter);
+        match (out?, &mut fragment) {
+            (TermOut::Rows(rows), PendingDelta::Rows(acc)) => {
+                for (t, m) in rows {
+                    acc.add(t, m);
                 }
             }
-            slots
-        })
-    } else {
-        terms.iter().map(|subset| Some(eval_one(subset))).collect()
-    };
-
-    let mut outs = Vec::with_capacity(results.len());
-    for r in results.drain(..) {
-        let (meter, out) = r.expect("every term evaluated")?;
-        fold_term_meter(&mut total, &meter);
-        outs.push(out);
+            (TermOut::Groups(groups), PendingDelta::Summary(acc)) => acc.merge_groups(groups),
+            _ => unreachable!("empty_pending_for matches the output shape"),
+        }
     }
-    Ok((outs, total))
-}
-
-/// Folds the counters a `Comp` contributes to the warehouse meter —
-/// deliberately not `rows_installed` or the expression counts, which the
-/// install funnel and `exec_comp_journaled` own.
-pub(crate) fn fold_term_meter(total: &mut WorkMeter, m: &WorkMeter) {
-    total.operand_rows_scanned += m.operand_rows_scanned;
-    total.rows_emitted += m.rows_emitted;
-    total.terms_evaluated += m.terms_evaluated;
-    total.physical_rows_touched += m.physical_rows_touched;
-    total.hash_tables_built += m.hash_tables_built;
-    total.hash_tables_reused += m.hash_tables_reused;
-    total.hash_tables_cross_reused += m.hash_tables_cross_reused;
-    total.operand_reads_cached += m.operand_reads_cached;
+    Ok((fragment, total))
 }
 
 /// The surviving terms of a `Comp` over `over_names` under the footnote-5
@@ -1308,7 +1260,7 @@ pub fn surviving_terms(w: &Warehouse, over_names: &BTreeSet<String>) -> Vec<BTre
 /// Statically predicts the shared engine's hash-table counters and operand
 /// uses for one `Comp(view, over)` against the warehouse's **current**
 /// state and pending deltas. The prediction is exact: executing that
-/// `Comp` next (with term sharing on, any thread count) produces precisely
+/// `Comp` next (at any partition count) produces precisely
 /// `predicted_builds`/`predicted_reuses`.
 pub fn predict_comp_sharing(
     w: &Warehouse,
@@ -1396,11 +1348,6 @@ impl StrategySharingPlan {
         self.exprs.iter().map(|e| e.plan.cross_saved_rows).sum()
     }
 
-    /// A runtime cache primed with this plan's directives.
-    pub(crate) fn cache(&self) -> StrategyCache {
-        StrategyCache::new(self.directives.clone())
-    }
-
     /// A runtime cache primed with this plan's directives plus the previous
     /// window's surviving entries. Only meaningful when the plan was built
     /// by [`plan_strategy_sharing_carried`] over the *same* carry, so the
@@ -1461,11 +1408,7 @@ fn plan_strategy_sharing_seeded(
         let pred = match expr {
             UpdateExpr::Comp { view, over } => {
                 let name = scratch.vdag().name(*view).to_string();
-                let over_names: BTreeSet<String> = over
-                    .iter()
-                    .map(|v| scratch.vdag().name(*v).to_string())
-                    .collect();
-                let plan = predict_comp_sharing(&scratch, &name, &over_names)?;
+                let plan = predict_comp_sharing(&scratch, &name, &scratch.view_names(over))?;
                 ExprSharingPrediction {
                     view: name,
                     kind: "comp",

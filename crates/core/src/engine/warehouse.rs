@@ -4,7 +4,7 @@ use crate::engine::eval;
 use crate::engine::publish::InstallPublisher;
 use crate::engine::summary::{stored_aggregate_schema, SummaryDelta};
 use crate::error::{CoreError, CoreResult};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use uww_relational::ops::{self, SignedRows};
 use uww_relational::{
     Catalog, DeltaRelation, RelError, RelResult, Schema, Table, Tuple, Value, ViewDef, ViewOutput,
@@ -287,6 +287,14 @@ impl Warehouse {
     /// Resolves view names to ids for a whole strategy's worth of use.
     pub fn view_id(&self, name: &str) -> CoreResult<ViewId> {
         Ok(self.vdag.id_of(name)?)
+    }
+
+    /// The names of `views` — a `Comp`'s `over` set as the term engine keys it.
+    pub(crate) fn view_names(&self, views: &BTreeSet<ViewId>) -> BTreeSet<String> {
+        views
+            .iter()
+            .map(|v| self.vdag.name(*v).to_string())
+            .collect()
     }
 }
 

@@ -17,8 +17,8 @@ pub enum CoreError {
     Warehouse(String),
     /// A planner precondition failed.
     Planner(String),
-    /// The static strategy analyzer refused the strategy
-    /// ([`ExecOptions::analyze_first`](crate::ExecOptions)); the full lint
+    /// The static strategy analyzer refused the strategy (the staged
+    /// executor's race check, or recovery's resume gate); the full lint
     /// report with `UWW###` rule ids is attached.
     Analysis(Box<Report>),
     /// An install-WAL I/O or format problem (missing files, bad manifest,

@@ -61,8 +61,7 @@ pub use olap::{
     simulate as simulate_olap, InterferenceReport, IsolationMode, OlapWorkload, QueryOutcome,
 };
 pub use parallel::{
-    canonical_stage_order, flatten_def, makespan, parallelize, total_work, ParallelReport,
-    ParallelStrategy, StageReport,
+    canonical_stage_order, flatten_def, makespan, parallelize, total_work, ParallelStrategy,
 };
 pub use planner::{
     min_work, min_work_shared, min_work_shared_capped, min_work_single, one_way_for_ordering,

@@ -7,14 +7,13 @@
 //! (fewer C4 dependencies) and VDAG *flattening* (rewriting a view over an
 //! intermediate view to run directly against the intermediate's sources,
 //! removing C8 dependencies) — at the price of more total work. This module
-//! implements the model, both levers, a makespan cost, and a real threaded
-//! executor, so the trade-off can be measured.
+//! implements the model, both levers and a makespan cost;
+//! [`Warehouse::execute_staged`](crate::engine::Warehouse::execute_staged)
+//! runs a parallel strategy on real threads, so the trade-off can be measured.
 
 use crate::cost::CostModel;
-use crate::engine::{ExecOptions, ExecutionReport, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use std::collections::HashSet;
-use uww_obs as obs;
 use uww_relational::{ScalarExpr, ViewDef, ViewOutput};
 use uww_vdag::{Strategy, UpdateExpr, Vdag, ViewId};
 
@@ -317,54 +316,15 @@ fn substitute_pred(
     }
 }
 
-/// Measurements for one executed parallel stage.
-#[derive(Clone, Debug)]
-pub struct StageReport {
-    /// Per-expression measurements within the stage.
-    pub per_expr: Vec<crate::engine::ExprReport>,
-    /// Wall-clock time of the whole stage (comps ran concurrently, so this
-    /// is close to the slowest comp plus the serial installs).
-    pub wall: std::time::Duration,
-}
-
-/// Measurements for a threaded parallel execution.
-#[derive(Clone, Debug, Default)]
-pub struct ParallelReport {
-    /// Per-stage breakdowns.
-    pub stages: Vec<StageReport>,
-}
-
-impl ParallelReport {
-    /// Total work across all stages (equals the sequential strategy's work).
-    pub fn total_work(&self) -> uww_relational::WorkMeter {
-        let mut total = uww_relational::WorkMeter::new();
-        for s in &self.stages {
-            for e in &s.per_expr {
-                total.absorb(&e.work);
-            }
-        }
-        total
-    }
-
-    /// The measured makespan: sum of stage walls.
-    pub fn wall(&self) -> std::time::Duration {
-        self.stages.iter().map(|s| s.wall).sum()
-    }
-
-    /// Measured linear work.
-    pub fn linear_work(&self) -> u64 {
-        self.total_work().linear_work()
-    }
-}
-
 /// The canonical stage-by-stage linearization the WAL manifest records for
 /// a parallel strategy: each stage's `Comp`s (in stage order), then its
 /// `Inst`s (in stage order) — exactly the order
-/// [`Warehouse::execute_parallel_threaded`] makes its effects visible
-/// (fragments merge after the comp threads join, installs land at the stage
-/// boundary). Stage races that would make this reordering unfaithful are
-/// rejected up front by the analyzer (UWW001), which is what lets recovery
-/// resume a crashed threaded run *sequentially* in this order.
+/// [`Warehouse::execute_staged`](crate::engine::Warehouse::execute_staged)
+/// makes its effects visible (fragments merge after the comp threads join,
+/// installs land at the stage boundary). Stage races that would make this
+/// reordering unfaithful are rejected up front by the analyzer (UWW001),
+/// which is what lets recovery resume a crashed staged run *sequentially*
+/// in this order.
 pub fn canonical_stage_order(p: &ParallelStrategy) -> Vec<(usize, UpdateExpr)> {
     let mut out = Vec::with_capacity(p.expression_count());
     for (si, stage) in p.stages.iter().enumerate() {
@@ -382,226 +342,10 @@ pub fn canonical_stage_order(p: &ParallelStrategy) -> Vec<(usize, UpdateExpr)> {
     out
 }
 
-impl Warehouse {
-    /// Executes a parallel strategy sequentially (stage order linearized).
-    /// Semantically identical to [`Warehouse::execute_parallel_threaded`];
-    /// useful when determinism of the work meter matters more than wall
-    /// time.
-    pub fn execute_parallel(&mut self, p: &ParallelStrategy) -> CoreResult<ExecutionReport> {
-        self.execute_parallel_with(p, ExecOptions::default())
-    }
-
-    /// [`Warehouse::execute_parallel`] with explicit options (including WAL
-    /// journaling).
-    pub fn execute_parallel_with(
-        &mut self,
-        p: &ParallelStrategy,
-        opts: ExecOptions,
-    ) -> CoreResult<ExecutionReport> {
-        // Every linearization of a stage must be equivalent; the dependency
-        // construction guarantees it. Validate the canonical linearization.
-        let linear = p.linearize();
-        self.execute_with(&linear, opts)
-    }
-
-    /// Executes a parallel strategy with **real threads**: within each
-    /// stage, every `Comp` expression's fragment is computed concurrently
-    /// against the frozen stage-entry state (the fragments are pure reads —
-    /// see [`crate::engine::exec`]), then the fragments merge and the
-    /// stage's `Inst` expressions apply serially at the stage boundary.
-    pub fn execute_parallel_threaded(
-        &mut self,
-        p: &ParallelStrategy,
-    ) -> CoreResult<ParallelReport> {
-        self.execute_parallel_threaded_with(p, ExecOptions::default())
-    }
-
-    /// [`Warehouse::execute_parallel_threaded`] with explicit options.
-    ///
-    /// Installs run serially at stage boundaries through the same
-    /// [`exec_inst`](crate::engine::exec) funnel as the sequential executor,
-    /// so an attached [`InstallPublisher`](crate::engine::InstallPublisher)
-    /// publishes every stage's installs to online readers atomically.
-    ///
-    /// With a WAL attached, records are stage-granular: a `STG` barrier
-    /// record opens each stage, every comp's `CS` is appended before the
-    /// threads spawn, each journaled `CD` lands (log-ahead) as the fragments
-    /// merge serially after the join, and `IS`/`ID` bracket each serial
-    /// install — so a crash at any record boundary resumes from the exact
-    /// expression it interrupted, in [`canonical_stage_order`].
-    pub fn execute_parallel_threaded_with(
-        &mut self,
-        p: &ParallelStrategy,
-        opts: ExecOptions,
-    ) -> CoreResult<ParallelReport> {
-        if opts.validate {
-            uww_vdag::check_vdag_strategy(self.vdag(), &p.linearize())?;
-        }
-        // The linearized check cannot see stage races: a same-stage pair
-        // like `Comp(V5, {V4}); Comp(V4, ..)` linearizes to a C8-legal order
-        // yet computes against the frozen stage-entry state here, silently
-        // dropping ΔV4's contribution. The static analyzer (UWW001) can —
-        // and it also underwrites the WAL manifest's canonical order, so it
-        // always runs here.
-        let report = uww_analysis::analyze_parallel(self.vdag(), &p.stages);
-        if report.has_errors() {
-            return Err(CoreError::Analysis(Box::new(report)));
-        }
-        let canonical = canonical_stage_order(p);
-        let mut wal = match &opts.wal {
-            Some(cfg) => {
-                let staged: Vec<(usize, &UpdateExpr)> =
-                    canonical.iter().map(|(s, e)| (*s, e)).collect();
-                Some(self.wal_begin(cfg, &staged)?)
-            }
-            None => None,
-        };
-        let mut run_span = obs::span(obs::SpanKind::Run, "execute_parallel_threaded");
-        run_span.attr_u64("stages", p.stages.len() as u64);
-        // Manifest index of each expression: comps first, then insts, per
-        // stage. Computed per stage below from a running offset.
-        let mut next_idx = 0usize;
-        let mut report = ParallelReport::default();
-        for (si, stage) in p.stages.iter().enumerate() {
-            let mut stage_span = obs::span_dyn(obs::SpanKind::Stage, || format!("stage {si}"));
-            stage_span.attr_u64(obs::keys::STAGE, si as u64);
-            let t0 = std::time::Instant::now();
-            if let Some(w) = &mut wal {
-                w.append(&crate::wal::RecordBody::Stage(si))?;
-            }
-            let comps: Vec<(ViewId, std::collections::BTreeSet<ViewId>)> = stage
-                .iter()
-                .filter_map(|e| match e {
-                    UpdateExpr::Comp { view, over } => Some((*view, over.clone())),
-                    UpdateExpr::Inst(_) => None,
-                })
-                .collect();
-            let comp_idx0 = next_idx;
-            let inst_idx0 = comp_idx0 + comps.len();
-            next_idx += stage.len();
-            // Log-ahead intent for every comp in the stage before spawning.
-            if let Some(w) = &mut wal {
-                for i in 0..comps.len() {
-                    w.append(&crate::wal::RecordBody::CompStart(comp_idx0 + i))?;
-                }
-            }
-
-            // Fan the comps out over threads; each sees the frozen state.
-            type CompResult = CoreResult<(
-                UpdateExpr,
-                String,
-                crate::engine::PendingDelta,
-                uww_relational::WorkMeter,
-                std::time::Duration,
-            )>;
-            let this: &Warehouse = self;
-            let topts = opts.term_options();
-            let predicted = opts.predicted_work.as_deref();
-            let stage_parent = obs::current_span_id();
-            let results: Vec<CompResult> = std::thread::scope(|scope| {
-                let handles: Vec<_> = comps
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, (view, over))| {
-                        scope.spawn(move || {
-                            let expr = UpdateExpr::Comp {
-                                view: *view,
-                                over: over.clone(),
-                            };
-                            let mut span = {
-                                let g = this.vdag();
-                                obs::span_under_dyn(obs::SpanKind::Expression, stage_parent, || {
-                                    expr.display(g).to_string()
-                                })
-                            };
-                            if span.is_recording() {
-                                crate::engine::exec::expr_attrs(&mut span, this.vdag(), &expr);
-                                if let Some(p) = predicted.and_then(|p| p.get(comp_idx0 + ci)) {
-                                    span.attr_f64(obs::keys::PREDICTED_WORK, *p);
-                                }
-                            }
-                            let t = std::time::Instant::now();
-                            let (name, fragment, meter) =
-                                crate::engine::exec::comp_fragment(this, *view, over, topts, None)?;
-                            crate::engine::exec::meter_attrs(&mut span, &meter);
-                            Ok((expr, name, fragment, meter, t.elapsed()))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("comp thread panicked"))
-                    .collect()
-            });
-
-            let mut per_expr = Vec::new();
-            for (i, r) in results.into_iter().enumerate() {
-                let (expr, name, fragment, mut meter, wall) = r?;
-                if let Some(w) = &mut wal {
-                    let payload = crate::wal::encode_pending(&fragment);
-                    w.append(&crate::wal::RecordBody::CompDone {
-                        idx: comp_idx0 + i,
-                        digest: uww_relational::digest64(&payload),
-                        payload,
-                    })?;
-                }
-                self.merge_fragment(&name, fragment)?;
-                meter.comp_expressions = 1;
-                let total = self.meter_mut();
-                total.comp_expressions += 1;
-                crate::engine::share::fold_term_meter(total, &meter);
-                per_expr.push(crate::engine::ExprReport {
-                    expr,
-                    work: meter,
-                    wall,
-                    replayed: false,
-                });
-            }
-
-            // Installs land at the stage boundary, serially.
-            let mut inst_idx = inst_idx0;
-            for e in stage {
-                if let UpdateExpr::Inst(v) = e {
-                    let mut span = {
-                        let g = self.vdag();
-                        obs::span_dyn(obs::SpanKind::Expression, || e.display(g).to_string())
-                    };
-                    if span.is_recording() {
-                        crate::engine::exec::expr_attrs(&mut span, self.vdag(), e);
-                        if let Some(p) = predicted.and_then(|p| p.get(inst_idx)) {
-                            span.attr_f64(obs::keys::PREDICTED_WORK, *p);
-                        }
-                    }
-                    let before = *self.meter();
-                    let t = std::time::Instant::now();
-                    self.exec_inst_journaled(*v, inst_idx, &mut wal)?;
-                    inst_idx += 1;
-                    let work = self.meter().since(&before);
-                    crate::engine::exec::meter_attrs(&mut span, &work);
-                    drop(span);
-                    per_expr.push(crate::engine::ExprReport {
-                        expr: e.clone(),
-                        work,
-                        wall: t.elapsed(),
-                        replayed: false,
-                    });
-                }
-            }
-            report.stages.push(StageReport {
-                per_expr,
-                wall: t0.elapsed(),
-            });
-        }
-        if let Some(w) = &mut wal {
-            w.append(&crate::wal::RecordBody::Commit)?;
-        }
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ExecOptions, Warehouse};
     use crate::sizes::{SizeCatalog, SizeInfo};
     use uww_relational::{OutputColumn, Predicate, Value, ViewSource};
     use uww_vdag::{check_vdag_strategy, dual_stage_strategy, figure3_vdag};
@@ -721,11 +465,11 @@ mod tests {
         let mut seq = base.clone();
         seq.load_changes(changes.clone()).unwrap();
         let expected = seq.expected_final_state().unwrap();
-        let seq_report = seq.execute_parallel(&p).unwrap();
+        let seq_report = seq.execute(&p.linearize()).unwrap();
 
         let mut par = base.clone();
         par.load_changes(changes).unwrap();
-        let par_report = par.execute_parallel_threaded(&p).unwrap();
+        let par_report = par.execute_staged(&p, ExecOptions::default()).unwrap();
 
         assert!(par.diff_state(&expected).is_empty());
         assert!(seq.diff_state(&expected).is_empty());
@@ -738,7 +482,8 @@ mod tests {
             par_report.total_work().rows_installed,
             seq_report.total_work().rows_installed
         );
-        assert_eq!(par_report.stages.len(), p.depth());
+        assert_eq!(par_report.stage_walls.len(), p.depth());
+        assert_eq!(par_report.per_expr.len(), p.expression_count());
         assert!(par_report.linear_work() > 0);
         assert!(par_report.wall() > std::time::Duration::ZERO);
     }
@@ -778,7 +523,7 @@ mod tests {
         let versioned = Arc::new(VersionedCatalog::from_catalog(w.state()));
         w.attach_publisher(InstallPublisher::new(Arc::clone(&versioned), false));
         let p = parallelize(w.vdag(), &dual_stage_strategy(w.vdag()));
-        let report = w.execute_parallel_threaded(&p).unwrap();
+        let report = w.execute_staged(&p, ExecOptions::default()).unwrap();
 
         // One published epoch per executed Inst, and the published extents
         // equal the engine's final state.
@@ -817,7 +562,7 @@ mod tests {
                 vec![UpdateExpr::inst(w.view_id("V").unwrap())],
             ],
         };
-        assert!(w.execute_parallel_threaded(&bad).is_err());
+        assert!(w.execute_staged(&bad, ExecOptions::default()).is_err());
     }
 
     #[test]
@@ -825,7 +570,7 @@ mod tests {
         use uww_relational::{tup, Schema, Table, ValueType};
         // R -> P -> W chain: Comp(P) and Comp(W, {P}) in ONE stage is a race
         // the linearized dynamic check cannot see (its linearization is
-        // C8-legal), but the threaded executor would compute W against the
+        // C8-legal), but the staged executor would compute W against the
         // frozen stage-entry ΔP = ∅ and silently drop the update.
         let mut r = Table::new("R", Schema::of(&[("k", ValueType::Int)]));
         r.insert(tup![Value::Int(1)]).unwrap();
@@ -864,7 +609,7 @@ mod tests {
         };
         // The linearization alone is fine — that is exactly the hole.
         check_vdag_strategy(w.vdag(), &racy.linearize()).unwrap();
-        match w.execute_parallel_threaded(&racy).unwrap_err() {
+        match w.execute_staged(&racy, ExecOptions::default()).unwrap_err() {
             CoreError::Analysis(report) => {
                 assert!(report.diagnostics.iter().any(|d| d.rule.id() == "UWW001"));
             }
@@ -882,7 +627,7 @@ mod tests {
                 ],
             ],
         };
-        w.execute_parallel_threaded(&ok).unwrap();
+        w.execute_staged(&ok, ExecOptions::default()).unwrap();
     }
 
     #[test]

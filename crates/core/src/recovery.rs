@@ -19,8 +19,9 @@
 //!    the partial install — say, one that re-propagates a view the prefix
 //!    already installed — is refused with the C-rule or `UWW###`
 //!    diagnostic.
-//! 4. **Resume** — the suffix executes fresh, journaling onto the same log
-//!    (torn tail truncated first), and the run commits.
+//! 4. **Resume** — the suffix executes fresh through the same window runner
+//!    as every other entry point, journaling onto the same log (torn tail
+//!    truncated first), and the run commits.
 //!
 //! Replayed expressions appear in the returned
 //! [`ExecutionReport`](crate::ExecutionReport) with
@@ -33,9 +34,10 @@ use uww_obs as obs;
 use uww_relational::{catalog_from_str, deltas_from_str, table_digest};
 use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr};
 
-use crate::engine::{ExecutionReport, ExprReport, Warehouse};
+use crate::engine::exec::Item;
+use crate::engine::{ExecOptions, ExecutionReport, ExprReport, Warehouse};
 use crate::error::{CoreError, CoreResult};
-use crate::wal::{decode_pending, RecordBody, WalConfig, WalLog, WalWriter, MANIFEST_FILE};
+use crate::wal::{decode_pending, Record, RecordBody, WalConfig, WalLog, WalWriter, MANIFEST_FILE};
 
 /// What [`recover`] did.
 #[derive(Debug)]
@@ -53,12 +55,6 @@ pub struct RecoveryOutcome {
     /// True when the log was already committed: the whole run replays and
     /// nothing is appended (recovery is idempotent).
     pub already_committed: bool,
-}
-
-/// One completed (Done-record) expression, in manifest order.
-struct DoneRec {
-    seq: u64,
-    body: RecordBody,
 }
 
 /// Recovers a crashed (or committed) run from the WAL directory `dir`,
@@ -96,7 +92,7 @@ pub fn recover_with(
     // Collect the completed prefix: Done records must land in strict
     // manifest order (the executors journal them that way; anything else is
     // damage or tampering).
-    let mut done: Vec<DoneRec> = Vec::new();
+    let mut done: Vec<&Record> = Vec::new();
     for r in &log.records {
         let idx = match &r.body {
             RecordBody::CompDone { idx, .. } | RecordBody::InstDone { idx, .. } => *idx,
@@ -128,10 +124,7 @@ pub fn recover_with(
                 detail: format!("record kind does not match manifest expr {idx}"),
             });
         }
-        done.push(DoneRec {
-            seq: r.seq,
-            body: r.body.clone(),
-        });
+        done.push(r);
     }
     if log.committed && done.len() != manifest_exprs.len() {
         return Err(CoreError::WalCorrupt {
@@ -255,7 +248,8 @@ pub fn recover_with(
         0 => 0,
         n => manifest_exprs[n - 1].0,
     };
-    if suffix != default_suffix {
+    let overridden = suffix != default_suffix;
+    if overridden {
         let mut manifest = log.manifest.clone();
         manifest.exprs.truncate(done.len());
         for e in &suffix {
@@ -269,44 +263,37 @@ pub fn recover_with(
             .map_err(|e| CoreError::Wal(format!("rewrite manifest: {e}")))?;
     }
 
-    // Execute the suffix fresh, journaling onto the same log.
+    // Execute the suffix fresh through the window runner, journaling onto
+    // the same log; the runner commits it.
     let cfg = WalConfig::new(dir).with_fsync(log.manifest.fsync);
-    let mut wal = Some(WalWriter::resume(&cfg, &log)?);
-    let last_stage = if done.is_empty() {
-        None
-    } else {
-        Some(suffix_stage)
-    };
-    let items: Vec<(usize, usize, UpdateExpr)> = suffix
+    let writer = WalWriter::resume(&cfg, &log)?;
+    let last_stage = (!done.is_empty()).then_some(suffix_stage);
+    let items: Vec<Item<'_>> = suffix
         .iter()
         .enumerate()
         .map(|(i, e)| {
             let idx = done.len() + i;
-            let stage = if suffix == default_suffix {
-                manifest_exprs[idx].0
-            } else {
+            let stage = if overridden {
                 suffix_stage
+            } else {
+                manifest_exprs[idx].0
             };
-            (idx, stage, e.clone())
+            (idx, stage, e)
         })
         .collect();
     let resumed = items.len();
-    // Resumed expressions run with the default term engine (shared,
-    // inline): the fragment bytes and logical meter are independent of the
-    // engine choice, so replay digests verify regardless of the options the
-    // crashed run used.
-    let fresh = w.run_exprs_journaled(
+    // Resumed expressions run under default options: the fragment bytes and
+    // logical meter are independent of the partition count and cache scope,
+    // so replay digests verify regardless of the options the crashed run
+    // used.
+    let fresh = w.run_window(
         &items,
-        last_stage,
-        &mut wal,
-        crate::engine::exec::ExecOptions::default().term_options(),
         None,
+        &ExecOptions::default(),
+        Some((last_stage, writer)),
         None,
     )?;
-    report.per_expr.extend(fresh.per_expr);
-    if let Some(writer) = &mut wal {
-        writer.append(&RecordBody::Commit)?;
-    }
+    report.per_expr.extend(fresh.report.per_expr);
     Ok(RecoveryOutcome {
         report,
         replayed_comps,

@@ -3,7 +3,7 @@
 //! Emits the JSON-object form of the [trace-event format] that Perfetto and
 //! `chrome://tracing` load directly: one complete event (`"ph":"X"`) per
 //! span with microsecond `ts`/`dur`, the span kind as `cat`, the lane as
-//! `tid` (one row per OS thread, so `--term-threads` overlap is visible),
+//! `tid` (one row per OS thread, so `--partitions` overlap is visible),
 //! and span id/parent plus all attributes under `args`. A `thread_name`
 //! metadata event labels each lane.
 //!

@@ -12,7 +12,7 @@
 //!   subscriber is installed every instrumentation point is one atomic load
 //!   and an early return: no allocation, no lock, no clock read.
 //! * [`chrome`] — Chrome trace-event JSON (loadable in Perfetto or
-//!   `chrome://tracing`), with one lane per OS thread so `--term-threads`
+//!   `chrome://tracing`), with one lane per OS thread so `--partitions`
 //!   overlap is visible, and a validator used by the golden tests and CI.
 //! * [`prom`] — a Prometheus text-format registry (counters, gauges,
 //!   histograms) plus a minimal scrape parser for round-trip tests.

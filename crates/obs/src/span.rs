@@ -17,8 +17,8 @@
 //! # Parenting across threads
 //!
 //! The current span is tracked in a thread local, so nesting is automatic
-//! within one thread. Scoped worker threads (the term-sharing pool, the
-//! parallel stage executor) do not inherit the spawning thread's stack;
+//! within one thread. Scoped worker threads (the partition pool, the
+//! staged executor's `Comp` threads) do not inherit the spawning thread's stack;
 //! callers capture [`current_span_id`] before spawning and open worker spans
 //! with [`span_under`].
 

@@ -1,6 +1,7 @@
 //! Join operators on signed row batches.
 
 use super::SignedRows;
+use crate::error::{RelError, RelResult};
 use crate::meter::WorkMeter;
 use crate::tuple::Tuple;
 use std::collections::HashMap;
@@ -9,15 +10,15 @@ use std::collections::HashMap;
 ///
 /// Joins `left` and `right` on `left[left_keys[i]] == right[right_keys[i]]`
 /// for all `i`, concatenating matching tuples (left columns first) and
-/// multiplying their signed multiplicities. Builds the hash table on the
-/// smaller batch.
+/// multiplying their signed multiplicities ([`RelError::Overflow`] when a
+/// product leaves `i64`). Builds the hash table on the smaller batch.
 pub fn hash_join(
     left: &SignedRows,
     left_keys: &[usize],
     right: &SignedRows,
     right_keys: &[usize],
     meter: &mut WorkMeter,
-) -> SignedRows {
+) -> RelResult<SignedRows> {
     assert_eq!(left_keys.len(), right_keys.len(), "join key arity mismatch");
     if left_keys.is_empty() {
         return cross_join(left, right, meter);
@@ -31,6 +32,12 @@ pub fn hash_join(
     };
     let table = build_table(build, build_keys, meter);
     probe_table(build, &table, probe, probe_keys, build_left, meter)
+}
+
+/// The signed multiplicity of a joined row: the product of its inputs'.
+fn joined_multiplicity(a: i64, b: i64) -> RelResult<i64> {
+    a.checked_mul(b)
+        .ok_or_else(|| RelError::Overflow("join multiplicity".to_string()))
 }
 
 /// A hash-join build table decoupled from the batch it indexes: key
@@ -88,7 +95,7 @@ pub fn probe_table(
     probe_keys: &[usize],
     build_is_left: bool,
     meter: &mut WorkMeter,
-) -> SignedRows {
+) -> RelResult<SignedRows> {
     let mut out = Vec::new();
     for (t, m) in probe {
         if let Some(matches) = table.index.get(&t.project(probe_keys)) {
@@ -99,25 +106,29 @@ pub fn probe_table(
                 } else {
                     t.concat(bt)
                 };
-                out.push((row, m * bm));
+                out.push((row, joined_multiplicity(*m, *bm)?));
             }
         }
     }
     meter.emit(out.len() as u64);
-    out
+    Ok(out)
 }
 
 /// Cross product, multiplying multiplicities. Used only when a view
 /// definition genuinely has no equi-join between two source groups.
-pub fn cross_join(left: &SignedRows, right: &SignedRows, meter: &mut WorkMeter) -> SignedRows {
+pub fn cross_join(
+    left: &SignedRows,
+    right: &SignedRows,
+    meter: &mut WorkMeter,
+) -> RelResult<SignedRows> {
     let mut out = Vec::with_capacity(left.len() * right.len());
     for (lt, lm) in left {
         for (rt, rm) in right {
-            out.push((lt.concat(rt), lm * rm));
+            out.push((lt.concat(rt), joined_multiplicity(*lm, *rm)?));
         }
     }
     meter.emit(out.len() as u64);
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -146,7 +157,7 @@ mod tests {
     #[test]
     fn equi_join_multiplies_signs() {
         let mut m = WorkMeter::new();
-        let mut out = hash_join(&l(), &[0], &r(), &[0], &mut m);
+        let mut out = hash_join(&l(), &[0], &r(), &[0], &mut m).unwrap();
         out.sort();
         // key 1: 1*1 = +1 row; key 2: 2*-1 and 2*1; key 3 and 9 unmatched.
         assert_eq!(out.len(), 3);
@@ -169,11 +180,11 @@ mod tests {
         let small = vec![(tup![Value::Int(1), Value::str("x")], 1)];
         // left smaller -> build left; left bigger -> build right. Both must
         // emit left-columns-first.
-        let a = hash_join(&small, &[0], &r(), &[0], &mut m);
+        let a = hash_join(&small, &[0], &r(), &[0], &mut m).unwrap();
         let big_left: SignedRows = (0..10)
             .map(|i| (tup![Value::Int(i % 2), Value::str("y")], 1))
             .collect();
-        let b = hash_join(&big_left, &[0], &r(), &[0], &mut m);
+        let b = hash_join(&big_left, &[0], &r(), &[0], &mut m).unwrap();
         assert_eq!(a[0].0.get(1).as_str(), Some("x"));
         assert!(b.iter().all(|(t, _)| t.get(1).as_str() == Some("y")));
     }
@@ -186,7 +197,7 @@ mod tests {
             (tup![Value::Int(1), Value::Int(2)], 3),
             (tup![Value::Int(1), Value::Int(9)], 5),
         ];
-        let out = hash_join(&a, &[0, 1], &b, &[0, 1], &mut m);
+        let out = hash_join(&a, &[0, 1], &b, &[0, 1], &mut m).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, 3);
     }
@@ -194,7 +205,7 @@ mod tests {
     #[test]
     fn cross_product() {
         let mut m = WorkMeter::new();
-        let out = cross_join(&l(), &r(), &mut m);
+        let out = cross_join(&l(), &r(), &mut m).unwrap();
         assert_eq!(out.len(), 12);
         assert_eq!(m.rows_emitted, 12);
     }
@@ -202,7 +213,7 @@ mod tests {
     #[test]
     fn empty_key_list_is_cross_join() {
         let mut m = WorkMeter::new();
-        let out = hash_join(&l(), &[], &r(), &[], &mut m);
+        let out = hash_join(&l(), &[], &r(), &[], &mut m).unwrap();
         assert_eq!(out.len(), 12);
     }
 
@@ -215,9 +226,9 @@ mod tests {
         // keyed path additionally charges its build pass as physical work;
         // the cross path builds no table and must charge none.
         let mut keyed = WorkMeter::new();
-        hash_join(&l(), &[0], &r(), &[0], &mut keyed);
+        hash_join(&l(), &[0], &r(), &[0], &mut keyed).unwrap();
         let mut cross = WorkMeter::new();
-        let out = hash_join(&l(), &[], &r(), &[], &mut cross);
+        let out = hash_join(&l(), &[], &r(), &[], &mut cross).unwrap();
         assert_eq!(keyed.operand_rows_scanned, 0);
         assert_eq!(cross.operand_rows_scanned, 0);
         assert_eq!(cross.rows_emitted, out.len() as u64);
@@ -238,7 +249,7 @@ mod tests {
         assert_eq!(m.hash_tables_built, 0);
         assert_eq!(m.physical_rows_touched, l().len() as u64);
         // The single bucket still probes correctly (every probe row matches).
-        let out = probe_table(&l(), &t, &r(), &[], true, &mut m);
+        let out = probe_table(&l(), &t, &r(), &[], true, &mut m).unwrap();
         assert_eq!(out.len(), l().len() * r().len());
         // A keyed build over the same rows does charge a build.
         let mut k = WorkMeter::new();
@@ -248,16 +259,36 @@ mod tests {
     }
 
     #[test]
+    fn multiplicity_overflow_is_a_typed_error() {
+        // Two rows of multiplicity i64::MAX join to a product outside i64:
+        // a typed error on every path, never a debug panic or a release wrap.
+        let big = vec![(tup![Value::Int(1)], i64::MAX)];
+        let overflow = Err(RelError::Overflow("join multiplicity".to_string()));
+        let mut m = WorkMeter::new();
+        assert_eq!(hash_join(&big, &[0], &big, &[0], &mut m), overflow);
+        assert_eq!(cross_join(&big, &big, &mut m), overflow);
+        let table = build_table(&big, &[0], &mut m);
+        assert_eq!(
+            probe_table(&big, &table, &big, &[0], true, &mut m),
+            overflow
+        );
+        // The largest representable product still joins.
+        let one = vec![(tup![Value::Int(1)], -1)];
+        let out = hash_join(&big, &[0], &one, &[0], &mut m).unwrap();
+        assert_eq!(out[0].1, -i64::MAX);
+    }
+
+    #[test]
     fn prebuilt_probe_matches_hash_join_bytes() {
         // probe_table over an interned BuiltTable must reproduce hash_join
         // exactly — same rows, same multiplicities, same emission order —
         // for both build-side orientations.
         let mut m1 = WorkMeter::new();
-        let direct = hash_join(&l(), &[0], &r(), &[0], &mut m1);
+        let direct = hash_join(&l(), &[0], &r(), &[0], &mut m1).unwrap();
         let mut m2 = WorkMeter::new();
         // l() is smaller, so hash_join built on the left.
         let table = build_table(&l(), &[0], &mut m2);
-        let via_table = probe_table(&l(), &table, &r(), &[0], true, &mut m2);
+        let via_table = probe_table(&l(), &table, &r(), &[0], true, &mut m2).unwrap();
         assert_eq!(direct, via_table);
         assert_eq!(m1.rows_emitted, m2.rows_emitted);
         // Flipped orientation: build on the right batch.
@@ -265,10 +296,10 @@ mod tests {
         let big_left: SignedRows = (0..10)
             .map(|i| (tup![Value::Int(i % 2), Value::str("y")], 1))
             .collect();
-        let direct_flip = hash_join(&big_left, &[0], &r(), &[0], &mut m3);
+        let direct_flip = hash_join(&big_left, &[0], &r(), &[0], &mut m3).unwrap();
         let mut m4 = WorkMeter::new();
         let rt = build_table(&r(), &[0], &mut m4);
-        let via_flip = probe_table(&r(), &rt, &big_left, &[0], false, &mut m4);
+        let via_flip = probe_table(&r(), &rt, &big_left, &[0], false, &mut m4).unwrap();
         assert_eq!(direct_flip, via_flip);
     }
 }

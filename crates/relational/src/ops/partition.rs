@@ -27,6 +27,7 @@
 
 use super::join::{probe_table, BuiltTable};
 use super::SignedRows;
+use crate::error::RelResult;
 use crate::meter::WorkMeter;
 use crate::snapshot::value_to_wire;
 use crate::tuple::Tuple;
@@ -155,7 +156,7 @@ impl PartitionedTable {
         probe_keys: &[usize],
         build_is_left: bool,
         meter: &mut WorkMeter,
-    ) -> SignedRows {
+    ) -> RelResult<SignedRows> {
         let (rows, table) = &self.chunks[i];
         probe_table(rows, table, probe, probe_keys, build_is_left, meter)
     }
@@ -199,13 +200,13 @@ pub fn probe_partitioned(
     probe_keys: &[usize],
     build_is_left: bool,
     meter: &mut WorkMeter,
-) -> SignedRows {
+) -> RelResult<SignedRows> {
     let chunks = Partitioner::new(table.parts()).split(probe, probe_keys);
     let mut out = Vec::new();
     for (i, chunk) in chunks.iter().enumerate() {
-        out.extend(table.probe_chunk(i, chunk, probe_keys, build_is_left, meter));
+        out.extend(table.probe_chunk(i, chunk, probe_keys, build_is_left, meter)?);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -289,10 +290,10 @@ mod tests {
         let probe = rows(60);
         let mut seq = WorkMeter::new();
         let table = build_table(&build, &[0], &mut seq);
-        let direct = probe_table(&build, &table, &probe, &[0], true, &mut seq);
+        let direct = probe_table(&build, &table, &probe, &[0], true, &mut seq).unwrap();
         let mut par = WorkMeter::new();
         let pt = build_partitioned(&build, &[0], 1, &mut par);
-        let via = probe_partitioned(&pt, &probe, &[0], true, &mut par);
+        let via = probe_partitioned(&pt, &probe, &[0], true, &mut par).unwrap();
         assert_eq!(direct, via); // order included
         assert_eq!(seq, par);
     }
@@ -303,13 +304,13 @@ mod tests {
         let probe = rows(60);
         let mut seq = WorkMeter::new();
         let table = build_table(&build, &[0], &mut seq);
-        let direct = probe_table(&build, &table, &probe, &[0], true, &mut seq);
+        let direct = probe_table(&build, &table, &probe, &[0], true, &mut seq).unwrap();
         for parts in [2, 3, 4, 8] {
             let mut par = WorkMeter::new();
             let pt = build_partitioned(&build, &[0], parts, &mut par);
             assert_eq!(pt.parts(), parts);
             assert_eq!(pt.total_rows(), build.len());
-            let via = probe_partitioned(&pt, &probe, &[0], true, &mut par);
+            let via = probe_partitioned(&pt, &probe, &[0], true, &mut par).unwrap();
             assert_eq!(sorted(direct.clone()), sorted(via));
             // One aggregate build charge + summed emits = sequential meter.
             assert_eq!(seq, par, "meter diverged at {parts} partitions");
@@ -317,10 +318,10 @@ mod tests {
         // Flipped orientation too.
         let mut seq2 = WorkMeter::new();
         let t2 = build_table(&probe, &[0], &mut seq2);
-        let d2 = probe_table(&probe, &t2, &build, &[0], false, &mut seq2);
+        let d2 = probe_table(&probe, &t2, &build, &[0], false, &mut seq2).unwrap();
         let mut par2 = WorkMeter::new();
         let pt2 = build_partitioned(&probe, &[0], 3, &mut par2);
-        let v2 = probe_partitioned(&pt2, &build, &[0], false, &mut par2);
+        let v2 = probe_partitioned(&pt2, &build, &[0], false, &mut par2).unwrap();
         assert_eq!(sorted(d2), sorted(v2));
         assert_eq!(seq2, par2);
     }

@@ -101,10 +101,10 @@ proptest! {
 
         let mut union = ra.clone();
         union.extend(rb.clone());
-        let joined_union = ops::consolidate(ops::hash_join(&union, &[0], &rc, &[0], &mut m));
+        let joined_union = ops::consolidate(ops::hash_join(&union, &[0], &rc, &[0], &mut m).unwrap());
 
-        let mut parts = ops::hash_join(&ra, &[0], &rc, &[0], &mut m);
-        parts.extend(ops::hash_join(&rb, &[0], &rc, &[0], &mut m));
+        let mut parts = ops::hash_join(&ra, &[0], &rc, &[0], &mut m).unwrap();
+        parts.extend(ops::hash_join(&rb, &[0], &rc, &[0], &mut m).unwrap());
         let joined_parts = ops::consolidate(parts);
 
         let mut ju = joined_union;

@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example parallel_update`
 
 use uww::core::{
-    flatten_def, makespan, min_work, parallelize, total_work, CostModel, SizeCatalog, Warehouse,
+    flatten_def, makespan, min_work, parallelize, total_work, CostModel, ExecOptions, SizeCatalog,
+    Warehouse,
 };
 use uww::relational::{
     AggFunc, AggregateColumn, OutputColumn, Predicate, ScalarExpr, Value, ViewDef, ViewOutput,
@@ -57,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for p in [&p_one_way, &p_dual] {
         let mut w = sc.warehouse.clone();
         let expected = w.expected_final_state()?;
-        w.execute_parallel(p)?;
+        w.execute_staged(p, ExecOptions::default())?;
         assert!(w.diff_state(&expected).is_empty());
     }
     println!("Both parallel schedules verified against a from-scratch rebuild.");

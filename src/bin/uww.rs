@@ -8,8 +8,7 @@
 //!              [--objective linear|shared]
 //!              [--wal DIR] [--fsync always|never]
 //!              [--fault crash:K|torn:K|dup:K|dirsync]
-//!              [--term-threads N] [--partitions N] [--no-steal]
-//!              [--no-term-sharing] [--strategy-sharing]
+//!              [--partitions N] [--no-steal] [--strategy-sharing]
 //!              [--trace-out FILE] [--timeline]
 //! uww recover  DIR
 //! uww analyze  [--scenario ...] [--scale F] [--frac F] [--planner ...]
@@ -48,9 +47,7 @@
 //! directory fsync (before any record lands).
 //!
 //! Each `Comp` evaluates its maintenance terms through a shared operand
-//! cache by default; `--no-term-sharing` restores the historical per-term
-//! scans, and `--term-threads N` fans the terms of one `Comp` over `N`
-//! worker threads. `--partitions N` hash-partitions each term's build and
+//! cache. `--partitions N` hash-partitions each term's build and
 //! probe sides by join key and runs the chunks on a work-stealing pool
 //! (`--no-steal` pins each chunk to its seeded worker); results and work
 //! meters stay byte-identical at every partition count. `--strategy-sharing`
@@ -108,10 +105,8 @@ struct Args {
     dir: Option<String>,
     readers: usize,
     hold_ms: u64,
-    term_threads: usize,
     partitions: usize,
     steal: bool,
-    term_sharing: bool,
     strategy_sharing: bool,
     objective: String,
     trace_out: Option<String>,
@@ -158,10 +153,8 @@ impl Default for Args {
             dir: None,
             readers: 4,
             hold_ms: 2,
-            term_threads: 0,
             partitions: 1,
             steal: true,
-            term_sharing: true,
             strategy_sharing: false,
             objective: "linear".into(),
             trace_out: None,
@@ -214,7 +207,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     .ok_or_else(|| "missing value for --trace-out".to_string())?;
                 args.trace_out = Some(v.clone());
             }
-            "--no-term-sharing" => args.term_sharing = false,
             "--strategy-sharing" => args.strategy_sharing = true,
             "--no-carry" => args.carry = false,
             "--serve" => args.serve_live = true,
@@ -281,12 +273,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     .next()
                     .ok_or_else(|| "missing value for --verify-against".to_string())?;
                 args.verify_against = Some(v.clone());
-            }
-            "--term-threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "missing value for --term-threads".to_string())?;
-                args.term_threads = v.parse().map_err(|_| format!("bad --term-threads {v}"))?;
             }
             "--partitions" => {
                 let v = it
@@ -526,8 +512,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         CostModel::new(sc.warehouse.vdag(), &sizes).per_expression_work(&strategy)
     };
     let mut opts = ExecOptions {
-        term_sharing: args.term_sharing,
-        term_threads: args.term_threads,
         strategy_sharing: args.strategy_sharing,
         predicted_work: Some(predicted),
         partition: partition_options(args),
@@ -604,15 +588,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         total.rows_installed,
     );
     println!(
-        "physical: {} rows touched, {} hash builds, {} reused ({})",
-        total.physical_rows_touched,
-        total.hash_tables_built,
-        total.hash_tables_reused,
-        if args.term_sharing {
-            "operand sharing on"
-        } else {
-            "operand sharing off"
-        },
+        "physical: {} rows touched, {} hash builds, {} reused",
+        total.physical_rows_touched, total.hash_tables_built, total.hash_tables_reused,
     );
     if args.strategy_sharing {
         println!(
@@ -1622,7 +1599,7 @@ const USAGE: &str =
 [--sql NAME=SELECT-statement] \
 [--strategy \"Comp(V,{A,B}); Inst(A); ...\"] [--stages \"stage | stage | ...\"] [--json] \
 [--wal DIR] [--fsync always|never] [--fault crash:K|torn:K|dup:K|dirsync] \
-[--term-threads N] [--partitions N] [--no-steal] [--no-term-sharing] [--strategy-sharing] \
+[--partitions N] [--no-steal] [--strategy-sharing] \
 [--objective linear|shared] \
 [--trace-out FILE] [--timeline] [--metrics] \
 [--sharing] [--verify-against TRACE.json]\n\

@@ -6,7 +6,7 @@
 //! produces exactly the same final state as sequential execution.
 
 use uww::analysis::{analyze, analyze_parallel};
-use uww::core::{min_work, parallelize, SizeCatalog};
+use uww::core::{min_work, parallelize, ExecOptions, SizeCatalog};
 use uww::scenario::TpcdScenario;
 use uww::vdag::check_vdag_strategy;
 
@@ -43,8 +43,8 @@ fn clean_parallel_strategy_linearizes_and_executes_identically() {
     let mut seq = sc.warehouse.clone();
     let mut par = sc.warehouse.clone();
     let expected = seq.expected_final_state().unwrap();
-    let seq_report = seq.execute_parallel(&p).unwrap();
-    let par_report = par.execute_parallel_threaded(&p).unwrap();
+    let seq_report = seq.execute(&p.linearize()).unwrap();
+    let par_report = par.execute_staged(&p, ExecOptions::default()).unwrap();
     assert!(seq.diff_state(&expected).is_empty());
     assert!(par.diff_state(&expected).is_empty());
     assert!(seq

@@ -242,6 +242,18 @@ fn bad_input_fails_with_usage() {
     }
 }
 
+#[test]
+fn removed_term_engine_flags_are_unknown() {
+    // The per-term and term-threaded modes are gone; their flags must not
+    // be silently accepted.
+    for flag in [&["--term-threads", "2"][..], &["--no-term-sharing"][..]] {
+        let o = uww(&[&["run", "--scenario", "q3"], SMALL, flag].concat());
+        assert!(!o.status.success(), "{flag:?} unexpectedly accepted");
+        let expected = format!("unknown flag {}", flag[0]);
+        assert!(stderr(&o).contains(&expected), "{}", stderr(&o));
+    }
+}
+
 /// A fresh per-test WAL directory under the target tmpdir.
 fn wal_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("uww-cli-wal-{tag}-{}", std::process::id()));

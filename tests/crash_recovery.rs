@@ -477,9 +477,7 @@ fn threaded_crashes_recover_sequentially_to_the_same_catalog() {
     // Clean threaded run (journaled, no faults): the reference catalog.
     let dir = wal_dir("thr-ref");
     let mut clean = sc.warehouse.clone();
-    clean
-        .execute_parallel_threaded_with(&p, wal_opts(cfg(&dir)))
-        .unwrap();
+    clean.execute_staged(&p, wal_opts(cfg(&dir))).unwrap();
     let expected = catalog_to_string(clean.state());
     let total = WalLog::open(&dir).unwrap().records.len() as u64;
     std::fs::remove_dir_all(&dir).unwrap();
@@ -497,7 +495,7 @@ fn threaded_crashes_recover_sequentially_to_the_same_catalog() {
         let dir = wal_dir(&format!("thr-k{k}"));
         let mut crashed = sc.warehouse.clone();
         let err = crashed
-            .execute_parallel_threaded_with(
+            .execute_staged(
                 &p,
                 wal_opts(cfg(&dir).with_faults(FaultPlan::crash_before(k))),
             )

@@ -1,9 +1,8 @@
 //! Differential property tests for the strategy-global shared-operand
 //! cache: over random warehouses × random valid strategies, the
-//! strategy-scope cached path (sequential and term-threaded) must produce
-//! byte-identical state, byte-identical WAL journals, and identical logical
-//! `WorkMeter`s to both the per-`Comp` cached path and the per-term
-//! uncached path — while touching no more physical rows than either — and
+//! strategy-scope cached path must produce byte-identical state,
+//! byte-identical WAL journals, and identical logical `WorkMeter`s to the
+//! per-`Comp` cached path — while touching no more physical rows — and
 //! every per-expression hash-table counter (builds, reuses, cross-reuses,
 //! cached raw reads) must equal `plan_strategy_sharing`'s static
 //! prediction exactly.
@@ -244,18 +243,14 @@ fn run_mode(
     changes: &BTreeMap<String, DeltaRelation>,
     strategy: &Strategy,
     tag: &str,
-    share: bool,
     strategy_cache: bool,
-    threads: usize,
 ) -> RunOutcome {
     let mut clone = w.clone();
     clone.load_changes(changes.clone()).unwrap();
     let dir = wal_dir(tag);
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
-        term_sharing: share,
         strategy_sharing: strategy_cache,
-        term_threads: threads,
         ..ExecOptions::default()
     };
     let report = clone.execute_with(strategy, opts).unwrap();
@@ -272,11 +267,11 @@ fn logical(meter: &WorkMeter) -> WorkMeter {
     meter.logical()
 }
 
-/// The differential tentpole: per-term uncached ≡ per-`Comp` cached ≡
-/// strategy-scope cached (sequential and threaded) on final state, WAL
-/// bytes, and per-expression logical meters — and the strategy scope's
-/// measured hash-table counters equal the static plan *exactly*,
-/// expression by expression.
+/// The differential tentpole: per-`Comp` cached ≡ strategy-scope cached on
+/// final state, WAL bytes, and per-expression logical meters — and the
+/// strategy scope's measured hash-table counters equal the static plan
+/// *exactly*, expression by expression. (Per-`Comp` cached ≡ the uncached
+/// per-term reference is `tests/term_sharing.rs`.)
 #[test]
 fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
     let base = seed_base();
@@ -288,48 +283,32 @@ fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
         let mut rng = SplitMix64::new(seed ^ 0xC405_57A7);
         for (si, strategy) in random_strategies(&w, &mut rng, 2).iter().enumerate() {
             let tag = |mode: &str| format!("{round}-{si}-{mode}");
-            let uncached = run_mode(&w, &changes, strategy, &tag("uncached"), false, false, 0);
-            let percomp = run_mode(&w, &changes, strategy, &tag("percomp"), true, false, 0);
-            let strat = run_mode(&w, &changes, strategy, &tag("strategy"), true, true, 0);
-            let threaded = run_mode(&w, &changes, strategy, &tag("thr"), true, true, 3);
+            let percomp = run_mode(&w, &changes, strategy, &tag("percomp"), false);
+            let strat = run_mode(&w, &changes, strategy, &tag("strategy"), true);
 
             // Byte-identical deltas (the WAL's CD payloads) and final state
-            // across all four engines.
-            for (name, other) in [
-                ("percomp", &percomp),
-                ("strategy", &strat),
-                ("threaded", &threaded),
-            ] {
-                assert_eq!(uncached.state, other.state, "state diverged ({name})");
+            // at both cache scopes.
+            assert_eq!(percomp.state, strat.state, "state diverged");
+            assert_eq!(percomp.wal_bytes, strat.wal_bytes, "wal bytes diverged");
+            assert_eq!(percomp.report.per_expr.len(), strat.report.per_expr.len());
+            for (b, o) in percomp
+                .report
+                .per_expr
+                .iter()
+                .zip(strat.report.per_expr.iter())
+            {
                 assert_eq!(
-                    uncached.wal_bytes, other.wal_bytes,
-                    "wal bytes diverged ({name})"
+                    logical(&b.work),
+                    logical(&o.work),
+                    "logical meter diverged at {:?}",
+                    b.expr
                 );
-                assert_eq!(uncached.report.per_expr.len(), other.report.per_expr.len());
-                for (b, o) in uncached
-                    .report
-                    .per_expr
-                    .iter()
-                    .zip(other.report.per_expr.iter())
-                {
-                    assert_eq!(
-                        logical(&b.work),
-                        logical(&o.work),
-                        "logical meter diverged ({name}) at {:?}",
-                        b.expr
-                    );
-                }
             }
 
             // The physical ladder: strategy scope never touches more rows
-            // than per-Comp scope, which never touches more than uncached.
-            let phys_un = uncached.report.total_work().physical_rows_touched;
+            // than per-Comp scope.
             let phys_pc = percomp.report.total_work().physical_rows_touched;
             let phys_st = strat.report.total_work().physical_rows_touched;
-            assert!(
-                phys_pc <= phys_un,
-                "per-Comp regressed: {phys_pc} > {phys_un}"
-            );
             assert!(
                 phys_st <= phys_pc,
                 "strategy scope regressed: {phys_st} > {phys_pc}"
@@ -342,15 +321,7 @@ fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
             assert_eq!(percomp.report.total_work().hash_tables_cross_reused, 0);
             assert_eq!(percomp.report.total_work().operand_reads_cached, 0);
 
-            // The threaded engine's counters equal the sequential strategy
-            // engine's: the directives are static, interning deterministic.
             let st = strat.report.total_work();
-            let th = threaded.report.total_work();
-            assert_eq!(st.physical_rows_touched, th.physical_rows_touched);
-            assert_eq!(st.hash_tables_built, th.hash_tables_built);
-            assert_eq!(st.hash_tables_reused, th.hash_tables_reused);
-            assert_eq!(st.hash_tables_cross_reused, th.hash_tables_cross_reused);
-            assert_eq!(st.operand_reads_cached, th.operand_reads_cached);
 
             // Exact static conformance: predicted == measured for every
             // counter of every expression, no tolerance.

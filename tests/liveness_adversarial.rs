@@ -3,14 +3,15 @@
 //! the worst case for cross-expression caching — the first reader builds a
 //! hash table over the pre-install extent, and serving that table to the
 //! post-install reader would silently corrupt the view. The cache must
-//! never serve it, under any interleaving: sequential, term-threaded, and
-//! resumed from a crash at **every** WAL record boundary.
+//! never serve it — run straight through, or resumed from a crash at
+//! **every** WAL record boundary.
 //!
 //! The fixture makes staleness maximally visible: the invalidated operand
 //! (`B`) is the hash-*build* side of both readers (it is the smallest
 //! operand), its delta both deletes existing join keys and inserts new
 //! ones, and the final states are compared byte-for-byte against the
-//! uncached engine.
+//! per-`Comp` cached engine (which has no cross-expression cache to go
+//! stale) and against the from-scratch recompute.
 //!
 //! Seeded: set `UWW_SHARE_SEED` to shift the delta batches.
 
@@ -187,16 +188,14 @@ fn control_strategy(w: &Warehouse) -> (Strategy, usize) {
     (strategy, 5)
 }
 
-fn opts(dir: &PathBuf, strategy_cache: bool, threads: usize, faults: FaultPlan) -> ExecOptions {
+fn opts(dir: &PathBuf, strategy_cache: bool, faults: FaultPlan) -> ExecOptions {
     ExecOptions {
         wal: Some(
             WalConfig::new(dir)
                 .with_fsync(FsyncPolicy::Never)
                 .with_faults(faults),
         ),
-        term_sharing: strategy_cache,
         strategy_sharing: strategy_cache,
-        term_threads: threads,
         ..ExecOptions::default()
     }
 }
@@ -207,19 +206,34 @@ fn run(
     strategy: &Strategy,
     dir: &PathBuf,
     strategy_cache: bool,
-    threads: usize,
     faults: FaultPlan,
 ) -> Result<String, CoreError> {
     let mut clone = w.clone();
     clone.load_changes(changes.clone()).unwrap();
-    clone.execute_with(strategy, opts(dir, strategy_cache, threads, faults))?;
+    clone.execute_with(strategy, opts(dir, strategy_cache, faults))?;
     Ok(catalog_to_string(clone.state()))
 }
 
+/// The per-`Comp` cached run of `strategy` — the reference catalog — checked
+/// against the from-scratch recompute.
+fn reference(
+    w: &Warehouse,
+    changes: &BTreeMap<String, DeltaRelation>,
+    strategy: &Strategy,
+    dir: &PathBuf,
+) -> String {
+    let got = run(w, changes, strategy, dir, false, FaultPlan::none()).unwrap();
+    let mut loaded = w.clone();
+    loaded.load_changes(changes.clone()).unwrap();
+    let oracle = loaded.expected_final_state().unwrap();
+    assert_eq!(got, catalog_to_string(&oracle), "reference run is wrong");
+    got
+}
+
 /// An `Inst` invalidating a cached operand mid-strategy never serves stale
-/// reuse: the cached engines (sequential and threaded) are byte-identical
-/// to the uncached engine, and the static plan refuses to consume across
-/// the invalidation while still consuming where liveness holds.
+/// reuse: the strategy-scope engine is byte-identical to the reference, and
+/// the static plan refuses to consume across the invalidation while still
+/// consuming where liveness holds.
 #[test]
 fn invalidated_operand_is_never_served_stale() {
     for round in 0..4u64 {
@@ -228,27 +242,16 @@ fn invalidated_operand_is_never_served_stale() {
         let (strategy, post_inval) = adversarial_strategy(&w);
 
         let dir = wal_dir(&format!("ref-{round}"));
-        let expected = run(&w, &changes, &strategy, &dir, false, 0, FaultPlan::none()).unwrap();
+        let expected = reference(&w, &changes, &strategy, &dir);
         let _ = std::fs::remove_dir_all(&dir);
 
-        for threads in [0usize, 3] {
-            let dir = wal_dir(&format!("cached-{round}-{threads}"));
-            let got = run(
-                &w,
-                &changes,
-                &strategy,
-                &dir,
-                true,
-                threads,
-                FaultPlan::none(),
-            )
-            .unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            assert_eq!(
-                got, expected,
-                "seed {seed} threads {threads}: strategy cache served stale data"
-            );
-        }
+        let dir = wal_dir(&format!("cached-{round}"));
+        let got = run(&w, &changes, &strategy, &dir, true, FaultPlan::none()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            got, expected,
+            "seed {seed}: strategy cache served stale data"
+        );
 
         // The plan itself: the post-Inst(B) reader rebuilds from scratch —
         // no cross-reuse, no cached read.
@@ -275,42 +278,31 @@ fn invalidated_operand_is_never_served_stale() {
             "seed {seed}: the control ordering must consume the live stored-B table"
         );
         let dir = wal_dir(&format!("control-ref-{round}"));
-        let cexpected = run(&w, &changes, &control, &dir, false, 0, FaultPlan::none()).unwrap();
+        let cexpected = reference(&w, &changes, &control, &dir);
         let _ = std::fs::remove_dir_all(&dir);
-        for threads in [0usize, 3] {
-            let dir = wal_dir(&format!("control-{round}-{threads}"));
-            let got = run(
-                &w,
-                &changes,
-                &control,
-                &dir,
-                true,
-                threads,
-                FaultPlan::none(),
-            )
-            .unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-            assert_eq!(
-                got, cexpected,
-                "seed {seed} threads {threads}: legitimate consume diverged from uncached"
-            );
-        }
+        let dir = wal_dir(&format!("control-{round}"));
+        let got = run(&w, &changes, &control, &dir, true, FaultPlan::none()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            got, cexpected,
+            "seed {seed}: legitimate consume diverged from the reference"
+        );
     }
 }
 
 /// The crash matrix over the adversarial strategy: crashing the cached run
-/// (sequential and threaded) before **every** WAL record and recovering
-/// lands on a catalog byte-identical to the uncached reference — a resumed
-/// suffix never observes a stale cache either (recovery rebuilds with no
-/// strategy cache by construction).
+/// before **every** WAL record and recovering lands on a catalog
+/// byte-identical to the reference — a resumed suffix never observes a
+/// stale cache either (recovery rebuilds with no strategy cache by
+/// construction).
 #[test]
-fn every_crash_point_of_the_cached_run_recovers_to_the_uncached_catalog() {
+fn every_crash_point_of_the_cached_run_recovers_to_the_reference_catalog() {
     let seed = seed_base().wrapping_mul(67).wrapping_add(11);
     let (w, changes) = fixture(seed);
     let (strategy, _) = adversarial_strategy(&w);
 
     let dir = wal_dir("crash-ref");
-    let expected = run(&w, &changes, &strategy, &dir, false, 0, FaultPlan::none()).unwrap();
+    let expected = reference(&w, &changes, &strategy, &dir);
     let total = WalLog::open(&dir).unwrap().records.len() as u64;
     let _ = std::fs::remove_dir_all(&dir);
     assert!(total >= 3, "BEGIN + at least one record + COMMIT");
@@ -318,33 +310,30 @@ fn every_crash_point_of_the_cached_run_recovers_to_the_uncached_catalog() {
     let mut loaded = w.clone();
     loaded.load_changes(changes.clone()).unwrap();
 
-    for threads in [0usize, 3] {
-        for k in 0..total {
-            let dir = wal_dir(&format!("crash-{threads}-k{k}"));
-            let err = run(
-                &w,
-                &changes,
-                &strategy,
-                &dir,
-                true,
-                threads,
-                FaultPlan::crash_before(k),
-            )
-            .expect_err("injected crash must abort the cached run");
-            assert!(
-                matches!(err, CoreError::InjectedCrash { record } if record == k),
-                "crash point {k}: unexpected {err}"
-            );
+    for k in 0..total {
+        let dir = wal_dir(&format!("crash-k{k}"));
+        let err = run(
+            &w,
+            &changes,
+            &strategy,
+            &dir,
+            true,
+            FaultPlan::crash_before(k),
+        )
+        .expect_err("injected crash must abort the cached run");
+        assert!(
+            matches!(err, CoreError::InjectedCrash { record } if record == k),
+            "crash point {k}: unexpected {err}"
+        );
 
-            let mut recovered = loaded.clone();
-            uww::core::recover(&mut recovered, &dir)
-                .unwrap_or_else(|e| panic!("recover threads={threads} crash point {k}: {e}"));
-            assert_eq!(
-                catalog_to_string(recovered.state()),
-                expected,
-                "threads {threads} crash point {k}: recovered catalog diverges from uncached"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let mut recovered = loaded.clone();
+        uww::core::recover(&mut recovered, &dir)
+            .unwrap_or_else(|e| panic!("recover crash point {k}: {e}"));
+        assert_eq!(
+            catalog_to_string(recovered.state()),
+            expected,
+            "crash point {k}: recovered catalog diverges from the reference"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

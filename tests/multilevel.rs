@@ -113,7 +113,7 @@ fn parallelized_strategy_matches_sequential_on_two_levels() {
 
     let mut w = sc.warehouse.clone();
     let expected = w.expected_final_state().unwrap();
-    w.execute_parallel(&p).unwrap();
+    w.execute(&p.linearize()).unwrap();
     assert!(w.diff_state(&expected).is_empty());
 }
 

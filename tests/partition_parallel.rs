@@ -5,7 +5,7 @@
 //! work-stealing pool) must be **fully byte-identical** to the sequential
 //! shared engine: final state, WAL journal, and the complete `WorkMeter` —
 //! physical counters included — at every partition count, with stealing on
-//! or off, threaded or inline, and under strategy-scope sharing. Unlike the
+//! or off, and under strategy-scope sharing. Unlike the
 //! sharing sweeps (which only pin the *logical* meter), partitioning is
 //! pure plumbing: it changes where rows are probed, never what is charged.
 //!
@@ -220,7 +220,6 @@ fn random_strategies(w: &Warehouse, rng: &mut SplitMix64, count: usize) -> Vec<S
 struct Mode {
     partitions: usize,
     steal: bool,
-    threads: usize,
     strategy_sharing: bool,
 }
 
@@ -244,7 +243,6 @@ fn run_mode(
     partition.steal = mode.steal;
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
-        term_threads: mode.threads,
         strategy_sharing: mode.strategy_sharing,
         partition,
         ..ExecOptions::default()
@@ -284,7 +282,6 @@ fn partitioned_execution_is_byte_identical_to_sequential() {
             let sequential = Mode {
                 partitions: 1,
                 steal: true,
-                threads: 0,
                 strategy_sharing: false,
             };
             let reference = run_mode(&w, &changes, strategy, &tag("seq"), sequential);
@@ -312,26 +309,7 @@ fn partitioned_execution_is_byte_identical_to_sequential() {
                 }
             }
 
-            // Partitioning composes with threaded term evaluation …
-            let threaded = run_mode(
-                &w,
-                &changes,
-                strategy,
-                &tag("threaded"),
-                Mode {
-                    partitions: parts[0],
-                    threads: 3,
-                    ..sequential
-                },
-            );
-            assert_eq!(reference.state, threaded.state, "threaded: state diverged");
-            assert_eq!(
-                reference.wal_bytes, threaded.wal_bytes,
-                "threaded: wal bytes diverged"
-            );
-            assert_meters_identical(&reference.report, &threaded.report, "threaded");
-
-            // … and with strategy-scope sharing: the strategy cache must
+            // Partitioning composes with strategy-scope sharing: the strategy cache must
             // never serve a table across partition-count boundaries, so the
             // partitioned sharing run equals the sequential sharing run on
             // the full meter (which differs from the unshared reference

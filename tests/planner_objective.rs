@@ -118,7 +118,6 @@ fn run_shared(w: &Warehouse, strategy: &Strategy) -> (String, ExecutionReport) {
         .execute_with(
             strategy,
             ExecOptions {
-                term_sharing: true,
                 strategy_sharing: true,
                 ..ExecOptions::default()
             },

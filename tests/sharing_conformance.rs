@@ -8,10 +8,9 @@
 //!    `hash_tables_built`/`hash_tables_reused` *exactly* — the intern
 //!    policy is fully static, so prediction is not an estimate.
 //! 2. **Interference soundness**: the static `UWW014` pass is at least as
-//!    strict as the threaded executor's dynamic race rejection — any
+//!    strict as the staged executor's dynamic race rejection — any
 //!    schedule the executor refuses is already a static error, and a
-//!    `UWW014`-clean schedule runs threaded (`term_threads > 1` included)
-//!    to a byte-identical final state.
+//!    `UWW014`-clean schedule runs staged to a byte-identical final state.
 //!
 //! Seeded like the other property sweeps: set `UWW_TERM_SEED` to shift the
 //! whole sweep to a different deterministic slice.
@@ -230,15 +229,7 @@ fn static_prediction_matches_measured_hash_counters_exactly() {
         for strategy in random_strategies(&w, &mut rng, 2) {
             let predictions = predict_strategy_sharing(&loaded(&w, &changes), &strategy).unwrap();
             let mut run = loaded(&w, &changes);
-            let report = run
-                .execute_with(
-                    &strategy,
-                    ExecOptions {
-                        term_sharing: true,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap();
+            let report = run.execute(&strategy).unwrap();
             assert_eq!(predictions.len(), report.per_expr.len());
             for (p, e) in predictions.iter().zip(&report.per_expr) {
                 assert_eq!(
@@ -299,7 +290,7 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
                 let g = w.vdag();
                 let static_clean = !analyze_interference(g, &p.stages).has_errors();
                 let mut threaded = loaded(&w, &changes);
-                let dynamic = threaded.execute_parallel_threaded(&p);
+                let dynamic = threaded.execute_staged(&p, ExecOptions::default());
                 match dynamic {
                     Err(_) => {
                         rejected += 1;
@@ -317,7 +308,7 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
                         // match sequential execution byte for byte.
                         if static_clean {
                             let mut seq = loaded(&w, &changes);
-                            seq.execute_parallel(&p).unwrap();
+                            seq.execute(&p.linearize()).unwrap();
                             assert_eq!(
                                 catalog_to_string(seq.state()),
                                 catalog_to_string(threaded.state()),
@@ -335,7 +326,7 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
 }
 
 #[test]
-fn uww014_clean_schedules_run_threaded_byte_identical_with_term_threads() {
+fn uww014_clean_schedules_run_staged_byte_identical() {
     let base = seed_base();
     for round in 0..3u64 {
         let seed = base.wrapping_mul(197).wrapping_add(round);
@@ -348,19 +339,12 @@ fn uww014_clean_schedules_run_threaded_byte_identical_with_term_threads() {
             // the interference pass...
             assert!(!analyze_parallel(g, &p.stages).has_errors());
             assert!(analyze_interference(g, &p.stages).is_clean());
-            // ...so stage-threaded execution with intra-Comp term threads is
-            // byte-identical to the sequential linearization.
+            // ...so staged execution is byte-identical to the sequential
+            // linearization.
             let mut seq = loaded(&w, &changes);
             let mut par = loaded(&w, &changes);
-            seq.execute_parallel(&p).unwrap();
-            par.execute_parallel_threaded_with(
-                &p,
-                ExecOptions {
-                    term_threads: 3,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
+            seq.execute(&p.linearize()).unwrap();
+            par.execute_staged(&p, ExecOptions::default()).unwrap();
             assert_eq!(
                 catalog_to_string(seq.state()),
                 catalog_to_string(par.state()),

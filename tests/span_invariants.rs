@@ -178,7 +178,6 @@ fn run_once(
     let dir = wal_dir(tag);
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
-        term_threads: 0,
         ..ExecOptions::default()
     };
     let buf = Arc::new(TraceBuffer::new(1 << 16));

@@ -1,8 +1,10 @@
-//! Property tests for the shared-operand term engine: over random
-//! warehouses × random valid strategies, the cached path (sequential and
-//! threaded) must produce byte-identical state, byte-identical WAL journals,
-//! and an *identical logical* `WorkMeter` to the historical per-term path —
-//! while touching no more physical rows.
+//! Property tests for the shared-operand term engine against its reference:
+//! over random warehouses × random valid strategies, every `Comp` the engine
+//! journals must carry the byte-identical ΔV fragment, and report the
+//! *identical logical* `WorkMeter`, that the uncached per-term evaluator
+//! (`eval::reference_comp_fragment`) computes from the same state — while
+//! the engine touches no more physical rows — and the final state must equal
+//! the from-scratch recompute.
 //!
 //! Seeded like the crash matrix: set `UWW_TERM_SEED` to shift the whole
 //! sweep to a different deterministic slice.
@@ -10,8 +12,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use uww::core::engine::eval::reference_comp_fragment;
+use uww::core::wal::{encode_pending, RecordBody};
 use uww::core::{
-    all_one_way_vdag_strategies, ExecOptions, ExecutionReport, FsyncPolicy, WalConfig, Warehouse,
+    all_one_way_vdag_strategies, ExecOptions, ExecutionReport, FsyncPolicy, WalConfig, WalLog,
+    Warehouse,
 };
 use uww::relational::{
     catalog_to_string, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate,
@@ -216,45 +221,85 @@ fn random_strategies(w: &Warehouse, rng: &mut SplitMix64, count: usize) -> Vec<S
     out
 }
 
-struct RunOutcome {
-    state: String,
-    report: ExecutionReport,
-    wal_bytes: Vec<u8>,
+/// One strategy run both ways: the engine's report, and the reference
+/// evaluator's summed meter over the same `Comp`s.
+struct Differential {
+    shared: ExecutionReport,
+    reference: WorkMeter,
 }
 
-fn run_mode(
+/// Runs `strategy` journaled through the engine, then steps a shadow
+/// warehouse through it one expression at a time: before each `Comp` the
+/// reference evaluator computes the fragment from the shadow's state, which
+/// must equal the engine's journaled `CD` payload byte for byte and its
+/// logical meter counter for counter.
+fn run_against_reference(
     w: &Warehouse,
     changes: &BTreeMap<String, DeltaRelation>,
     strategy: &Strategy,
     tag: &str,
-    share: bool,
-    threads: usize,
-) -> RunOutcome {
-    let mut clone = w.clone();
-    clone.load_changes(changes.clone()).unwrap();
+) -> Differential {
+    let mut engine = w.clone();
+    engine.load_changes(changes.clone()).unwrap();
+    let mut shadow = engine.clone();
+    let expected = engine.expected_final_state().unwrap();
+
     let dir = wal_dir(tag);
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
-        term_sharing: share,
-        term_threads: threads,
         ..ExecOptions::default()
     };
-    let report = clone.execute_with(strategy, opts).unwrap();
-    let wal_bytes = std::fs::read(dir.join("wal.log")).unwrap();
+    let shared = engine.execute_with(strategy, opts).unwrap();
+    let log = WalLog::open(&dir).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    RunOutcome {
-        state: catalog_to_string(clone.state()),
-        report,
-        wal_bytes,
-    }
-}
+    let journaled: BTreeMap<usize, &String> = log
+        .records
+        .iter()
+        .filter_map(|r| match &r.body {
+            RecordBody::CompDone { idx, payload, .. } => Some((*idx, payload)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        engine.diff_state(&expected).is_empty(),
+        "engine state diverged from the recompute"
+    );
 
-fn logical(meter: &WorkMeter) -> WorkMeter {
-    meter.logical()
+    let mut reference = WorkMeter::new();
+    assert_eq!(shared.per_expr.len(), strategy.len());
+    for (idx, expr) in strategy.exprs.iter().enumerate() {
+        if let UpdateExpr::Comp { view, over } = expr {
+            let (fragment, mut meter) = reference_comp_fragment(&shadow, *view, over).unwrap();
+            assert_eq!(
+                journaled[&idx],
+                &encode_pending(&fragment),
+                "CD payload diverged at {expr:?}"
+            );
+            meter.comp_expressions = 1;
+            assert_eq!(
+                meter.logical(),
+                shared.per_expr[idx].work.logical(),
+                "logical meter diverged at {expr:?}"
+            );
+            reference.absorb(&meter);
+        }
+        let step = ExecOptions {
+            validate: false,
+            ..ExecOptions::default()
+        };
+        shadow
+            .execute_with(&Strategy::from_exprs(vec![expr.clone()]), step)
+            .unwrap();
+    }
+    assert_eq!(
+        catalog_to_string(shadow.state()),
+        catalog_to_string(engine.state())
+    );
+    Differential { shared, reference }
 }
 
 #[test]
-fn shared_and_threaded_term_evaluation_is_byte_identical_to_per_term() {
+fn shared_term_evaluation_is_byte_identical_to_the_per_term_reference() {
     let base = seed_base();
     let mut shared_ever_cheaper = false;
     for round in 0..4u64 {
@@ -262,70 +307,15 @@ fn shared_and_threaded_term_evaluation_is_byte_identical_to_per_term() {
         let (w, changes) = random_warehouse(seed);
         let mut rng = SplitMix64::new(seed ^ 0xABCD_EF01);
         for (si, strategy) in random_strategies(&w, &mut rng, 2).iter().enumerate() {
-            let tag = |mode: &str| format!("{round}-{si}-{mode}");
-            let baseline = run_mode(&w, &changes, strategy, &tag("unshared"), false, 0);
-            let shared = run_mode(&w, &changes, strategy, &tag("shared"), true, 0);
-            let threaded = run_mode(&w, &changes, strategy, &tag("threaded"), true, 3);
-
-            // Byte-identical final state and byte-identical per-term WAL
-            // fragments (the CD payloads dominate wal.log).
-            assert_eq!(baseline.state, shared.state, "state diverged (shared)");
-            assert_eq!(baseline.state, threaded.state, "state diverged (threaded)");
-            assert_eq!(
-                baseline.wal_bytes, shared.wal_bytes,
-                "wal bytes diverged (shared)"
-            );
-            assert_eq!(
-                baseline.wal_bytes, threaded.wal_bytes,
-                "wal bytes diverged (threaded)"
-            );
-
-            // Identical *logical* meters, expression by expression; the
-            // physical counters are the only place the engines may differ.
-            assert_eq!(baseline.report.per_expr.len(), shared.report.per_expr.len());
-            for (b, s) in baseline
-                .report
-                .per_expr
-                .iter()
-                .zip(shared.report.per_expr.iter())
-            {
-                assert_eq!(logical(&b.work), logical(&s.work), "expr {:?}", b.expr);
-            }
-            for (b, t) in baseline
-                .report
-                .per_expr
-                .iter()
-                .zip(threaded.report.per_expr.iter())
-            {
-                assert_eq!(logical(&b.work), logical(&t.work), "expr {:?}", b.expr);
-            }
-            assert_eq!(
-                logical(&baseline.report.total_work()),
-                logical(&shared.report.total_work())
-            );
-            assert_eq!(
-                logical(&baseline.report.total_work()),
-                logical(&threaded.report.total_work())
-            );
-
-            // Sharing never touches more rows, and the threaded engine's
-            // totals equal the sequential shared engine's (same cache, same
-            // terms, deterministic interning).
-            let phys_base = baseline.report.total_work().physical_rows_touched;
-            let phys_shared = shared.report.total_work().physical_rows_touched;
+            let d = run_against_reference(&w, &changes, strategy, &format!("{round}-{si}"));
+            // Sharing never touches more rows than re-scanning per term.
+            let phys_shared = d.shared.total_work().physical_rows_touched;
+            let phys_reference = d.reference.physical_rows_touched;
             assert!(
-                phys_shared <= phys_base,
-                "shared touched more rows: {phys_shared} > {phys_base}"
+                phys_shared <= phys_reference,
+                "shared touched more rows: {phys_shared} > {phys_reference}"
             );
-            assert_eq!(
-                shared.report.total_work().physical_rows_touched,
-                threaded.report.total_work().physical_rows_touched
-            );
-            assert_eq!(
-                shared.report.total_work().hash_tables_built,
-                threaded.report.total_work().hash_tables_built
-            );
-            if phys_shared < phys_base {
+            if phys_shared < phys_reference {
                 shared_ever_cheaper = true;
             }
         }
@@ -345,7 +335,7 @@ fn shared_engine_counts_hash_table_reuse() {
     // order of magnitude larger than stored operands, so by the time the
     // greedy order reaches ΔB2 the intermediate has fanned out past it in
     // several terms of Comp(J, {B0,B1,B2}). The shared engine must intern
-    // that table and report reuses; the per-term engine reports none.
+    // that table and report reuses; the per-term reference reports none.
     let schema = Schema::of(COLS);
     let mut builder = Warehouse::builder();
     for (b, dup) in [(0usize, 4i64), (1, 2), (2, 2)] {
@@ -416,12 +406,12 @@ fn shared_engine_counts_hash_table_reuse() {
     let dual = Strategy::from_exprs(dual);
     check_vdag_strategy(g, &dual).unwrap();
 
-    let baseline = run_mode(&w, &changes, &dual, "reuse-unshared", false, 0);
-    let shared = run_mode(&w, &changes, &dual, "reuse-shared", true, 0);
-    assert_eq!(baseline.report.total_work().hash_tables_reused, 0);
-    assert!(shared.report.total_work().hash_tables_reused > 0);
-    assert!(
-        shared.report.total_work().hash_tables_built
-            < baseline.report.total_work().hash_tables_built
-    );
+    let d = run_against_reference(&w, &changes, &dual, "reuse");
+    let shared = d.shared.total_work();
+    assert_eq!(d.reference.hash_tables_reused, 0);
+    assert!(shared.hash_tables_reused > 0);
+    assert!(shared.hash_tables_built < d.reference.hash_tables_built);
+    // Seven terms re-scan each operand four times without sharing.
+    let ratio = d.reference.physical_rows_touched as f64 / shared.physical_rows_touched as f64;
+    assert!(ratio >= 1.5, "physical reduction {ratio:.2}x < 1.5x");
 }
