@@ -5,7 +5,7 @@
 //! stage only when neither touches state the other mutates. This pass
 //! computes, per expression, its read and write sets over the warehouse's
 //! mutable locations — stored view extents and pending deltas, the two
-//! operand forms the shared `OperandCache` keys by — and flags every
+//! operand forms the engine's `OperandStore` keys by — and flags every
 //! same-stage pair whose sets conflict.
 //!
 //! The conflict relation is deliberately *at least as strict* as the

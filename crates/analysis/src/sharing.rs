@@ -279,7 +279,7 @@ pub fn analyze_sharing(g: &Vdag, s: &Strategy, profile: &SharingProfile) -> Repo
 ///
 /// This predicate is the single liveness source of truth for cross-`Comp`
 /// sharing: `UWW012` uses it to decide which rebuild opportunities are
-/// live, and the engine's `StrategyCache` uses the *same* predicate to
+/// live, and the engine's `OperandStore` uses the *same* predicate to
 /// invalidate cached materializations and hash tables after each executed
 /// expression — so anything the analyzer prices is exactly what the cache
 /// may legally serve.

@@ -7,7 +7,7 @@
 //! `execute_with`, `execute_carried`, `execute_staged` and
 //! [`crate::recovery`] differ only in the items they hand it.
 
-use crate::engine::share::{self, WindowCarry};
+use crate::engine::share::{self, OperandStore, Retention, WindowCarry};
 use crate::engine::warehouse::{PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use crate::parallel::{canonical_stage_order, ParallelStrategy};
@@ -27,13 +27,13 @@ pub struct ExecOptions {
     /// Journal execution to an install WAL so a crashed run can be resumed
     /// by [`crate::recovery::recover`] (default: off).
     pub wal: Option<WalConfig>,
-    /// Share operand materializations and hash-join build tables *across*
-    /// expressions through a strategy-scope cache (default: off).
-    /// Invalidation follows the `UWW012` liveness predicate, so deltas, WAL
-    /// bytes, and the logical meter are byte-identical to per-`Comp` caching
-    /// — only `physical_rows_touched`, `hash_tables_cross_reused`, and
-    /// `operand_reads_cached` move. Sequential windows only:
-    /// [`Warehouse::execute_staged`] refuses it.
+    /// Keep the operand store — raw materializations and hash-join build
+    /// tables — to the end of the window instead of emptying it after each
+    /// `Comp` (default: off). An entry is dropped when an expression changes
+    /// its operand, so deltas, WAL bytes, and the logical meter are
+    /// byte-identical to per-`Comp` scope — only `physical_rows_touched`,
+    /// `hash_tables_cross_reused`, and `operand_reads_cached` move.
+    /// Sequential windows only: [`Warehouse::execute_staged`] refuses it.
     pub strategy_sharing: bool,
     /// Planner-predicted linear work per expression, in execution (manifest)
     /// order — attached to expression spans when tracing is enabled so
@@ -178,46 +178,27 @@ impl ExecutionReport {
     }
 }
 
-/// Predicted-vs-measured sharing counters for one carried window.
-///
-/// Every quantity is fixed statically by the seeded liveness walk before the
-/// window runs; [`exact`](CarryConformance::exact) holding is therefore a
-/// *proof obligation* on the executor, not a tuning metric — continuous-mode
-/// tests assert it for every window of every seeded stream.
+/// What the operand store served during one window, as the meter and the
+/// store's producer tags measured it. What a predictor would have said is
+/// [`plan_strategy_sharing_carried`](crate::engine::plan_strategy_sharing_carried)'s
+/// to answer, offline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CarryConformance {
-    /// Cross-expression hash-table reuses the seeded plan predicted.
-    pub predicted_cross_reuses: u64,
-    /// Cross-expression hash-table reuses the meter measured.
+    /// Hash-table uses served by an earlier expression's or window's table.
     pub measured_cross_reuses: u64,
-    /// Strategy-cache-served raw operand reads the seeded plan predicted.
-    pub predicted_cached_reads: u64,
-    /// Strategy-cache-served raw operand reads the meter measured.
+    /// Raw operand reads served by an earlier expression's or window's
+    /// materialization.
     pub measured_cached_reads: u64,
-    /// Hash-table uses predicted to be served by the *previous window's*
-    /// carried tables (subset of `predicted_cross_reuses`).
-    pub predicted_carried_table_hits: u64,
-    /// Hash-table uses actually served by carried tables.
+    /// Hash-table uses served by the *previous window's* carried tables
+    /// (subset of `measured_cross_reuses`).
     pub measured_carried_table_hits: u64,
-    /// Raw operand reads predicted to be served by carried materializations
-    /// (subset of `predicted_cached_reads`).
-    pub predicted_carried_raw_hits: u64,
-    /// Raw operand reads actually served by carried materializations.
+    /// Raw operand reads served by carried materializations (subset of
+    /// `measured_cached_reads`).
     pub measured_carried_raw_hits: u64,
 }
 
-impl CarryConformance {
-    /// True when every measured counter equals its static prediction.
-    pub fn exact(&self) -> bool {
-        self.predicted_cross_reuses == self.measured_cross_reuses
-            && self.predicted_cached_reads == self.measured_cached_reads
-            && self.predicted_carried_table_hits == self.measured_carried_table_hits
-            && self.predicted_carried_raw_hits == self.measured_carried_raw_hits
-    }
-}
-
-/// Result of one carried window: the execution report, the cache entries
-/// that survived into the next window, and the conformance ledger.
+/// Result of one carried window: the execution report, the store entries
+/// that survived into the next window, and what the store served.
 #[derive(Debug)]
 pub struct WindowOutcome {
     /// Per-expression measurements, exactly as [`Warehouse::execute_with`]
@@ -227,7 +208,7 @@ pub struct WindowOutcome {
     /// pass to the next window's [`Warehouse::execute_carried`] call (or
     /// drop to run it cold, e.g. after crash recovery).
     pub carry: WindowCarry,
-    /// Predicted-vs-measured sharing counters for this window.
+    /// What the operand store served during this window.
     pub conformance: CarryConformance,
 }
 
@@ -235,7 +216,7 @@ pub struct WindowOutcome {
 pub(crate) type Item<'a> = (usize, usize, &'a UpdateExpr);
 
 /// A sequential strategy as window items: one serial stage.
-fn serial_items(strategy: &Strategy) -> Vec<Item<'_>> {
+pub(crate) fn serial_items(strategy: &Strategy) -> Vec<Item<'_>> {
     strategy
         .exprs
         .iter()
@@ -244,11 +225,17 @@ fn serial_items(strategy: &Strategy) -> Vec<Item<'_>> {
         .collect()
 }
 
-/// The journal, strategy cache and report of the window in flight.
+/// The journal, operand store and report of the window in flight.
 struct Run<'a> {
     opts: &'a ExecOptions,
     wal: Option<WalWriter>,
-    scache: Option<share::StrategyCache>,
+    store: OperandStore,
+    /// The store's scope: emptied after each `Comp`, or kept to the end of
+    /// the window — and, when `carried`, handed on to the next one.
+    window_scope: bool,
+    carried: bool,
+    /// The items not yet finished, the running one first.
+    rest: &'a [Item<'a>],
     report: ExecutionReport,
 }
 
@@ -279,11 +266,11 @@ impl Warehouse {
     }
 
     /// Executes one continuous-mode window: like [`Warehouse::execute_with`]
-    /// with `strategy_sharing` forced on, but the strategy-scope cache is
-    /// seeded with `carry` — the entries that survived the previous window —
-    /// and harvested afterwards for the next one. Deltas, WAL bytes, and the
+    /// with `strategy_sharing` forced on, but the operand store starts from
+    /// `carry` — the entries that survived the previous window — and is
+    /// handed back afterwards for the next one. Deltas, WAL bytes, and the
     /// logical meter are byte-identical to an unseeded run; only the physical
-    /// sharing counters move, and those conform exactly to the seeded plan.
+    /// sharing counters move.
     pub fn execute_carried(
         &mut self,
         strategy: &Strategy,
@@ -332,8 +319,9 @@ impl Warehouse {
     /// runs on its own. `resume` continues a recovered window on its
     /// reopened journal from the stage its replayed prefix ended in
     /// (recovery has already gated prefix + suffix and holds the run span
-    /// open). `carry` seeds the strategy-scope cache with the previous
-    /// window's survivors, forcing `strategy_sharing` on.
+    /// open). `carry` starts the operand store from the previous window's
+    /// survivors, forcing `strategy_sharing` on and keeping the store past
+    /// the window's end.
     pub(crate) fn run_window(
         &mut self,
         items: &[Item<'_>],
@@ -342,16 +330,16 @@ impl Warehouse {
         resume: Option<(Option<usize>, WalWriter)>,
         carry: Option<WindowCarry>,
     ) -> CoreResult<WindowOutcome> {
-        let linear = || match staged {
-            Some(p) => p.linearize(),
-            None => Strategy::from_exprs(items.iter().map(|i| i.2.clone()).collect()),
-        };
         let fresh = resume.is_none();
         let (mut last_stage, wal) = match resume {
             Some((last_stage, wal)) => (last_stage, Some(wal)),
             None => {
                 if opts.validate {
-                    check_vdag_strategy(self.vdag(), &linear())?;
+                    let linear = match staged {
+                        Some(p) => p.linearize(),
+                        None => Strategy::from_exprs(items.iter().map(|i| i.2.clone()).collect()),
+                    };
+                    check_vdag_strategy(self.vdag(), &linear)?;
                 }
                 if let Some(p) = staged {
                     // The linearized check cannot see stage races: a
@@ -367,9 +355,9 @@ impl Warehouse {
                     }
                     if opts.strategy_sharing {
                         return Err(CoreError::Warehouse(
-                            "strategy_sharing is not supported by execute_staged: the sharing \
-                             plan orders cache publishes and consumes sequentially, and a \
-                             stage's Comps run concurrently"
+                            "strategy_sharing is not supported by execute_staged: the operand \
+                             store serves one expression after another, and a stage's Comps \
+                             run concurrently"
                                 .into(),
                         ));
                     }
@@ -382,30 +370,12 @@ impl Warehouse {
             }
         };
 
-        // Strategy-scope sharing is planned statically before anything runs:
-        // the directives fix exactly which keyed builds cross expression
-        // boundaries, so measured cross counters equal the plan. A carry
-        // built at a different partition count cannot seed this window — its
-        // tables are split differently than this run's probes — so it is
-        // dropped *before* planning, keeping plan and runtime cache agreed.
-        let parts = opts.partition.partitions;
-        let seed = match carry {
-            Some(c) if c.is_empty() || c.partitions() == parts => Some(c),
-            Some(_) => Some(WindowCarry::empty()),
-            None => opts.strategy_sharing.then(WindowCarry::empty),
-        };
-        let mut conformance = CarryConformance::default();
-        let scache = match seed {
-            Some(seed) => {
-                let plan = share::plan_strategy_sharing_carried(self, &linear(), &seed)?;
-                conformance.predicted_cross_reuses = plan.cross_reuses();
-                conformance.predicted_cached_reads = plan.cached_reads();
-                conformance.predicted_carried_table_hits = plan.carried_table_hits;
-                conformance.predicted_carried_raw_hits = plan.carried_raw_hits;
-                Some(plan.cache_with(seed))
-            }
-            None => None,
-        };
+        // Nothing about sharing is planned: the store is driven by lookups,
+        // and its scope is how long this window keeps it. A carry built at a
+        // different partition count is discarded — its tables are split
+        // differently than this run's probes.
+        let carried = carry.is_some();
+        let store = OperandStore::start_window(carry, opts.partition.partitions);
 
         // The staged label predates `execute_staged`; trace diffs key on it.
         let _run_span = fresh.then(|| {
@@ -421,7 +391,10 @@ impl Warehouse {
         let mut run = Run {
             opts,
             wal,
-            scache,
+            store,
+            window_scope: carried || opts.strategy_sharing,
+            carried,
+            rest: items,
             report: ExecutionReport::default(),
         };
         for group in items.chunk_by(|a, b| a.1 == b.1) {
@@ -456,23 +429,17 @@ impl Warehouse {
         }
         run.journal(RecordBody::Commit)?;
 
-        let carry = match run.scache {
-            Some(cache) => {
-                let measured = self.meter().since(&start_meter);
-                conformance.measured_cross_reuses = measured.hash_tables_cross_reused;
-                conformance.measured_cached_reads = measured.operand_reads_cached;
-                (
-                    conformance.measured_carried_table_hits,
-                    conformance.measured_carried_raw_hits,
-                ) = cache.carried_hits();
-                cache.harvest(parts)
-            }
-            None => WindowCarry::empty(),
-        };
+        let measured = self.meter().since(&start_meter);
+        let (measured_carried_table_hits, measured_carried_raw_hits) = run.store.carried_hits();
         Ok(WindowOutcome {
             report: run.report,
-            carry,
-            conformance,
+            carry: run.store,
+            conformance: CarryConformance {
+                measured_cross_reuses: measured.hash_tables_cross_reused,
+                measured_cached_reads: measured.operand_reads_cached,
+                measured_carried_table_hits,
+                measured_carried_raw_hits,
+            },
         })
     }
 
@@ -510,25 +477,31 @@ impl Warehouse {
             run.journal(RecordBody::CompStart(item.0))?;
         }
         let this: &Warehouse = self;
-        let (opts, scache) = (run.opts, run.scache.as_ref());
-        let fragment_of = move |item: &Item<'_>| {
+        let opts = run.opts;
+        let fragment_of = |item: &Item<'_>, store: &mut OperandStore, retention: Retention<'_>| {
             let UpdateExpr::Comp { view, over } = item.2 else {
-                unreachable!("run_comps is handed Comp items only");
+                return Err(CoreError::Warehouse(
+                    "an Inst was scheduled among a stage's Comps".into(),
+                ));
             };
             let t = Instant::now();
-            let strategy = scache.map(|c| (c, item.0));
-            share::comp_fragment(this, *view, over, opts.partition, strategy)
-                .map(|(fragment, work)| (fragment, work, t.elapsed()))
+            share::comp_fragment(this, *view, over, opts.partition, store, item.0, retention)
+                .map(|(fragment, work, _)| (fragment, work, t.elapsed()))
         };
         let results: Vec<CoreResult<(PendingDelta, WorkMeter, Duration)>> = match batch {
-            [one] => vec![fragment_of(one)],
+            [one] => {
+                let retention = run.window_scope.then_some((&run.rest[1..], run.carried));
+                vec![fragment_of(one, &mut run.store, retention)]
+            }
+            // Concurrent Comps share nothing: each reads through a store of
+            // its own, emptied when it is done.
             _ => std::thread::scope(|scope| {
                 let handles: Vec<_> = batch
                     .iter()
                     .map(|item| {
                         scope.spawn(move || {
                             let mut span = this.expr_span(parent, item, opts);
-                            let out = fragment_of(item);
+                            let out = fragment_of(item, &mut OperandStore::empty(), None);
                             if let Ok((_, work, _)) = &out {
                                 meter_attrs(&mut span, work);
                             }
@@ -538,7 +511,11 @@ impl Warehouse {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("comp thread panicked"))
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| {
+                            Err(CoreError::Warehouse("a Comp's thread panicked".into()))
+                        })
+                    })
                     .collect()
             }),
         };
@@ -553,14 +530,11 @@ impl Warehouse {
                 })?;
             }
             let name = self.vdag().name(expr.subject()).to_string();
+            let changed = !fragment.is_empty();
             self.merge_fragment(&name, fragment)?;
             work.comp_expressions = 1;
             self.meter_mut().absorb(&work);
-            // Drop strategy-cache entries this expression invalidated — the
-            // same liveness walk the static plan performed.
-            if let Some(c) = &run.scache {
-                c.invalidate_after(self.vdag(), expr);
-            }
+            run.store.expr_done(self.vdag(), expr, changed);
             let wall = match &mut solo {
                 Some(span) => {
                     meter_attrs(span, &work);
@@ -575,6 +549,7 @@ impl Warehouse {
                 replayed: false,
             });
         }
+        run.rest = &run.rest[batch.len()..];
         Ok(())
     }
 
@@ -597,16 +572,7 @@ impl Warehouse {
                 post_digest,
             })?;
         }
-        // An `Inst` that installed zero rows left every operand
-        // bit-identical, so its strategy-cache entries stay: consumption is
-        // directive-driven, so the lax retention can never serve an
-        // unplanned hit — it only lets more entries survive into a
-        // cross-window harvest.
-        if delta_len != 0 {
-            if let Some(c) = &run.scache {
-                c.invalidate_after(self.vdag(), expr);
-            }
-        }
+        run.store.expr_done(self.vdag(), expr, delta_len != 0);
         let work = self.meter().since(&start_meter);
         meter_attrs(&mut span, &work);
         drop(span);
@@ -616,6 +582,7 @@ impl Warehouse {
             wall: t0.elapsed(),
             replayed: false,
         });
+        run.rest = &run.rest[1..];
         Ok(())
     }
 
@@ -921,6 +888,28 @@ mod tests {
         assert_eq!(w.meter().linear_work(), 0);
         // Without the option the same schedule runs.
         w.execute_staged(&p, ExecOptions::default()).unwrap();
+    }
+
+    #[test]
+    fn the_store_outlives_the_window_only_when_a_carry_is_requested() {
+        // R changes, S does not: S's stored extent survives every install.
+        let mut w = warehouse_with_changes();
+        w.pending_map_mut().remove("S");
+        let strategy = strategy_1way_rs(&w);
+        let items = serial_items(&strategy);
+        let shared = ExecOptions {
+            strategy_sharing: true,
+            ..ExecOptions::default()
+        };
+        let kept = |carry| {
+            let out = w.clone().run_window(&items, None, &shared, None, carry);
+            out.unwrap().carry
+        };
+        assert!(kept(None).is_empty());
+        assert!(kept(Some(WindowCarry::empty())).raws() > 0);
+        // Per-`Comp` scope keeps nothing either way.
+        let out = w.run_window(&items, None, &ExecOptions::default(), None, None);
+        assert!(out.unwrap().carry.is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::io::Write;
 use std::path::Path;
 
 /// Current ledger schema version; bump on any field change.
-pub const LEDGER_VERSION: u64 = 1;
+pub const LEDGER_VERSION: u64 = 2;
 
 /// The full work meter of one window, flattened to plain counters (this
 /// crate sits below `uww-relational`, so it mirrors `WorkMeter` field by
@@ -130,8 +130,6 @@ pub struct LedgerRecord {
     pub carried_table_hits: u64,
     /// Measured hits on raw operands carried from the previous window.
     pub carried_raw_hits: u64,
-    /// True when the sharing counters matched the static plan exactly.
-    pub conformant: bool,
     /// Hash-table cache hit rate: reuses / (builds + reuses), 0 if none.
     pub cache_hit_rate: f64,
     /// Configured partition count.
@@ -217,7 +215,7 @@ impl LedgerRecord {
         s.push_str(&format!(
             ",\"carry_in_tables\":{},\"carry_in_raws\":{},\"cross_reuses\":{},\
              \"cached_reads\":{},\"carried_table_hits\":{},\"carried_raw_hits\":{},\
-             \"conformant\":{},\"cache_hit_rate\":{},\"partitions\":{},\"wall_us\":{},\
+             \"cache_hit_rate\":{},\"partitions\":{},\"wall_us\":{},\
              \"critical_path_us\":{}",
             self.carry_in_tables,
             self.carry_in_raws,
@@ -225,7 +223,6 @@ impl LedgerRecord {
             self.cached_reads,
             self.carried_table_hits,
             self.carried_raw_hits,
-            self.conformant,
             num(self.cache_hit_rate),
             self.partitions,
             self.wall_us,
@@ -335,7 +332,6 @@ impl LedgerRecord {
             cached_reads: u("cached_reads")?,
             carried_table_hits: u("carried_table_hits")?,
             carried_raw_hits: u("carried_raw_hits")?,
-            conformant: matches!(doc.get("conformant"), Some(JsonValue::Bool(true))),
             cache_hit_rate: f("cache_hit_rate")?,
             partitions: u("partitions")?,
             wall_us: u("wall_us")?,
@@ -404,8 +400,6 @@ pub struct LedgerSummary {
     pub mean_staleness: f64,
     /// Total wall-clock microseconds across windows.
     pub wall_us: u64,
-    /// True when every window's sharing counters matched the plan.
-    pub conformant: bool,
 }
 
 /// Parses and consistency-checks a ledger: known schema version on every
@@ -421,7 +415,6 @@ pub fn validate_ledger(text: &str) -> Result<LedgerSummary, String> {
     let mut sum = LedgerSummary {
         records: records.len(),
         windows: (records[0].window, records[0].window),
-        conformant: true,
         ..LedgerSummary::default()
     };
     let mut weighted_staleness = 0.0;
@@ -479,7 +472,6 @@ pub fn validate_ledger(text: &str) -> Result<LedgerSummary, String> {
         sum.predicted_work += r.predicted_work;
         sum.measured_work += r.measured_work;
         sum.wall_us += r.wall_us;
-        sum.conformant &= r.conformant;
         weighted_staleness += r.staleness * r.events as f64;
         prev = Some(r);
     }
@@ -607,7 +599,6 @@ mod tests {
             cached_reads: 3,
             carried_table_hits: 1,
             carried_raw_hits: 2,
-            conformant: true,
             cache_hit_rate: 2.0 / 6.0,
             partitions: 1,
             wall_us: 130,
@@ -642,16 +633,17 @@ mod tests {
         assert_eq!(sum.windows, (0, 1));
         assert_eq!(sum.events, 40);
         assert_eq!(sum.measured_work, 480);
-        assert!(sum.conformant);
         assert!((sum.mean_staleness - 7.5).abs() < 1e-9);
     }
 
     #[test]
     fn validate_rejects_inconsistencies() {
-        // Wrong version.
-        let mut r = sample(0);
-        r.version = 99;
-        assert!(validate_ledger(&r.to_json_line()).is_err());
+        // Wrong version: the previous schema's like any unknown one.
+        for version in [LEDGER_VERSION - 1, 99] {
+            let mut r = sample(0);
+            r.version = version;
+            assert!(validate_ledger(&r.to_json_line()).is_err());
+        }
         // Meter arithmetic broken.
         let mut r = sample(0);
         r.measured_work += 1;

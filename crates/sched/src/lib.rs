@@ -10,11 +10,10 @@
 //! window through the existing WAL/recovery/publishing path — so a crash
 //! mid-window resumes cleanly and online readers never block.
 //!
-//! Windows run under the strategy-scope operand cache, and build tables
-//! whose liveness predicate proves them untouched by a window's installs
-//! *carry over* into the next window's cache
-//! ([`uww_core::Warehouse::execute_carried`]), with conformance counters
-//! proving every carried hit was statically predicted.
+//! Windows keep the operand store to their end, and the entries no
+//! expression of a window actually changed *carry over* into the next
+//! window's store ([`uww_core::Warehouse::execute_carried`]), every
+//! carried hit counted apart.
 //!
 //! Determinism is the design center: a [`SeededSource`] timeline is a pure
 //! function of its seed, the virtual clock advances by *predicted* work,

@@ -186,7 +186,7 @@ pub struct WindowReport {
     pub calibration: f64,
     /// Strategy-cache entries carried *in* from the previous window.
     pub carry_in: (usize, usize),
-    /// Predicted-vs-measured sharing counters (exact by construction).
+    /// What the operand store served during the window.
     pub conformance: CarryConformance,
     /// This window's WAL directory, when journaling.
     pub wal_dir: Option<PathBuf>,
@@ -264,11 +264,6 @@ impl IngestOutcome {
             .map(|w| w.report.total_work().rows_installed)
             .sum();
         installed as f64 / self.clock as f64
-    }
-
-    /// True when every window's sharing counters matched the static plan.
-    pub fn conformant(&self) -> bool {
-        self.windows.iter().all(|w| w.conformance.exact())
     }
 }
 
@@ -601,7 +596,6 @@ fn ledger_record(
         cached_reads: report.conformance.measured_cached_reads,
         carried_table_hits: report.conformance.measured_carried_table_hits,
         carried_raw_hits: report.conformance.measured_carried_raw_hits,
-        conformant: report.conformance.exact(),
         cache_hit_rate: if pool == 0 {
             0.0
         } else {
@@ -617,9 +611,7 @@ fn ledger_record(
 /// Recovers the crashed window from its WAL (completing it exactly as the
 /// uninterrupted run would have) and runs the rest of the schedule. The
 /// resumed run starts with an **empty** carry — a recovered window rebuilds
-/// from the journal snapshot, so nothing survives the crash boundary; the
-/// conformance counters still hold because the next window's plan is seeded
-/// with that same empty carry.
+/// from the journal snapshot, so nothing survives the crash boundary.
 pub fn resume_after_crash<S: DeltaSource>(
     cfg: SchedConfig,
     source: S,

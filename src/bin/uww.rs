@@ -1137,12 +1137,12 @@ fn partition_options(args: &Args) -> PartitionOptions {
 
 fn print_ingest_windows(out: &IngestOutcome) {
     println!(
-        "{:>4} {:>6} {:>6} {:>7} {:>12} {:>12} {:>10} {:>9} {:>5}",
-        "win", "cut", "ticks", "events", "predicted", "measured", "staleness", "carry", "conf"
+        "{:>4} {:>6} {:>6} {:>7} {:>12} {:>12} {:>10} {:>9}",
+        "win", "cut", "ticks", "events", "predicted", "measured", "staleness", "carry"
     );
     for w in &out.windows {
         println!(
-            "{:>4} {:>6} {:>6} {:>7} {:>12.1} {:>12} {:>10.2} {:>4}/{:<4} {:>5}",
+            "{:>4} {:>6} {:>6} {:>7} {:>12.1} {:>12} {:>10.2} {:>4}/{:<4}",
             w.index,
             w.cut,
             w.window_ticks,
@@ -1152,7 +1152,6 @@ fn print_ingest_windows(out: &IngestOutcome) {
             w.staleness,
             w.carry_in.0,
             w.carry_in.1,
-            if w.conformance.exact() { "ok" } else { "MISS" }
         );
     }
 }
@@ -1165,8 +1164,7 @@ fn ingest_summary_json(
     let window_json = |w: &uww::sched::WindowReport| {
         format!(
             "{{\"index\":{},\"cut\":{},\"ticks\":{},\"events\":{},\"predicted\":{},\
-             \"measured\":{},\"staleness\":{},\"carried_tables\":{},\"carried_raws\":{},\
-             \"conformant\":{}}}",
+             \"measured\":{},\"staleness\":{},\"carried_tables\":{},\"carried_raws\":{}}}",
             w.index,
             w.cut,
             w.window_ticks,
@@ -1176,13 +1174,11 @@ fn ingest_summary_json(
             w.staleness,
             w.carry_in.0,
             w.carry_in.1,
-            w.conformance.exact()
         )
     };
     let mut windows: Vec<String> = out.windows.iter().map(window_json).collect();
     let mut events = out.events();
     let mut clock = out.clock;
-    let mut conformant = out.conformant();
     let mut staleness_weighted: f64 = out
         .windows
         .iter()
@@ -1197,7 +1193,6 @@ fn ingest_summary_json(
         windows.extend(r.windows.iter().map(window_json));
         events += r.events();
         clock = r.clock;
-        conformant = conformant && r.conformant();
         staleness_weighted += r
             .windows
             .iter()
@@ -1221,7 +1216,7 @@ fn ingest_summary_json(
     };
     format!(
         "{{\"policy\":\"{}\",\"planner\":\"{}\",\"carry\":{},\"windows\":[{}],\"events\":{},\
-         \"mean_staleness\":{},\"throughput\":{},\"clock\":{},\"crashed\":{},\"conformant\":{}}}",
+         \"mean_staleness\":{},\"throughput\":{},\"clock\":{},\"crashed\":{}}}",
         args.policy,
         args.objective,
         args.carry,
@@ -1231,7 +1226,6 @@ fn ingest_summary_json(
         throughput,
         clock,
         out.crashed.is_some(),
-        conformant
     )
 }
 
@@ -1359,17 +1353,12 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let last = resumed.as_ref().unwrap_or(&out);
     println!(
         "{} windows, {} events, mean staleness {:.2} ticks, throughput {:.1} rows/tick, \
-         clock {}, conformance {}",
+         clock {}",
         out.windows.len() + resumed.as_ref().map_or(0, |r| r.windows.len()),
         out.events() + resumed.as_ref().map_or(0, |r| r.events()),
         out.mean_staleness(),
         out.throughput(),
         last.clock,
-        if out.conformant() && resumed.as_ref().is_none_or(|r| r.conformant()) {
-            "exact"
-        } else {
-            "VIOLATED"
-        }
     );
     Ok(())
 }
@@ -1516,7 +1505,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     if args.json {
         println!(
             "{{\"records\":{},\"windows\":[{},{}],\"events\":{},\"predicted_work\":{},\
-             \"measured_work\":{},\"mean_staleness\":{},\"wall_us\":{},\"conformant\":{},\
+             \"measured_work\":{},\"mean_staleness\":{},\"wall_us\":{},\
              \"work_residual\":{},\"cost_residual\":{},\"rate_residual\":{},\
              \"drift_work\":{},\"drift_cost\":{},\"drift_rate\":{}}}",
             summary.records,
@@ -1527,7 +1516,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             summary.measured_work,
             summary.mean_staleness,
             summary.wall_us,
-            summary.conformant,
             drift.work_residual(),
             drift.cost_residual(),
             drift.rate_residual(),
@@ -1538,16 +1526,8 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "ledger {path}: {} record(s), windows {}..{}, {} event(s), conformance {}",
-        summary.records,
-        summary.windows.0,
-        summary.windows.1,
-        summary.events,
-        if summary.conformant {
-            "exact"
-        } else {
-            "VIOLATED"
-        }
+        "ledger {path}: {} record(s), windows {}..{}, {} event(s)",
+        summary.records, summary.windows.0, summary.windows.1, summary.events,
     );
     println!(
         "work: predicted {:.1}, measured {}, mean staleness {:.2} ticks, wall {}us",

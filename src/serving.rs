@@ -344,7 +344,7 @@ pub struct ContinuousRunOutcome {
 /// [`InstallPublisher`], so readers never block under MVCC; after each
 /// window the server's maintenance gauges are updated, so the final
 /// `METRICS` scrape carries window size, staleness, queue depth, and the
-/// predicted-vs-measured sharing counters.
+/// measured sharing counters.
 pub fn run_continuous(
     warehouse: &Warehouse,
     cfg: &ContinuousRunConfig,
@@ -612,7 +612,16 @@ mod tests {
         };
         let out = run_continuous(w, &cfg, &[(base.clone(), 1, row)]).unwrap();
         assert!(!out.ingest.windows.is_empty());
-        assert!(out.ingest.conformant());
+        // The oracle: each window's batch replayed one-shot lands on the
+        // recomputed state with the logical work the served window did.
+        let mut replay = w.clone();
+        for win in &out.ingest.windows {
+            replay.load_changes(win.batch.clone()).unwrap();
+            let expected = replay.expected_final_state().unwrap();
+            let report = replay.execute(&win.strategy).unwrap();
+            assert!(replay.diff_state(&expected).is_empty());
+            assert_eq!(report.linear_work(), win.measured_work);
+        }
         assert!(out.ingest.crashed.is_none());
         assert_eq!(out.metrics.n_ingest, 1);
         assert_eq!(out.metrics.ingested_rows, 1);

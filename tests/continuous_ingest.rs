@@ -18,7 +18,8 @@
 use std::path::PathBuf;
 
 use uww::core::{
-    CostModel, ExecOptions, FaultPlan, FsyncPolicy, SizeCatalog, WalLog, Warehouse, WindowCarry,
+    plan_strategy_sharing_carried, CostModel, ExecOptions, FaultPlan, FsyncPolicy, SizeCatalog,
+    WalLog, Warehouse, WindowCarry,
 };
 use uww::relational::catalog_to_string;
 use uww::sched::{
@@ -119,6 +120,47 @@ fn replay_one_shot(out: &IngestOutcome, root: &std::path::Path) -> String {
     catalog_to_string(w.state())
 }
 
+/// Re-drives `out`'s windows by hand through `execute_carried` on a fresh
+/// fixture, asking the offline predictor before each one: predicted
+/// cross-reuses, cached reads, carried table hits and carried raw hits must
+/// equal what the window then measures — and what the scheduler's own run of
+/// it measured — and every window must land on the recompute oracle's state.
+fn assert_sharing_predicted(out: &IngestOutcome, carry_on: bool, tag: &str) {
+    let mut w = fixture();
+    let mut carry = WindowCarry::empty();
+    for wr in &out.windows {
+        let at = format!("{tag}: window {}", wr.index);
+        w.load_changes(wr.batch.clone()).expect("load batch");
+        let expected = w.expected_final_state().expect("oracle");
+        let plan = plan_strategy_sharing_carried(&w, &wr.strategy, &carry).expect("predict");
+        let opts = ExecOptions {
+            strategy_sharing: true,
+            ..ExecOptions::default()
+        };
+        let outcome = w
+            .execute_carried(&wr.strategy, opts, carry)
+            .expect("carried window");
+        assert!(w.diff_state(&expected).is_empty(), "{at}: wrong state");
+        let c = outcome.conformance;
+        assert_eq!(plan.cross_reuses(), c.measured_cross_reuses, "{at}");
+        assert_eq!(plan.cached_reads(), c.measured_cached_reads, "{at}");
+        assert_eq!(
+            plan.carried_table_hits, c.measured_carried_table_hits,
+            "{at}"
+        );
+        assert_eq!(plan.carried_raw_hits, c.measured_carried_raw_hits, "{at}");
+        assert_eq!(
+            c, wr.conformance,
+            "{at}: the scheduler's run measured otherwise"
+        );
+        carry = if carry_on {
+            outcome.carry
+        } else {
+            WindowCarry::empty()
+        };
+    }
+}
+
 /// Byte-compares every per-window `wal.log` under the two roots.
 fn assert_wal_bytes_identical(a: &std::path::Path, b: &std::path::Path, windows: usize) {
     for idx in 0..windows {
@@ -154,7 +196,7 @@ fn continuous_mode_equals_one_shot_replay() {
                 !out.windows.is_empty(),
                 "{tag}: the stream produced no windows"
             );
-            assert!(out.conformant(), "{tag}: sharing counters diverged");
+            assert_sharing_predicted(&out, carry, &tag);
             let replayed = replay_one_shot(&out, &root_r);
             assert_eq!(
                 state, replayed,
@@ -191,14 +233,34 @@ fn policies_agree_on_the_final_state() {
 // Carry-over conformance
 // ---------------------------------------------------------------------------
 
+/// No window predicts its own sharing any more; the predictor is called
+/// here instead. Over a stream cut into at least eight windows, what
+/// `plan_strategy_sharing_carried` says before each hand-driven
+/// `execute_carried` is what the window measures, no tolerance, and every
+/// window ends in the oracle's state.
+#[test]
+fn predicted_sharing_equals_measured_on_every_carried_window() {
+    const HORIZON: u64 = 60;
+    // A service rate at which greedy cuts a window every few ticks.
+    let mut cfg = sched_cfg(Policy::Greedy, true, HORIZON, None);
+    cfg.sla.service_rate = 4000.0;
+    let (out, _) = run_continuous(cfg, HORIZON);
+    assert!(
+        out.windows.len() >= 8,
+        "only {} windows were cut",
+        out.windows.len()
+    );
+    assert_sharing_predicted(&out, true, "greedy");
+}
+
 /// With carry on, at least one later window must be seeded from its
-/// predecessor's cache, and every carried hit must have been statically
-/// predicted (exact conformance, no tolerance).
+/// predecessor's cache, and every carried hit must have been predicted
+/// (exactly, no tolerance).
 #[test]
 fn carry_over_is_predicted_exactly() {
     const HORIZON: u64 = 60;
     let (out, _) = run_continuous(sched_cfg(Policy::Adaptive, true, HORIZON, None), HORIZON);
-    assert!(out.conformant(), "conformance violated");
+    assert_sharing_predicted(&out, true, "adaptive");
     assert!(
         out.windows.iter().any(|w| w.carry_in != (0, 0)),
         "no window was seeded from the previous window's cache"
@@ -217,7 +279,7 @@ fn carry_over_is_predicted_exactly() {
     );
     // With carry off, no window may report carried entries or carried hits.
     let (bare, _) = run_continuous(sched_cfg(Policy::Adaptive, false, HORIZON, None), HORIZON);
-    assert!(bare.conformant());
+    assert_sharing_predicted(&bare, false, "adaptive, no carry");
     for w in &bare.windows {
         assert_eq!(
             w.carry_in,
@@ -290,10 +352,6 @@ fn crash_matrix_resumes_byte_identical() {
             "crash point {k}: recovery did no work"
         );
         assert!(resumed.crashed.is_none());
-        assert!(
-            resumed.conformant(),
-            "crash point {k}: resume not conformant"
-        );
         for wr in &resumed.windows {
             assert!(
                 wr.index > FAULT_WINDOW,

@@ -19,14 +19,14 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use uww::core::{
-    plan_strategy_sharing, CoreError, ExecOptions, FaultPlan, FsyncPolicy, SharingScope, WalConfig,
-    WalLog, Warehouse,
+    plan_strategy_sharing, CoreError, ExecOptions, FaultPlan, FsyncPolicy, PartitionOptions,
+    SharingScope, WalConfig, WalLog, Warehouse, WindowCarry,
 };
 use uww::relational::{
     catalog_to_string, DeltaRelation, EquiJoin, OutputColumn, Schema, Table, Tuple, Value,
     ValueType, ViewDef, ViewOutput, ViewSource,
 };
-use uww::vdag::{check_vdag_strategy, SplitMix64, Strategy, UpdateExpr};
+use uww::vdag::{check_vdag_strategy, dual_stage_strategy, SplitMix64, Strategy, UpdateExpr};
 
 fn seed_base() -> u64 {
     std::env::var("UWW_SHARE_SEED")
@@ -336,4 +336,123 @@ fn every_crash_point_of_the_cached_run_recovers_to_the_reference_catalog() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The single liveness rule, case by case
+// ---------------------------------------------------------------------------
+
+/// Inserts on `views` only; every other base has nothing pending.
+fn inserts_on(views: &[&str], v_base: i64) -> BTreeMap<String, DeltaRelation> {
+    let mut changes = BTreeMap::new();
+    for (n, name) in views.iter().enumerate() {
+        let mut delta = DeltaRelation::new(Schema::of(COLS));
+        for i in 0..5 {
+            delta.add(
+                Tuple::new(vec![
+                    Value::Int((3 * i + n as i64) % 20),
+                    Value::Int(v_base + 10 * n as i64 + i),
+                    Value::Int(i % 3),
+                ]),
+                1,
+            );
+        }
+        changes.insert(name.to_string(), delta);
+    }
+    changes
+}
+
+fn shared(partitions: usize) -> ExecOptions {
+    ExecOptions {
+        strategy_sharing: true,
+        partition: PartitionOptions::with_partitions(partitions),
+        ..ExecOptions::default()
+    }
+}
+
+/// An entry dies only when an expression actually changed its operand. With
+/// nothing pending on `B`, the `Inst(B)` between the two stored-`B` readers
+/// installs nothing, the first reader's table survives it and the second
+/// reader probes it; with a non-empty ΔB the same `Inst` drops the entry and
+/// the second reader rebuilds.
+#[test]
+fn an_entry_survives_an_empty_install_and_dies_with_a_real_one() {
+    let (w, full) = fixture(seed_base().wrapping_mul(67).wrapping_add(3));
+    let (strategy, post_inst) = adversarial_strategy(&w);
+    let mut idle_b = full.clone();
+    idle_b.remove("B");
+
+    for (changes, survives) in [(idle_b, true), (full, false)] {
+        let mut loaded = w.clone();
+        loaded.load_changes(changes).unwrap();
+        let expected = loaded.expected_final_state().unwrap();
+        let report = loaded.execute_with(&strategy, shared(1)).unwrap();
+        assert!(loaded.diff_state(&expected).is_empty());
+        let reader = &report.per_expr[post_inst].work;
+        if survives {
+            assert!(reader.hash_tables_cross_reused > 0, "{reader}");
+            assert!(reader.operand_reads_cached > 0, "{reader}");
+            assert_eq!(reader.hash_tables_built, 0, "{reader}");
+        } else {
+            assert_eq!(reader.hash_tables_cross_reused, 0, "{reader}");
+            assert_eq!(reader.operand_reads_cached, 0, "{reader}");
+            assert!(reader.hash_tables_built > 0, "{reader}");
+        }
+    }
+}
+
+/// A carry is only good at the partition count it was built at: a window at
+/// `P = 1` handed a carry whose tables were split two ways probes none of
+/// them (and ends in the oracle's state), while the same window at `P = 2`
+/// does.
+#[test]
+fn a_carry_built_at_another_partition_count_is_never_probed() {
+    let (w, _) = fixture(0);
+    let (strategy, _) = control_strategy(&w);
+
+    // Window 1 at P = 2 changes A and C: B's stored table serves both
+    // readers and outlives the window.
+    let mut first = w.clone();
+    first.load_changes(inserts_on(&["A", "C"], 3000)).unwrap();
+    let carry = first
+        .execute_carried(&strategy, shared(2), WindowCarry::empty())
+        .unwrap()
+        .carry;
+    assert!(carry.tables() > 0 && carry.raws() > 0, "{carry:?}");
+    assert_eq!(carry.partitions(), 2);
+
+    for (partitions, probed) in [(1, false), (2, true)] {
+        let mut second = first.clone();
+        second.load_changes(inserts_on(&["A", "C"], 4000)).unwrap();
+        let expected = second.expected_final_state().unwrap();
+        let out = second
+            .execute_carried(&strategy, shared(partitions), carry.clone())
+            .unwrap();
+        assert!(second.diff_state(&expected).is_empty(), "P = {partitions}");
+        let c = out.conformance;
+        let hits = c.measured_carried_table_hits + c.measured_carried_raw_hits;
+        assert_eq!(hits > 0, probed, "P = {partitions}: {c:?}");
+        assert_eq!(
+            c.measured_carried_table_hits > 0,
+            probed,
+            "P = {partitions}"
+        );
+    }
+}
+
+/// Delta-role entries die at the window's end: under the dual-stage
+/// strategy every `Inst` follows every `Comp` and, the batch changing every
+/// base view, installs rows — so no stored-role entry survives either, and
+/// what the window hands on is empty.
+#[test]
+fn a_carry_holds_no_delta_role_entry() {
+    let (w, changes) = fixture(seed_base().wrapping_mul(67).wrapping_add(5));
+    let strategy = dual_stage_strategy(w.vdag());
+    let mut loaded = w.clone();
+    loaded.load_changes(changes).unwrap();
+    let out = loaded
+        .execute_carried(&strategy, shared(1), WindowCarry::empty())
+        .unwrap();
+    assert!(out.report.total_work().operand_reads_cached > 0);
+    assert!(out.carry.is_empty(), "{:?}", out.carry);
 }

@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use uww::core::{
-    min_work, parallelize, recover, ExecOptions, FaultPlan, FsyncPolicy, SizeCatalog, WalConfig,
-    WalLog, Warehouse, WindowCarry,
+    min_work, parallelize, plan_strategy_sharing_carried, recover, ExecOptions, FaultPlan,
+    FsyncPolicy, SizeCatalog, WalConfig, WalLog, Warehouse, WindowCarry,
 };
 use uww::relational::{
     catalog_to_string, digest64, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn,
@@ -207,9 +207,14 @@ fn two_carried_windows() {
         let expected = w.expected_final_state().unwrap();
         let strategy = min_work_strategy(&w);
         let dir = wal_dir(&format!("carried-{n}"));
+        let plan = plan_strategy_sharing_carried(&w, &strategy, &carry).unwrap();
         let out = w.execute_carried(&strategy, durable(&dir), carry).unwrap();
         assert!(w.diff_state(&expected).is_empty());
-        assert!(out.conformance.exact());
+        let c = out.conformance;
+        assert_eq!(plan.cross_reuses(), c.measured_cross_reuses);
+        assert_eq!(plan.cached_reads(), c.measured_cached_reads);
+        assert_eq!(plan.carried_table_hits, c.measured_carried_table_hits);
+        assert_eq!(plan.carried_raw_hits, c.measured_carried_raw_hits);
         carry = out.carry;
         dirs.push(dir);
     }
