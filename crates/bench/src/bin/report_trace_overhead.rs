@@ -148,11 +148,10 @@ fn one_ingest(ledger: Option<&std::path::Path>) -> u128 {
         },
     );
     let cfg = SchedConfig {
-        policy: Policy::Adaptive,
+        policy: Policy::Greedy,
         sla: SlaConfig {
             target_staleness: 24.0,
             service_rate: 400.0,
-            ..SlaConfig::default()
         },
         window: 12,
         horizon: 24,

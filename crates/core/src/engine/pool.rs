@@ -2,12 +2,10 @@
 //!
 //! [`run_tasks`] runs `n` independent index-addressed tasks across a scoped
 //! worker set and returns their results **in task order** — the caller's
-//! output is a pure function of the task set, never of scheduling. Each
-//! worker owns a deque seeded round-robin; it pops its own front and, when
-//! empty (and stealing is enabled), steals from the *back* of a victim's
-//! deque — the classic split that keeps owner and thief off the same end.
-//! Partition skew is what stealing exists for: a worker whose partitions
-//! happened to be small drains its deque and takes over the straggler's
+//! output is a pure function of the task set, never of scheduling. Workers
+//! share one next-task counter: each takes the lowest index nobody has
+//! taken yet until none is left. Partition skew is what that exists for: a
+//! worker whose partitions happened to be small takes over the straggler's
 //! remaining chunks instead of idling at the barrier.
 //!
 //! The pool is deliberately scoped and ephemeral (`std::thread::scope`, no
@@ -15,7 +13,7 @@
 //! on its own scoped thread, and nested scoped pools compose without a
 //! shared-runtime deadlock surface.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Partition-parallel execution knobs, threaded from the CLI through
@@ -25,18 +23,11 @@ pub struct PartitionOptions {
     /// Hash partitions per join/aggregate step; `1` (the default) is the
     /// sequential engine, byte-identical to the pre-partitioning code path.
     pub partitions: usize,
-    /// Allow idle workers to steal queued partitions from stragglers.
-    /// Disabling pins partition `i % workers` to worker `i` — useful for
-    /// isolating skew in traces; results are identical either way.
-    pub steal: bool,
 }
 
 impl Default for PartitionOptions {
     fn default() -> Self {
-        PartitionOptions {
-            partitions: 1,
-            steal: true,
-        }
+        PartitionOptions { partitions: 1 }
     }
 }
 
@@ -46,11 +37,10 @@ impl PartitionOptions {
         PartitionOptions::default()
     }
 
-    /// `partitions` partitions with stealing on.
+    /// `partitions` partitions (at least one).
     pub fn with_partitions(partitions: usize) -> PartitionOptions {
         PartitionOptions {
             partitions: partitions.max(1),
-            steal: true,
         }
     }
 
@@ -69,11 +59,10 @@ impl PartitionOptions {
     }
 }
 
-/// Runs tasks `0..n` via `f` on `workers` scoped threads with optional
-/// work stealing, returning results indexed by task — deterministic
-/// regardless of worker count, stealing, or scheduling. `workers <= 1`
-/// runs inline with no thread setup at all.
-pub fn run_tasks<T, F>(n: usize, workers: usize, steal: bool, f: F) -> Vec<T>
+/// Runs tasks `0..n` via `f` on `workers` scoped threads, returning
+/// results indexed by task — deterministic regardless of worker count or
+/// scheduling. `workers <= 1` runs inline with no thread setup at all.
+pub fn run_tasks<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -81,37 +70,19 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let workers = workers.min(n);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
+    // A ticket dispenser: it hands out each index once and publishes no
+    // other data (results travel through the slot mutexes and the scope's
+    // join), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || loop {
-                let own = queues[w]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front();
-                let task = match own {
-                    Some(t) => Some(t),
-                    None if steal => (0..workers).filter(|&v| v != w).find_map(|v| {
-                        queues[v]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .pop_back()
-                    }),
-                    None => None,
-                };
-                match task {
-                    Some(i) => {
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(f(i));
-                    }
-                    None => break,
+        for _ in 0..workers.min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(f(i));
             });
         }
     });
@@ -128,16 +99,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_in_task_order_for_every_configuration() {
         for n in [0, 1, 2, 7, 64] {
             for workers in [1, 2, 3, 8] {
-                for steal in [false, true] {
-                    let out = run_tasks(n, workers, steal, |i| i * 10);
-                    assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
-                }
+                let out = run_tasks(n, workers, |i| i * 10);
+                assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
             }
         }
     }
@@ -145,7 +113,7 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        run_tasks(100, 4, true, |i| {
+        run_tasks(100, 4, |i| {
             counts[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
@@ -155,7 +123,7 @@ mod tests {
     fn skewed_tasks_complete_under_stealing() {
         // One straggler task plus many small ones: with stealing the pool
         // must still return every result, in order.
-        let out = run_tasks(16, 4, true, |i| {
+        let out = run_tasks(16, 4, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -168,7 +136,6 @@ mod tests {
     fn options_cap_workers_and_default_sequential() {
         let o = PartitionOptions::default();
         assert_eq!(o.partitions, 1);
-        assert!(o.steal);
         assert!(!o.parallel());
         assert_eq!(o.workers(8), 1);
         let p = PartitionOptions::with_partitions(8);

@@ -638,7 +638,7 @@ fn pooled_rows<F>(
 where
     F: Fn(usize, &mut WorkMeter) -> RelResult<SignedRows> + Sync,
 {
-    let results = pool::run_tasks(n, popt.workers(n), popt.steal, |i| {
+    let results = pool::run_tasks(n, popt.workers(n), |i| {
         let mut span =
             obs::span_under_dyn(obs::SpanKind::Operator, parent, || format!("{label}[p{i}]"));
         let mut m = WorkMeter::new();
@@ -717,7 +717,7 @@ fn scan_operand_pooled(
     let parent = obs::current_span_id();
     let parts = popt.partitions;
     let chunk = entries.len().div_ceil(parts);
-    let cloned = pool::run_tasks(parts, popt.workers(parts), popt.steal, |i| {
+    let cloned = pool::run_tasks(parts, popt.workers(parts), |i| {
         let lo = (i * chunk).min(entries.len());
         let hi = (lo + chunk).min(entries.len());
         let mut span =
@@ -762,7 +762,7 @@ fn filter_pooled(
     let parent = obs::current_span_id();
     let parts = popt.partitions;
     let chunk = rows.len().div_ceil(parts);
-    let chunks = pool::run_tasks(parts, popt.workers(parts), popt.steal, |i| {
+    let chunks = pool::run_tasks(parts, popt.workers(parts), |i| {
         let lo = (i * chunk).min(rows.len());
         let hi = (lo + chunk).min(rows.len());
         let mut span =
@@ -801,7 +801,7 @@ fn split_pooled(
     }
     let parent = obs::current_span_id();
     let chunk = rows.len().div_ceil(parts);
-    let bucketed = pool::run_tasks(parts, popt.workers(parts), popt.steal, |i| {
+    let bucketed = pool::run_tasks(parts, popt.workers(parts), |i| {
         let lo = (i * chunk).min(rows.len());
         let hi = (lo + chunk).min(rows.len());
         let mut span =
@@ -838,7 +838,7 @@ fn build_pooled(
     }
     let parent = obs::current_span_id();
     let chunks = split_pooled(popt, popt.partitions, rows, keys);
-    let indexed = pool::run_tasks(chunks.len(), popt.workers(chunks.len()), popt.steal, |i| {
+    let indexed = pool::run_tasks(chunks.len(), popt.workers(chunks.len()), |i| {
         let mut span = obs::span_under_dyn(obs::SpanKind::Operator, parent, || {
             format!("hash_build[p{i}]")
         });
@@ -938,15 +938,14 @@ fn eval_term_cached(
                 sp.attr_u64(obs::keys::PARTITIONS, popt.partitions as u64);
                 let chunks = Partitioner::new(popt.partitions).split_contiguous(&rows);
                 let parent = obs::current_span_id();
-                let parts =
-                    pool::run_tasks(chunks.len(), popt.workers(chunks.len()), popt.steal, |i| {
-                        let mut span = obs::span_under_dyn(obs::SpanKind::Operator, parent, || {
-                            format!("group[p{i}]")
-                        });
-                        span.attr_u64(obs::keys::PARTITION, i as u64);
-                        span.attr_u64(obs::keys::ROWS, chunks[i].len() as u64);
-                        ops::group_rows(&chunks[i], &spec)
+                let parts = pool::run_tasks(chunks.len(), popt.workers(chunks.len()), |i| {
+                    let mut span = obs::span_under_dyn(obs::SpanKind::Operator, parent, || {
+                        format!("group[p{i}]")
                     });
+                    span.attr_u64(obs::keys::PARTITION, i as u64);
+                    span.attr_u64(obs::keys::ROWS, chunks[i].len() as u64);
+                    ops::group_rows(&chunks[i], &spec)
+                });
                 let maps = parts.into_iter().collect::<RelResult<Vec<_>>>()?;
                 let groups = ops::merge_groups(maps);
                 sp.attr_u64(obs::keys::ROWS, groups.len() as u64);

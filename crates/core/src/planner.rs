@@ -318,7 +318,7 @@ pub fn min_work_shared_capped(
     let mut replayed = 0usize;
     for (i, (linear, s)) in scored.into_iter().enumerate() {
         if i >= cap {
-            // Adaptive extension past the cap: only while an observed saving
+            // Extend past the cap adaptively: only while an observed saving
             // exceeds the capped set's linear spread (so the capped ranking
             // may be wrong) and this candidate's linear handicap could still
             // be repaid by a saving of the size already witnessed.

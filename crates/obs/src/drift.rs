@@ -1,52 +1,32 @@
 //! Cost-model drift detection.
 //!
-//! The scheduler steers every window off the planner's predicted linear
-//! work and the controller's EWMA estimates (arrival rate λ, cost per
-//! event c). Those estimates are only trustworthy while the workload they
-//! were calibrated on still resembles the workload being served; nothing
-//! in the paper's §4 validation covers a *moving* distribution. This
-//! module watches the residuals online: for each completed window it
-//! folds the relative error between what the model predicted and what the
-//! executor measured into a per-channel EWMA, and flags a channel once the
-//! smoothed residual stays beyond a threshold for a sustained run of
-//! windows. One noisy window never flags; a real mis-calibration (say the
-//! service-time constant drifting 2×) flags within a handful of windows
-//! and clears again once the estimate is re-calibrated.
+//! The scheduler converts the planner's predicted linear work into each
+//! window's processing ticks. That prediction is only trustworthy while the
+//! workload the cost model was calibrated on still resembles the workload
+//! being served; nothing in the paper's §4 validation covers a *moving*
+//! distribution. This module watches the residual online: for each
+//! completed window it folds the relative error between the predicted and
+//! the measured linear work — the paper's §4 metric — into an EWMA, and
+//! flags once the smoothed residual stays beyond a threshold for a
+//! sustained run of windows. One noisy window never flags; a real
+//! mis-calibration (say the cost constant drifting 2×) flags within a
+//! handful of windows and clears again once predictions match.
 //!
-//! The tracker is pure observation: it never feeds back into scheduling
-//! by itself. The optional feedback path is [`Recalibrator`], an EWMA of
-//! the measured/predicted work ratio the scheduler can (opt-in,
-//! `--recalibrate`) multiply into the controller's predicted-work
-//! observations — deterministic, since it is built only from planner
-//! predictions and measured row counts, never wall time.
+//! The tracker is pure observation: nothing here feeds back into
+//! scheduling.
 
-/// Tuning for one residual channel (and the tracker's default for all).
-#[derive(Clone, Copy, Debug)]
-pub struct DriftConfig {
-    /// EWMA smoothing factor for the residual (0 < α ≤ 1).
-    pub alpha: f64,
-    /// Absolute smoothed relative error beyond which a window counts as
-    /// mis-calibrated.
-    pub threshold: f64,
-    /// Consecutive beyond-threshold windows required before flagging.
-    pub sustain: u32,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            alpha: 0.35,
-            threshold: 0.2,
-            sustain: 3,
-        }
-    }
-}
+/// EWMA smoothing factor for the residual.
+const ALPHA: f64 = 0.35;
+/// Absolute smoothed relative error beyond which a window counts as
+/// mis-calibrated.
+const THRESHOLD: f64 = 0.2;
+/// Consecutive beyond-threshold windows required before flagging.
+const SUSTAIN: u32 = 3;
 
 /// One channel: an EWMA of signed relative errors plus the sustained-run
 /// flag logic.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ResidualEwma {
-    cfg: DriftConfig,
     ewma: f64,
     primed: bool,
     beyond: u32,
@@ -54,17 +34,6 @@ pub struct ResidualEwma {
 }
 
 impl ResidualEwma {
-    /// A channel with no observations yet (unflagged, residual 0).
-    pub fn new(cfg: DriftConfig) -> ResidualEwma {
-        ResidualEwma {
-            cfg,
-            ewma: 0.0,
-            primed: false,
-            beyond: 0,
-            flagged: false,
-        }
-    }
-
     /// Folds one window's signed relative error in and re-evaluates the
     /// flag. Non-finite samples are ignored (a zero-denominator window
     /// says nothing about calibration).
@@ -73,14 +42,14 @@ impl ResidualEwma {
             return;
         }
         if self.primed {
-            self.ewma = self.cfg.alpha * rel_err + (1.0 - self.cfg.alpha) * self.ewma;
+            self.ewma = ALPHA * rel_err + (1.0 - ALPHA) * self.ewma;
         } else {
             self.ewma = rel_err;
             self.primed = true;
         }
-        if self.ewma.abs() > self.cfg.threshold {
+        if self.ewma.abs() > THRESHOLD {
             self.beyond = self.beyond.saturating_add(1);
-            if self.beyond >= self.cfg.sustain {
+            if self.beyond >= SUSTAIN {
                 self.flagged = true;
             }
         } else {
@@ -94,7 +63,7 @@ impl ResidualEwma {
         self.ewma
     }
 
-    /// True while mis-calibration has been sustained for `sustain`
+    /// True while mis-calibration has been sustained for three
     /// consecutive windows and the residual has not yet returned under
     /// threshold.
     pub fn flagged(&self) -> bool {
@@ -106,62 +75,31 @@ impl ResidualEwma {
 /// (or a ledger replay) sees them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DriftObservation {
-    /// Planner-predicted linear work (after any recalibration the
-    /// scheduler applied — residuals then measure the *effective* model).
+    /// Planner-predicted linear work.
     pub predicted_work: f64,
     /// Measured linear work.
     pub measured_work: f64,
     /// Events in the batch.
     pub events: u64,
-    /// Ticks the window accumulated for.
-    pub window_ticks: u64,
-    /// The controller's smoothed cost-per-event estimate.
-    pub est_cost_per_event: f64,
-    /// The controller's smoothed arrival-rate estimate (events/tick).
-    pub est_arrival_rate: f64,
 }
 
-/// Which channels are currently flagged.
+/// Whether the model is currently flagged as drifting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DriftFlags {
     /// Predicted-vs-measured linear work.
     pub work: bool,
-    /// Controller cost-per-event estimate vs the measured work per event.
-    pub cost: bool,
-    /// Controller arrival-rate estimate vs the window's observed rate.
-    pub rate: bool,
 }
 
-impl DriftFlags {
-    /// True when any channel is flagged.
-    pub fn any(&self) -> bool {
-        self.work || self.cost || self.rate
-    }
-}
-
-/// The drift detector: one residual channel per model quantity.
-#[derive(Clone, Copy, Debug)]
+/// The drift detector: the work residual plus a window count.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DriftTracker {
     work: ResidualEwma,
-    cost: ResidualEwma,
-    rate: ResidualEwma,
     windows: u64,
 }
 
 impl DriftTracker {
-    /// A tracker with the given per-channel tuning.
-    pub fn new(cfg: DriftConfig) -> DriftTracker {
-        DriftTracker {
-            work: ResidualEwma::new(cfg),
-            cost: ResidualEwma::new(cfg),
-            rate: ResidualEwma::new(cfg),
-            windows: 0,
-        }
-    }
-
     /// Folds one completed window in. Zero-event windows are skipped —
-    /// they carry no calibration information (mirroring the controller,
-    /// which also ignores them).
+    /// they carry no calibration information.
     pub fn observe(&mut self, o: &DriftObservation) {
         if o.events == 0 {
             return;
@@ -169,12 +107,6 @@ impl DriftTracker {
         self.windows += 1;
         let work_err = (o.measured_work - o.predicted_work) / o.predicted_work.abs().max(1.0);
         self.work.observe(work_err);
-        let measured_cpe = o.measured_work / o.events as f64;
-        let cost_err = (measured_cpe - o.est_cost_per_event) / o.est_cost_per_event.abs().max(1.0);
-        self.cost.observe(cost_err);
-        let sample_rate = o.events as f64 / o.window_ticks.max(1) as f64;
-        let rate_err = (sample_rate - o.est_arrival_rate) / o.est_arrival_rate.abs().max(1e-9);
-        self.rate.observe(rate_err);
     }
 
     /// Windows observed (zero-event windows excluded).
@@ -187,81 +119,11 @@ impl DriftTracker {
         self.work.residual()
     }
 
-    /// Smoothed relative error of measured work/event vs the controller's
-    /// cost-per-event estimate.
-    pub fn cost_residual(&self) -> f64 {
-        self.cost.residual()
-    }
-
-    /// Smoothed relative error of the window's arrival rate vs the
-    /// controller's EWMA estimate.
-    pub fn rate_residual(&self) -> f64 {
-        self.rate.residual()
-    }
-
-    /// Current flag state of all channels.
+    /// Current flag state.
     pub fn flags(&self) -> DriftFlags {
         DriftFlags {
             work: self.work.flagged(),
-            cost: self.cost.flagged(),
-            rate: self.rate.flagged(),
         }
-    }
-}
-
-impl Default for DriftTracker {
-    fn default() -> Self {
-        DriftTracker::new(DriftConfig::default())
-    }
-}
-
-/// EWMA of the measured/predicted work ratio — the `--recalibrate`
-/// feedback hook. The scheduler multiplies [`factor`](Recalibrator::factor)
-/// into the raw prediction before the controller observes it, so a
-/// persistently 2×-wrong cost constant converges back onto the measured
-/// truth within a few windows. Built from row counts only: deterministic,
-/// but it *does* change the window schedule, hence opt-in.
-#[derive(Clone, Copy, Debug)]
-pub struct Recalibrator {
-    gamma: f64,
-    alpha: f64,
-    primed: bool,
-}
-
-impl Recalibrator {
-    /// A recalibrator with smoothing factor `alpha`; `factor()` is `1.0`
-    /// until the first observation.
-    pub fn new(alpha: f64) -> Recalibrator {
-        Recalibrator {
-            gamma: 1.0,
-            alpha,
-            primed: false,
-        }
-    }
-
-    /// Folds one window's measured/raw-predicted work ratio in.
-    pub fn observe(&mut self, predicted_raw: f64, measured: f64) {
-        let ratio = measured / predicted_raw.abs().max(1e-9);
-        if !ratio.is_finite() {
-            return;
-        }
-        if self.primed {
-            self.gamma = self.alpha * ratio + (1.0 - self.alpha) * self.gamma;
-        } else {
-            self.gamma = ratio;
-            self.primed = true;
-        }
-    }
-
-    /// The multiplicative correction to apply to raw predictions.
-    pub fn factor(&self) -> f64 {
-        self.gamma
-    }
-}
-
-impl Default for Recalibrator {
-    fn default() -> Self {
-        Recalibrator::new(0.35)
     }
 }
 
@@ -269,19 +131,19 @@ impl Default for Recalibrator {
 mod tests {
     use super::*;
 
+    fn window(predicted: f64, measured: f64) -> DriftObservation {
+        DriftObservation {
+            predicted_work: predicted,
+            measured_work: measured,
+            events: 50,
+        }
+    }
+
     fn stationary_window(i: u64) -> DriftObservation {
         // A perfectly calibrated, mildly noisy workload: measured work
         // wobbles ±4% around prediction, deterministic in `i`.
-        let predicted = 1000.0;
         let noise = 1.0 + 0.04 * (((i * 7919) % 13) as f64 - 6.0) / 6.0;
-        DriftObservation {
-            predicted_work: predicted,
-            measured_work: predicted * noise,
-            events: 50,
-            window_ticks: 10,
-            est_cost_per_event: predicted * noise / 50.0,
-            est_arrival_rate: 5.0,
-        }
+        window(1000.0, 1000.0 * noise)
     }
 
     #[test]
@@ -289,7 +151,7 @@ mod tests {
         let mut t = DriftTracker::default();
         for i in 0..64 {
             t.observe(&stationary_window(i));
-            assert!(!t.flags().any(), "spurious flag at window {i}: {t:?}");
+            assert!(!t.flags().work, "spurious flag at window {i}: {t:?}");
         }
         assert_eq!(t.windows(), 64);
         assert!(t.work_residual().abs() < 0.1);
@@ -301,72 +163,32 @@ mod tests {
         for i in 0..20 {
             t.observe(&stationary_window(i));
         }
-        assert!(!t.flags().any());
+        assert!(!t.flags().work);
         // The model's cost constant is suddenly 2× wrong: predictions are
         // half of what actually runs.
         let mut flagged_at = None;
         for i in 0..10 {
-            t.observe(&DriftObservation {
-                predicted_work: 1000.0,
-                measured_work: 2000.0,
-                events: 50,
-                window_ticks: 10,
-                est_cost_per_event: 20.0,
-                est_arrival_rate: 5.0,
-            });
+            t.observe(&window(1000.0, 2000.0));
             if t.flags().work && flagged_at.is_none() {
                 flagged_at = Some(i + 1);
             }
         }
         let n = flagged_at.expect("2x perturbation must flag");
         assert!(n <= 5, "flagged only after {n} windows");
-        assert!(t.flags().cost, "cost channel should flag too");
-    }
-
-    #[test]
-    fn recalibration_converges_residual_back_under_threshold() {
-        let cfg = DriftConfig::default();
-        let mut t = DriftTracker::new(cfg);
-        let mut cal = Recalibrator::default();
-        // Perturbed model, with the feedback hook active: the tracker sees
-        // the *calibrated* prediction, exactly as the scheduler feeds it.
-        for _ in 0..30 {
-            let raw = 1000.0;
-            let measured = 2000.0;
-            let calibrated = raw * cal.factor();
-            t.observe(&DriftObservation {
-                predicted_work: calibrated,
-                measured_work: measured,
-                events: 50,
-                window_ticks: 10,
-                est_cost_per_event: calibrated / 50.0,
-                est_arrival_rate: 5.0,
-            });
-            cal.observe(raw, measured);
-        }
-        assert!((cal.factor() - 2.0).abs() < 0.05, "gamma={}", cal.factor());
-        assert!(
-            t.work_residual().abs() < cfg.threshold,
-            "residual EWMA must converge under threshold, got {}",
-            t.work_residual()
-        );
-        assert!(!t.flags().work, "flag must clear after convergence");
     }
 
     #[test]
     fn flags_clear_when_residual_returns_under_threshold() {
-        let mut ch = ResidualEwma::new(DriftConfig {
-            alpha: 1.0,
-            threshold: 0.2,
-            sustain: 2,
-        });
-        ch.observe(0.5);
-        assert!(!ch.flagged(), "one bad window must not flag");
-        ch.observe(0.5);
+        let mut ch = ResidualEwma::default();
+        for i in 0..SUSTAIN {
+            assert!(!ch.flagged(), "flagged after only {i} bad windows");
+            ch.observe(0.5);
+        }
         assert!(ch.flagged());
-        ch.observe(0.0);
+        while ch.residual().abs() > THRESHOLD {
+            ch.observe(0.0);
+        }
         assert!(!ch.flagged());
-        assert_eq!(ch.residual(), 0.0);
     }
 
     #[test]
@@ -374,11 +196,8 @@ mod tests {
         let mut t = DriftTracker::default();
         t.observe(&DriftObservation::default());
         assert_eq!(t.windows(), 0);
-        let mut ch = ResidualEwma::new(DriftConfig::default());
+        let mut ch = ResidualEwma::default();
         ch.observe(f64::NAN);
         assert_eq!(ch.residual(), 0.0);
-        let mut cal = Recalibrator::default();
-        cal.observe(0.0, f64::INFINITY);
-        assert_eq!(cal.factor(), 1.0);
     }
 }

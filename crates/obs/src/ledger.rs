@@ -8,9 +8,8 @@
 //! is exactly the crash points. Each record carries everything §4-style
 //! metric validation needs to re-litigate a run after the fact: the full
 //! work meter, per-expression predicted-vs-measured work, staleness, the
-//! window-policy inputs (EWMA λ, cost-per-event c, service rate μ, the
-//! chosen next window), carry/sharing counters, cache hit rate, and the
-//! partition critical path.
+//! cut policy and service rate μ, carry/sharing counters, cache hit rate,
+//! and the partition critical path.
 //!
 //! The schema is versioned ([`LEDGER_VERSION`]); [`validate_ledger`]
 //! checks every line against the internal-consistency contract (monotone
@@ -22,7 +21,7 @@ use std::io::Write;
 use std::path::Path;
 
 /// Current ledger schema version; bump on any field change.
-pub const LEDGER_VERSION: u64 = 2;
+pub const LEDGER_VERSION: u64 = 3;
 
 /// The full work meter of one window, flattened to plain counters (this
 /// crate sits below `uww-relational`, so it mirrors `WorkMeter` field by
@@ -98,19 +97,11 @@ pub struct LedgerRecord {
     pub events: u64,
     /// Mean event staleness in ticks.
     pub staleness: f64,
-    /// Window-cut policy name (`fixed`/`greedy`/`adaptive`).
+    /// Window-cut policy name (`fixed`/`greedy`).
     pub policy: String,
-    /// Controller's EWMA arrival rate λ after observing this window.
-    pub arrival_rate: f64,
-    /// Controller's EWMA cost-per-event c after observing this window.
-    pub cost_per_event: f64,
     /// Effective service rate μ (per-worker rate × partitions).
     pub service_rate: f64,
-    /// Window span the controller chose for the *next* cut.
-    pub next_window: u64,
-    /// Recalibration factor γ applied to predictions (1.0 when off).
-    pub calibration: f64,
-    /// Planner-predicted linear work for the window (raw, uncalibrated).
+    /// Planner-predicted linear work for the window.
     pub predicted_work: f64,
     /// Measured linear work.
     pub measured_work: u64,
@@ -157,9 +148,8 @@ impl LedgerRecord {
         let mut s = String::with_capacity(512);
         s.push_str(&format!(
             "{{\"v\":{},\"window\":{},\"cut\":{},\"window_ticks\":{},\"done\":{},\
-             \"events\":{},\"staleness\":{},\"policy\":\"{}\",\"arrival_rate\":{},\
-             \"cost_per_event\":{},\"service_rate\":{},\"next_window\":{},\
-             \"calibration\":{},\"predicted_work\":{},\"measured_work\":{}",
+             \"events\":{},\"staleness\":{},\"policy\":\"{}\",\"service_rate\":{},\
+             \"predicted_work\":{},\"measured_work\":{}",
             self.version,
             self.window,
             self.cut,
@@ -168,11 +158,7 @@ impl LedgerRecord {
             self.events,
             num(self.staleness),
             json::escape(&self.policy),
-            num(self.arrival_rate),
-            num(self.cost_per_event),
             num(self.service_rate),
-            self.next_window,
-            num(self.calibration),
             num(self.predicted_work),
             self.measured_work,
         ));
@@ -317,11 +303,7 @@ impl LedgerRecord {
                 .and_then(JsonValue::as_str)
                 .map(str::to_string)
                 .ok_or("ledger record lacks policy")?,
-            arrival_rate: f("arrival_rate")?,
-            cost_per_event: f("cost_per_event")?,
             service_rate: f("service_rate")?,
-            next_window: u("next_window")?,
-            calibration: f("calibration")?,
             predicted_work: f("predicted_work")?,
             measured_work: u("measured_work")?,
             meter,
@@ -550,12 +532,8 @@ mod tests {
             done: 10 * window + 4,
             events: 20,
             staleness: 7.5,
-            policy: "adaptive".to_string(),
-            arrival_rate: 2.0,
-            cost_per_event: 12.5,
+            policy: "greedy".to_string(),
             service_rate: 400.0,
-            next_window: 9,
-            calibration: 1.0,
             predicted_work: 250.0,
             measured_work: 240,
             meter: LedgerMeter {
@@ -661,6 +639,20 @@ mod tests {
         assert!(validate_ledger(&text).is_err());
         // Empty input.
         assert!(validate_ledger("").is_err());
+    }
+
+    /// A line as the previous schema wrote it (four controller fields
+    /// more) still parses — unknown keys are ignored — and is then refused
+    /// by version, not half-read.
+    #[test]
+    fn a_v2_ledger_is_rejected_by_version() {
+        let v2 = r#"{"v":2,"window":0,"cut":1,"window_ticks":1,"done":21,"events":2,"staleness":20,"policy":"greedy","arrival_rate":2,"cost_per_event":1916.5,"service_rate":200,"next_window":1,"calibration":1,"predicted_work":3833.1,"measured_work":3833,"meter":{"scanned":3831,"installed":2,"emitted":0,"terms":1,"comps":1,"insts":1,"physical":3831,"hash_builds":2,"hash_reuses":0,"cross_reuses":0,"cached_reads":0},"per_expr":[{"expr":"Comp(Q3, {CUSTOMER})","kind":"comp","view":"Q3","predicted":3831,"scanned":3831,"installed":0,"physical":3831,"wall_us":819},{"expr":"Inst(CUSTOMER)","kind":"inst","view":"CUSTOMER","predicted":2,"scanned":0,"installed":2,"physical":0,"wall_us":2}],"carry_in_tables":0,"carry_in_raws":0,"cross_reuses":0,"cached_reads":0,"carried_table_hits":0,"carried_raw_hits":0,"cache_hit_rate":0,"partitions":1,"wall_us":892,"critical_path_us":892,"wal_dir":null}"#;
+        let err = validate_ledger(v2).unwrap_err();
+        assert!(err.contains("unsupported schema version 2"), "{err}");
+        // The same record stamped with the current version validates, so the
+        // version is the only thing wrong with it.
+        let stamped = v2.replacen("\"v\":2", &format!("\"v\":{LEDGER_VERSION}"), 1);
+        validate_ledger(&stamped).unwrap();
     }
 
     #[test]

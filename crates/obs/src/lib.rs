@@ -23,13 +23,12 @@
 //!   backing the Chrome-trace validator.
 //! * [`ledger`] — the window-health flight recorder: one versioned JSONL
 //!   record per update window (full meter, per-expression
-//!   predicted-vs-measured work, policy inputs, carry counters), appended
+//!   predicted-vs-measured work, cut policy, carry counters), appended
 //!   crash-consistently after the window's WAL commit, with a
 //!   [`validate_ledger`](ledger::validate_ledger) consistency checker.
-//! * [`drift`] — online cost-model drift detection: per-window relative
-//!   error EWMAs over predicted-vs-measured work and the controller's
-//!   λ/c estimates, with sustained-mis-calibration flags and the opt-in
-//!   [`Recalibrator`](drift::Recalibrator) feedback hook.
+//! * [`drift`] — online cost-model drift detection: a per-window relative
+//!   error EWMA over predicted-vs-measured work with a
+//!   sustained-mis-calibration flag.
 //! * [`critical`] — partition critical-path derivation keyed by task
 //!   identity (stable under work stealing).
 //! * [`diff`] — the trace-to-trace regression localizer behind

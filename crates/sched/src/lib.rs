@@ -1,14 +1,15 @@
 //! # uww-sched
 //!
-//! Continuous micro-batch ingest with adaptive update-window sizing.
+//! Continuous micro-batch ingest: many small update windows off one event
+//! timeline.
 //!
 //! The paper assumes one nightly batch per update window; this crate lifts
 //! that assumption. A [`DeltaSource`] yields a timeline of base-view change
-//! events; the [`IngestScheduler`] accumulates them into micro-batches,
-//! picks each window's cut point and strategy adaptively (calibrated cost
-//! model + EWMA arrival rate against a staleness SLA), and executes every
-//! window through the existing WAL/recovery/publishing path — so a crash
-//! mid-window resumes cleanly and online readers never block.
+//! events; the [`IngestScheduler`] accumulates them into micro-batches —
+//! cut on a fixed period or every tick ([`Policy`]) — re-plans each window
+//! against the freshly loaded batch, and executes it through the existing
+//! WAL/recovery/publishing path, so a crash mid-window resumes cleanly and
+//! online readers never block.
 //!
 //! Windows keep the operand store to their end, and the entries no
 //! expression of a window actually changed *carry over* into the next
@@ -17,7 +18,7 @@
 //!
 //! Determinism is the design center: a [`SeededSource`] timeline is a pure
 //! function of its seed, the virtual clock advances by *predicted* work,
-//! and policies observe only plan-time quantities — so continuous mode is
+//! and the cut rule reads only the configuration — so continuous mode is
 //! byte-identical to replaying the same micro-batches as independent
 //! one-shot runs, the property `tests/continuous_ingest.rs` asserts.
 
@@ -28,7 +29,7 @@ pub mod policy;
 pub mod scheduler;
 pub mod source;
 
-pub use policy::{Policy, RateTracker, SlaConfig, WindowController};
+pub use policy::{Policy, SlaConfig};
 pub use scheduler::{
     batch_of, resume_after_crash, window_wal_config, CrashState, IngestOutcome, IngestScheduler,
     SchedConfig, WindowPlanner, WindowReport,

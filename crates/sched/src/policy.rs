@@ -1,32 +1,25 @@
-//! Window-sizing policies: when to cut the next micro-batch.
+//! The cut rule: when the scheduler cuts the next micro-batch.
 //!
-//! The controller trades the two halves of staleness against each other.
 //! An event's staleness is the time from its arrival to the install that
 //! publishes it: roughly *(time spent waiting for the cut)* plus *(time the
 //! window takes to process)*. Long windows amortize per-window planning and
 //! maximize cross-expression sharing, but events wait longer; short windows
-//! publish promptly but pay the per-window overhead more often and do more
-//! total maintenance work per row (the paper's footnote-5 term filter bites
-//! less often). The `adaptive` policy navigates this with an EWMA arrival
-//! rate and a measured cost-per-event, solving for the largest window whose
-//! projected mean staleness still meets the SLA — the auto-shrink shape of
-//! production refresh schedulers, driven by the calibrated cost model
-//! instead of wall-clock heuristics.
+//! publish promptly but pay the per-window overhead more often. Two
+//! stateless rules cover the trade: `fixed` cuts on a period, `greedy` cuts
+//! every tick, so a window's span is whatever the previous window's
+//! processing let queue up. (A third, SLA-steered rule was measured against
+//! both and deleted — EXPERIMENTS.md § "Window sizing".)
 //!
-//! Everything here is deterministic: decisions depend only on planner
-//! predictions and event counts, never on measured wall time, so a crashed
-//! run resumes through the identical window sequence.
+//! The rule reads nothing but the configuration, never measured wall time,
+//! so a crashed run resumes through the identical window sequence.
 
 /// When the scheduler cuts a micro-batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Policy {
     /// Cut every `window` ticks, no matter what arrived.
     Fixed,
-    /// Cut as soon as anything is queued (the minimum window each time).
+    /// Cut as soon as anything is queued (a one-tick span each time).
     Greedy,
-    /// Grow/shrink the window against the staleness SLA using the EWMA
-    /// arrival rate and the observed planner cost per event.
-    Adaptive,
 }
 
 impl Policy {
@@ -35,10 +28,7 @@ impl Policy {
         match s {
             "fixed" => Ok(Policy::Fixed),
             "greedy" => Ok(Policy::Greedy),
-            "adaptive" => Ok(Policy::Adaptive),
-            other => Err(format!(
-                "unknown policy: {other} (expected fixed|greedy|adaptive)"
-            )),
+            other => Err(format!("unknown policy: {other} (expected fixed|greedy)")),
         }
     }
 
@@ -47,162 +37,36 @@ impl Policy {
         match self {
             Policy::Fixed => "fixed",
             Policy::Greedy => "greedy",
-            Policy::Adaptive => "adaptive",
+        }
+    }
+
+    /// Ticks to accumulate before the next cut, given the configured
+    /// `window`.
+    pub(crate) fn next_span(self, window: u64) -> u64 {
+        match self {
+            Policy::Fixed => window.max(1),
+            Policy::Greedy => 1,
         }
     }
 }
 
-/// The staleness/latency target the adaptive policy steers against.
+/// The service model of the virtual clock and the staleness target runs are
+/// reported against.
 #[derive(Clone, Copy, Debug)]
 pub struct SlaConfig {
     /// Target mean staleness in ticks (arrival → install).
     pub target_staleness: f64,
-    /// Smallest window the controller will cut.
-    pub min_window: u64,
-    /// Largest window the controller will cut.
-    pub max_window: u64,
     /// Service rate: linear-work rows the engine retires per tick. Converts
-    /// the planner's predicted work into processing ticks.
+    /// the planner's predicted work into processing ticks; must be finite
+    /// and positive.
     pub service_rate: f64,
-    /// EWMA smoothing factor for the rate tracker (0 < α ≤ 1).
-    pub ewma_alpha: f64,
 }
 
 impl Default for SlaConfig {
     fn default() -> Self {
         SlaConfig {
             target_staleness: 24.0,
-            min_window: 1,
-            max_window: 64,
             service_rate: 200.0,
-            ewma_alpha: 0.4,
-        }
-    }
-}
-
-/// Exponentially weighted arrival-rate tracker (events per tick).
-#[derive(Clone, Copy, Debug)]
-pub struct RateTracker {
-    rate: f64,
-    alpha: f64,
-    primed: bool,
-}
-
-impl RateTracker {
-    /// A tracker with no observations yet.
-    pub fn new(alpha: f64) -> RateTracker {
-        RateTracker {
-            rate: 0.0,
-            alpha,
-            primed: false,
-        }
-    }
-
-    /// Folds one window's arrivals in.
-    pub fn observe(&mut self, events: u64, ticks: u64) {
-        let sample = events as f64 / ticks.max(1) as f64;
-        if self.primed {
-            self.rate = self.alpha * sample + (1.0 - self.alpha) * self.rate;
-        } else {
-            self.rate = sample;
-            self.primed = true;
-        }
-    }
-
-    /// The current smoothed events-per-tick estimate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-/// Per-window sizing state: owns the policy, the SLA, and the trackers.
-/// Cloneable so a crashed scheduler can snapshot it for resume.
-#[derive(Clone, Debug)]
-pub struct WindowController {
-    policy: Policy,
-    sla: SlaConfig,
-    window: u64,
-    rate: RateTracker,
-    /// EWMA of predicted linear work per queued event.
-    cost_per_event: f64,
-    cpe_primed: bool,
-}
-
-impl WindowController {
-    /// A controller starting at `window` ticks.
-    pub fn new(policy: Policy, sla: SlaConfig, window: u64) -> WindowController {
-        WindowController {
-            policy,
-            sla,
-            window: window.clamp(sla.min_window, sla.max_window),
-            rate: RateTracker::new(sla.ewma_alpha),
-            cost_per_event: 0.0,
-            cpe_primed: false,
-        }
-    }
-
-    /// Ticks to accumulate before the next cut.
-    pub fn next_window(&self) -> u64 {
-        match self.policy {
-            Policy::Fixed => self.window,
-            Policy::Greedy => self.sla.min_window,
-            Policy::Adaptive => self.window,
-        }
-    }
-
-    /// The smoothed arrival rate (events per tick).
-    pub fn arrival_rate(&self) -> f64 {
-        self.rate.rate()
-    }
-
-    /// The smoothed predicted-work-per-event estimate — the `c` in the
-    /// adaptive sizing formula. Exposed for the flight-recorder ledger and
-    /// the drift detector, which compare it against measured work.
-    pub fn cost_per_event(&self) -> f64 {
-        self.cost_per_event
-    }
-
-    /// The SLA this controller steers against (service rate already scaled
-    /// for partition parallelism by the scheduler).
-    pub fn sla(&self) -> &SlaConfig {
-        &self.sla
-    }
-
-    /// Folds one completed (or crashed-but-planned) window's observations
-    /// in and, under `adaptive`, re-solves the window size.
-    ///
-    /// Projected mean staleness of a window of `w` ticks at arrival rate
-    /// `λ` and cost-per-event `c`: events wait `w/2` on average, then the
-    /// whole batch (`λ·w` events) processes at `service_rate` rows/tick —
-    /// `w/2 + λ·w·c/μ` ticks. Setting that equal to the target and solving
-    /// for `w` gives the largest window meeting the SLA:
-    /// `w = target / (1/2 + λ·c/μ)`.
-    ///
-    /// Zero-event windows are skipped entirely: an idle window says nothing
-    /// about how fast events arrive *when they arrive*, and folding zero
-    /// samples decays `λ → 0`, opening the window toward `2·target` — so
-    /// the first burst after an idle gap would land in an oversized window
-    /// and blow the staleness SLA. For the same reason `w` is capped at the
-    /// target itself: a window longer than the target busts the SLA on
-    /// queue wait alone the moment traffic resumes.
-    pub fn observe_window(&mut self, events: u64, window_ticks: u64, predicted_work: f64) {
-        if events == 0 {
-            return;
-        }
-        self.rate.observe(events, window_ticks);
-        let sample = predicted_work / events as f64;
-        if self.cpe_primed {
-            self.cost_per_event =
-                self.sla.ewma_alpha * sample + (1.0 - self.sla.ewma_alpha) * self.cost_per_event;
-        } else {
-            self.cost_per_event = sample;
-            self.cpe_primed = true;
-        }
-        if self.policy == Policy::Adaptive {
-            let lambda = self.rate.rate();
-            let denom = 0.5 + lambda * self.cost_per_event / self.sla.service_rate;
-            let ideal = (self.sla.target_staleness / denom).min(self.sla.target_staleness);
-            self.window = (ideal.floor() as u64).clamp(self.sla.min_window, self.sla.max_window);
         }
     }
 }
@@ -213,101 +77,18 @@ mod tests {
 
     #[test]
     fn policy_names_round_trip() {
-        for p in [Policy::Fixed, Policy::Greedy, Policy::Adaptive] {
+        for p in [Policy::Fixed, Policy::Greedy] {
             assert_eq!(Policy::parse(p.as_str()).unwrap(), p);
         }
         assert!(Policy::parse("nightly").is_err());
+        let gone = Policy::parse("adaptive").unwrap_err();
+        assert!(gone.contains("greedy"), "{gone}");
     }
 
     #[test]
-    fn rate_tracker_smooths_toward_samples() {
-        let mut r = RateTracker::new(0.5);
-        r.observe(10, 10);
-        assert!((r.rate() - 1.0).abs() < 1e-9);
-        r.observe(30, 10);
-        assert!((r.rate() - 2.0).abs() < 1e-9);
-        // Zero-tick windows don't divide by zero.
-        r.observe(5, 0);
-        assert!(r.rate().is_finite());
-    }
-
-    #[test]
-    fn adaptive_shrinks_under_load_and_grows_when_idle() {
-        let sla = SlaConfig {
-            target_staleness: 10.0,
-            min_window: 1,
-            max_window: 64,
-            service_rate: 100.0,
-            ewma_alpha: 1.0,
-        };
-        let mut c = WindowController::new(Policy::Adaptive, sla, 16);
-        // Heavy load: 8 events/tick at 500 rows each → processing dominates.
-        c.observe_window(8 * 16, 16, 8.0 * 16.0 * 500.0);
-        let heavy = c.next_window();
-        assert!(heavy < 16, "window should shrink under load, got {heavy}");
-        // Light load: the same controller relaxes back out.
-        for _ in 0..6 {
-            c.observe_window(c.next_window(), c.next_window(), 10.0);
-        }
-        assert!(c.next_window() > heavy);
-    }
-
-    #[test]
-    fn fixed_and_greedy_ignore_observations() {
-        let sla = SlaConfig::default();
-        let mut f = WindowController::new(Policy::Fixed, sla, 12);
-        let mut g = WindowController::new(Policy::Greedy, sla, 12);
-        for _ in 0..5 {
-            f.observe_window(1000, 12, 1e6);
-            g.observe_window(1000, 12, 1e6);
-        }
-        assert_eq!(f.next_window(), 12);
-        assert_eq!(g.next_window(), sla.min_window);
-    }
-
-    #[test]
-    fn burst_after_idle_stays_within_sla() {
-        let sla = SlaConfig {
-            target_staleness: 10.0,
-            min_window: 1,
-            max_window: 64,
-            service_rate: 100.0,
-            ewma_alpha: 0.5,
-        };
-        let mut c = WindowController::new(Policy::Adaptive, sla, 16);
-        // Sustained load sizes the window down.
-        for _ in 0..4 {
-            let w = c.next_window();
-            c.observe_window(8 * w, w, 8.0 * w as f64 * 500.0);
-        }
-        let busy = c.next_window();
-        assert!(busy < 16, "window should shrink under load, got {busy}");
-        // A long idle gap: zero-event windows carry no rate information and
-        // must leave the learned state untouched — the regression was λ
-        // decaying to 0 here, opening the window toward 2·target so the
-        // first burst after the gap landed in an oversized window.
-        let rate_before = c.arrival_rate();
-        for _ in 0..50 {
-            c.observe_window(0, c.next_window(), 0.0);
-        }
-        assert_eq!(c.arrival_rate(), rate_before);
-        assert_eq!(c.next_window(), busy, "idle windows must not resize");
-        // However light traffic gets, the window never exceeds the staleness
-        // target itself: queue wait alone would bust the SLA on the next
-        // burst otherwise.
-        for _ in 0..20 {
-            let w = c.next_window();
-            c.observe_window(1, w, 5.0);
-        }
-        assert!(c.next_window() as f64 <= sla.target_staleness);
-    }
-
-    #[test]
-    fn controller_clone_snapshots_state() {
-        let mut c = WindowController::new(Policy::Adaptive, SlaConfig::default(), 8);
-        c.observe_window(40, 8, 900.0);
-        let snap = c.clone();
-        assert_eq!(snap.next_window(), c.next_window());
-        assert_eq!(snap.arrival_rate(), c.arrival_rate());
+    fn spans_depend_only_on_the_configured_window() {
+        assert_eq!(Policy::Fixed.next_span(12), 12);
+        assert_eq!(Policy::Fixed.next_span(0), 1);
+        assert_eq!(Policy::Greedy.next_span(12), 1);
     }
 }

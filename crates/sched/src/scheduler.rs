@@ -3,9 +3,9 @@
 //! [`IngestScheduler`] turns a [`DeltaSource`](crate::DeltaSource) timeline
 //! into a sequence of update windows against one warehouse. Per window it:
 //!
-//! 1. asks the [`WindowController`] for the accumulation span and drains
-//!    every event that arrived since the last drain (including during the
-//!    previous window's processing);
+//! 1. asks the [`Policy`] for the accumulation span and drains every event
+//!    that arrived since the last drain (including during the previous
+//!    window's processing);
 //! 2. folds the queued events into one change batch per base view and
 //!    loads it;
 //! 3. plans the window — sizes are re-estimated, the strategy re-picked
@@ -16,15 +16,14 @@
 //!    ([`Warehouse::execute_carried`]), optionally carrying surviving
 //!    build tables into the next window;
 //! 5. advances the virtual clock past the processing span, so arrivals
-//!    during processing land in the *next* batch — the feedback loop the
-//!    adaptive policy steers.
+//!    during processing land in the *next* batch.
 //!
 //! Virtual time is deterministic: the clock advances by *predicted*
 //! processing ticks, never wall time, so the same seed yields the same
 //! window sequence on every machine — and a crashed run resumes through
 //! the identical schedule ([`resume_after_crash`]).
 
-use crate::policy::{SlaConfig, WindowController};
+use crate::policy::SlaConfig;
 use crate::source::{DeltaEvent, DeltaSource};
 use crate::Policy;
 use std::collections::BTreeMap;
@@ -65,9 +64,9 @@ impl WindowPlanner {
 pub struct SchedConfig {
     /// Window-cut policy.
     pub policy: Policy,
-    /// Staleness target and window bounds.
+    /// Staleness target and service rate.
     pub sla: SlaConfig,
-    /// Initial (and, for `fixed`, permanent) window span in ticks.
+    /// Window span in ticks under `fixed`; `greedy` ignores it.
     pub window: u64,
     /// Stop once every event at or before this tick is processed.
     pub horizon: u64,
@@ -94,11 +93,6 @@ pub struct SchedConfig {
     /// observability: enabling it never changes states, WAL bytes, or the
     /// window schedule.
     pub ledger: Option<PathBuf>,
-    /// Feed the measured/predicted work ratio back into the controller's
-    /// predicted-work observations (an EWMA correction factor γ). Built
-    /// from row counts only, so a recalibrated run is still deterministic —
-    /// but it *does* change the window schedule, hence off by default.
-    pub recalibrate: bool,
 }
 
 impl Default for SchedConfig {
@@ -115,26 +109,16 @@ impl Default for SchedConfig {
             fault: None,
             partition: PartitionOptions::default(),
             ledger: None,
-            recalibrate: false,
         }
     }
 }
 
 impl SchedConfig {
     /// The effective service rate: the SLA's per-worker rate scaled by the
-    /// configured partition count. Both the processing-tick conversion and
-    /// the adaptive controller use this, so window sizing and the schedule
-    /// agree on how fast partitioned windows drain.
+    /// configured partition count — how fast the virtual clock says
+    /// partitioned windows drain.
     pub fn effective_rate(&self) -> f64 {
         self.sla.service_rate * self.partition.partitions.max(1) as f64
-    }
-
-    /// The SLA as the controller should see it: service rate scaled for
-    /// partition parallelism.
-    fn effective_sla(&self) -> SlaConfig {
-        let mut sla = self.sla;
-        sla.service_rate = self.effective_rate();
-        sla
     }
 }
 
@@ -167,23 +151,14 @@ pub struct WindowReport {
     pub batch: BTreeMap<String, DeltaRelation>,
     /// The strategy the per-window planner picked.
     pub strategy: Strategy,
-    /// Planner-predicted linear work (raw, before any recalibration).
+    /// Planner-predicted linear work.
     pub predicted_work: f64,
     /// Measured linear work.
     pub measured_work: u64,
     /// Mean event staleness in ticks (arrival → install).
     pub staleness: f64,
-    /// Controller's EWMA arrival rate λ after observing this window.
-    pub arrival_rate: f64,
-    /// Controller's EWMA cost-per-event c after observing this window.
-    pub cost_per_event: f64,
     /// Effective service rate μ (per-worker rate × partitions).
     pub service_rate: f64,
-    /// Window span the controller chose for the next cut.
-    pub next_window: u64,
-    /// Recalibration factor γ applied to this window's prediction (1.0
-    /// when `--recalibrate` is off or unprimed).
-    pub calibration: f64,
     /// Strategy-cache entries carried *in* from the previous window.
     pub carry_in: (usize, usize),
     /// What the operand store served during the window.
@@ -195,9 +170,8 @@ pub struct WindowReport {
 }
 
 /// State needed to resume after a mid-window crash: the post-window clock
-/// and controller are snapshotted *before* execution (they depend only on
-/// the plan), so the resumed schedule continues exactly where the
-/// uninterrupted one would be.
+/// is computed *before* execution (it depends only on the plan), so the
+/// resumed schedule continues exactly where the uninterrupted one would be.
 #[derive(Clone, Debug)]
 pub struct CrashState {
     /// The window that crashed.
@@ -209,14 +183,6 @@ pub struct CrashState {
     pub clock_after: u64,
     /// Events were drained through this tick before the crash.
     pub drained_through: u64,
-    /// Controller state after observing the crashed window's plan.
-    pub controller: WindowController,
-    /// Recalibration state as of the crashed window's *plan*. The crashed
-    /// window's measured-work sample is never folded in — it did not exist
-    /// at the crash — so under `--recalibrate` the resumed γ lags the
-    /// uninterrupted run by one sample (byte-identity across crash resume
-    /// is only asserted with recalibration off).
-    pub calibration: obs::drift::Recalibrator,
     /// The injected error, for reporting.
     pub error: String,
 }
@@ -267,13 +233,11 @@ impl IngestOutcome {
     }
 }
 
-/// The continuous scheduler: owns the source, the controller, and the
-/// virtual clock; borrows the warehouse per run.
+/// The continuous scheduler: owns the source and the virtual clock;
+/// borrows the warehouse per run.
 pub struct IngestScheduler<S> {
     cfg: SchedConfig,
     source: S,
-    controller: WindowController,
-    calibration: obs::drift::Recalibrator,
     clock: u64,
     drained_through: u64,
     next_index: usize,
@@ -282,24 +246,13 @@ pub struct IngestScheduler<S> {
 impl<S: DeltaSource> IngestScheduler<S> {
     /// A scheduler starting at tick 0, window 0.
     pub fn new(cfg: SchedConfig, source: S) -> IngestScheduler<S> {
-        let controller = WindowController::new(cfg.policy, cfg.effective_sla(), cfg.window);
-        IngestScheduler {
-            cfg,
-            source,
-            controller,
-            calibration: obs::drift::Recalibrator::default(),
-            clock: 0,
-            drained_through: 0,
-            next_index: 0,
-        }
+        IngestScheduler::with_state(cfg, source, 0, 0, 0)
     }
 
     /// A scheduler resumed mid-stream (used by [`resume_after_crash`]).
     pub fn with_state(
         cfg: SchedConfig,
         source: S,
-        controller: WindowController,
-        calibration: obs::drift::Recalibrator,
         clock: u64,
         drained_through: u64,
         next_index: usize,
@@ -307,8 +260,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
         IngestScheduler {
             cfg,
             source,
-            controller,
-            calibration,
             clock,
             drained_through,
             next_index,
@@ -327,6 +278,13 @@ impl<S: DeltaSource> IngestScheduler<S> {
         w: &mut Warehouse,
         observer: &mut dyn FnMut(&WindowReport),
     ) -> CoreResult<IngestOutcome> {
+        let rate = self.cfg.effective_rate();
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(CoreError::Warehouse(format!(
+                "service rate must be finite and positive, got {}",
+                self.cfg.sla.service_rate
+            )));
+        }
         let mut out = IngestOutcome::default();
         let mut queue: Vec<DeltaEvent> = Vec::new();
         let mut carry = WindowCarry::empty();
@@ -337,8 +295,11 @@ impl<S: DeltaSource> IngestScheduler<S> {
             {
                 break;
             }
-            let window_ticks = self.controller.next_window().max(1);
-            let cut = self.clock + window_ticks;
+            let window_ticks = self.cfg.policy.next_span(self.cfg.window);
+            let cut = self
+                .clock
+                .checked_add(window_ticks)
+                .ok_or_else(|| clock_overflow(self.clock, window_ticks))?;
             queue.extend(self.source.drain(self.drained_through, cut));
             self.drained_through = cut;
             self.clock = cut;
@@ -360,33 +321,12 @@ impl<S: DeltaSource> IngestScheduler<S> {
             };
             let predicted = model.strategy_work(&strategy);
             let per_expr = model.per_expression_work(&strategy);
-            // Under `--recalibrate` the EWMA correction γ (measured vs
-            // predicted work of past windows) multiplies into everything
-            // the prediction drives: processing ticks and the controller's
-            // cost-per-event sample. γ is built from row counts only, so
-            // the schedule stays deterministic; with recalibration off the
-            // factor is pinned at 1.0 and this path is byte-identical to
-            // the pre-ledger scheduler.
-            let gamma = if self.cfg.recalibrate {
-                self.calibration.factor()
-            } else {
-                1.0
-            };
-            let predicted_eff = if self.cfg.recalibrate {
-                predicted * gamma
-            } else {
-                predicted
-            };
-            let processing = (predicted_eff / self.cfg.effective_rate()).ceil() as u64;
-            let done = cut + processing;
+            let processing = (predicted / rate).ceil() as u64;
+            let done = cut
+                .checked_add(processing)
+                .ok_or_else(|| clock_overflow(cut, processing))?;
             let staleness =
                 events.iter().map(|e| (done - e.at) as f64).sum::<f64>() / events.len() as f64;
-
-            // The controller observes the *plan*, not the execution — all
-            // deterministic quantities — before anything can crash, so a
-            // resumed run continues with identical sizing decisions.
-            self.controller
-                .observe_window(events.len() as u64, window_ticks, predicted_eff);
 
             let wal_dir = self
                 .cfg
@@ -444,11 +384,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
                         carry = outcome.carry;
                     }
                     self.clock = done;
-                    // γ folds the *raw* prediction's residual in, after
-                    // execution — the correction always chases the
-                    // uncalibrated model, never its own output.
-                    self.calibration
-                        .observe(predicted, outcome.report.linear_work() as f64);
                     let report = WindowReport {
                         index: idx,
                         cut,
@@ -460,11 +395,7 @@ impl<S: DeltaSource> IngestScheduler<S> {
                         predicted_work: predicted,
                         measured_work: outcome.report.linear_work(),
                         staleness,
-                        arrival_rate: self.controller.arrival_rate(),
-                        cost_per_event: self.controller.cost_per_event(),
-                        service_rate: self.cfg.effective_rate(),
-                        next_window: self.controller.next_window(),
-                        calibration: gamma,
+                        service_rate: rate,
                         carry_in,
                         conformance: outcome.conformance,
                         wal_dir,
@@ -496,8 +427,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
                         })?,
                         clock_after: done,
                         drained_through: self.drained_through,
-                        controller: self.controller.clone(),
-                        calibration: self.calibration,
                         error: err.to_string(),
                     });
                     out.clock = self.clock;
@@ -509,6 +438,12 @@ impl<S: DeltaSource> IngestScheduler<S> {
         out.clock = self.clock;
         Ok(out)
     }
+}
+
+fn clock_overflow(at: u64, span: u64) -> CoreError {
+    CoreError::Warehouse(format!(
+        "virtual clock overflow: tick {at} plus a span of {span} ticks"
+    ))
 }
 
 /// Builds one flight-recorder record from a completed window. All inputs
@@ -569,11 +504,7 @@ fn ledger_record(
         events: report.events,
         staleness: report.staleness,
         policy: cfg.policy.as_str().to_string(),
-        arrival_rate: report.arrival_rate,
-        cost_per_event: report.cost_per_event,
         service_rate: report.service_rate,
-        next_window: report.next_window,
-        calibration: report.calibration,
         predicted_work: report.predicted_work,
         measured_work: report.measured_work,
         meter: obs::ledger::LedgerMeter {
@@ -624,8 +555,6 @@ pub fn resume_after_crash<S: DeltaSource>(
     let mut sched = IngestScheduler::with_state(
         cfg,
         source,
-        crash.controller.clone(),
-        crash.calibration,
         crash.clock_after,
         crash.drained_through,
         crash.window + 1,

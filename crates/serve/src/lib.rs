@@ -40,10 +40,8 @@
 //!                      configured
 //! HEALTH            -> HEALTH windows=<n> events=<n> staleness_mean=<f>
 //!                      sla_target=<f> sla_attainment=<f> staleness_burn=<f>
-//!                      drift_work=<0|1> drift_cost=<0|1> drift_rate=<0|1>
-//!                      work_residual=<f> cost_residual=<f> rate_residual=<f>
-//!                      calibration=<f> queue_depth=<n> ingest_rejects=<n>
-//!                      errors=<n> epoch=<n>
+//!                      drift_work=<0|1> work_residual=<f> queue_depth=<n>
+//!                      ingest_rejects=<n> errors=<n> epoch=<n>
 //! QUIT              -> BYE (connection closes)
 //! anything else     -> ERR <message>
 //! ```

@@ -98,26 +98,12 @@ pub struct WindowObservation {
     pub carried_raw_hits: u64,
     /// The SLA's target mean staleness, in ticks (0 when unknown).
     pub sla_target: f64,
-    /// Controller EWMA arrival rate λ after this window.
-    pub arrival_rate: f64,
-    /// Controller EWMA cost-per-event c after this window.
-    pub cost_per_event: f64,
     /// Effective service rate μ.
     pub service_rate: f64,
-    /// Recalibration factor γ applied to this window (1.0 when off).
-    pub calibration: f64,
     /// Drift detector: smoothed predicted-vs-measured work residual.
     pub work_residual: f64,
-    /// Drift detector: smoothed cost-per-event residual.
-    pub cost_residual: f64,
-    /// Drift detector: smoothed arrival-rate residual.
-    pub rate_residual: f64,
-    /// Drift flag on the work channel (sustained mis-calibration).
+    /// Drift flag: the work residual is in sustained mis-calibration.
     pub drift_work: bool,
-    /// Drift flag on the cost-per-event channel.
-    pub drift_cost: bool,
-    /// Drift flag on the arrival-rate channel.
-    pub drift_rate: bool,
 }
 
 /// Maintenance-side accumulators, folded in once per window (so a plain
@@ -138,16 +124,9 @@ struct MaintState {
     carried_raw_hits: u64,
     sla_target: f64,
     sla_met_windows: u64,
-    last_arrival_rate: f64,
-    last_cost_per_event: f64,
     last_service_rate: f64,
-    last_calibration: f64,
     work_residual: f64,
-    cost_residual: f64,
-    rate_residual: f64,
     drift_work: bool,
-    drift_cost: bool,
-    drift_rate: bool,
 }
 
 /// Shared live counters, updated by every worker thread.
@@ -264,16 +243,9 @@ impl Metrics {
         if o.sla_target > 0.0 && o.staleness <= o.sla_target {
             m.sla_met_windows += 1;
         }
-        m.last_arrival_rate = o.arrival_rate;
-        m.last_cost_per_event = o.cost_per_event;
         m.last_service_rate = o.service_rate;
-        m.last_calibration = o.calibration;
         m.work_residual = o.work_residual;
-        m.cost_residual = o.cost_residual;
-        m.rate_residual = o.rate_residual;
         m.drift_work = o.drift_work;
-        m.drift_cost = o.drift_cost;
-        m.drift_rate = o.drift_rate;
     }
 
     /// Records one answered `QUERY`.
@@ -331,8 +303,8 @@ impl Metrics {
 
     /// The single-line `HEALTH` reply body: SLA attainment, staleness burn
     /// rate (event-weighted mean staleness over the SLA target — <1 means
-    /// headroom, >1 means the SLA is being missed on average), cost-model
-    /// drift flags and residuals, and backpressure state. `key=value`
+    /// headroom, >1 means the SLA is being missed on average), the
+    /// cost-model drift flag and residual, and backpressure state. `key=value`
     /// pairs, space-separated, so it round-trips through
     /// `Client::round_trip` like `STATS` does.
     pub fn render_health(&self, epoch: u64) -> String {
@@ -355,8 +327,7 @@ impl Metrics {
         };
         format!(
             "windows={} events={} staleness_mean={:.3} sla_target={:.3} sla_attainment={:.3} \
-             staleness_burn={:.3} drift_work={} drift_cost={} drift_rate={} \
-             work_residual={:.4} cost_residual={:.4} rate_residual={:.4} calibration={:.4} \
+             staleness_burn={:.3} drift_work={} work_residual={:.4} \
              queue_depth={} ingest_rejects={} errors={} epoch={}",
             m.windows,
             m.events,
@@ -365,12 +336,7 @@ impl Metrics {
             attainment,
             burn,
             u64::from(m.drift_work),
-            u64::from(m.drift_cost),
-            u64::from(m.drift_rate),
             m.work_residual,
-            m.cost_residual,
-            m.rate_residual,
-            m.last_calibration,
             m.last_queue_depth,
             snap.ingest_rejects,
             snap.errors,
@@ -528,24 +494,9 @@ impl Metrics {
                 maint.carried_raw_hits as f64,
             );
             reg.gauge(
-                "uww_model_arrival_rate",
-                "Controller EWMA arrival rate (events per tick) after the last window",
-                maint.last_arrival_rate,
-            );
-            reg.gauge(
-                "uww_model_cost_per_event",
-                "Controller EWMA predicted-work-per-event after the last window",
-                maint.last_cost_per_event,
-            );
-            reg.gauge(
                 "uww_model_service_rate",
                 "Effective service rate (linear-work rows per tick)",
                 maint.last_service_rate,
-            );
-            reg.gauge(
-                "uww_model_calibration_factor",
-                "Recalibration factor applied to predicted work (1 when off)",
-                maint.last_calibration,
             );
             reg.gauge(
                 "uww_model_work_residual",
@@ -553,29 +504,9 @@ impl Metrics {
                 maint.work_residual,
             );
             reg.gauge(
-                "uww_model_cost_residual",
-                "Smoothed relative error of the controller's cost-per-event estimate",
-                maint.cost_residual,
-            );
-            reg.gauge(
-                "uww_model_rate_residual",
-                "Smoothed relative error of the controller's arrival-rate estimate",
-                maint.rate_residual,
-            );
-            reg.gauge(
                 "uww_model_drift_work",
                 "1 when the work-prediction residual is in sustained drift",
                 f64::from(u8::from(maint.drift_work)),
-            );
-            reg.gauge(
-                "uww_model_drift_cost",
-                "1 when the cost-per-event residual is in sustained drift",
-                f64::from(u8::from(maint.drift_cost)),
-            );
-            reg.gauge(
-                "uww_model_drift_rate",
-                "1 when the arrival-rate residual is in sustained drift",
-                f64::from(u8::from(maint.drift_rate)),
             );
             reg.gauge(
                 "uww_model_sla_attainment",
@@ -844,28 +775,16 @@ mod tests {
             predicted_work: 400.0,
             measured_work: 500,
             sla_target: 24.0,
-            arrival_rate: 1.25,
-            cost_per_event: 40.0,
             service_rate: 200.0,
-            calibration: 1.1,
             work_residual: 0.25,
-            cost_residual: -0.1,
-            rate_residual: 0.02,
             drift_work: true,
-            drift_cost: false,
-            drift_rate: false,
             ..Default::default()
         });
         let text = m.render_prometheus(1);
         let scrape = uww_obs::prom::parse_text(&text).unwrap();
-        assert_eq!(scrape.value("uww_model_arrival_rate", &[]), Some(1.25));
-        assert_eq!(scrape.value("uww_model_cost_per_event", &[]), Some(40.0));
         assert_eq!(scrape.value("uww_model_service_rate", &[]), Some(200.0));
-        assert_eq!(scrape.value("uww_model_calibration_factor", &[]), Some(1.1));
         assert_eq!(scrape.value("uww_model_work_residual", &[]), Some(0.25));
-        assert_eq!(scrape.value("uww_model_cost_residual", &[]), Some(-0.1));
         assert_eq!(scrape.value("uww_model_drift_work", &[]), Some(1.0));
-        assert_eq!(scrape.value("uww_model_drift_cost", &[]), Some(0.0));
         assert_eq!(scrape.value("uww_model_sla_attainment", &[]), Some(1.0));
         // The spans-dropped counter renders even with no subscriber.
         assert_eq!(scrape.value("uww_obs_spans_dropped_total", &[]), Some(0.0));
@@ -900,7 +819,6 @@ mod tests {
         assert!(line.contains("windows=2"), "{line}");
         assert!(line.contains("sla_attainment=0.500"), "{line}");
         assert!(line.contains("drift_work=1"), "{line}");
-        assert!(line.contains("drift_cost=0"), "{line}");
         assert!(line.contains("ingest_rejects=2"), "{line}");
         assert!(line.contains("epoch=7"), "{line}");
         // Burn rate: event-weighted mean staleness 18 over target 24.

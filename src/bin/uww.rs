@@ -8,7 +8,7 @@
 //!              [--objective linear|shared]
 //!              [--wal DIR] [--fsync always|never]
 //!              [--fault crash:K|torn:K|dup:K|dirsync]
-//!              [--partitions N] [--no-steal] [--strategy-sharing]
+//!              [--partitions N] [--strategy-sharing]
 //!              [--trace-out FILE] [--timeline]
 //! uww recover  DIR
 //! uww analyze  [--scenario ...] [--scale F] [--frac F] [--planner ...]
@@ -20,13 +20,13 @@
 //! uww serve    [--scenario ...] [--scale F] [--frac F] [--planner ...]
 //!              [--isolation strict|mvcc|both] [--readers N] [--hold-ms N]
 //!              [--json] [--metrics]
-//! uww ingest   [--scenario ...] [--scale F] [--policy fixed|adaptive|greedy]
+//! uww ingest   [--scenario ...] [--scale F] [--policy fixed|greedy]
 //!              [--window N] [--sla F] [--rate MILLI] [--service-rate F]
 //!              [--horizon N] [--seed N] [--no-carry] [--objective linear|shared]
-//!              [--partitions N] [--no-steal]
+//!              [--partitions N]
 //!              [--wal DIR] [--fsync always|never] [--fault ...] [--fault-window W]
 //!              [--replay FILE] [--record FILE] [--serve] [--readers N]
-//!              [--json] [--metrics] [--ledger FILE] [--recalibrate]
+//!              [--json] [--metrics] [--ledger FILE]
 //!              [--latency-buckets US,US,...]
 //! uww diff     TRACE_A TRACE_B | LEDGER_A LEDGER_B  [--json]
 //! uww report   LEDGER [--json]
@@ -48,9 +48,8 @@
 //!
 //! Each `Comp` evaluates its maintenance terms through a shared operand
 //! cache. `--partitions N` hash-partitions each term's build and
-//! probe sides by join key and runs the chunks on a work-stealing pool
-//! (`--no-steal` pins each chunk to its seeded worker); results and work
-//! meters stay byte-identical at every partition count. `--strategy-sharing`
+//! probe sides by join key and runs the chunks on a work-stealing pool;
+//! results and work meters stay byte-identical at every partition count. `--strategy-sharing`
 //! lifts the cache to strategy scope:
 //! operand materializations and hash-join build tables survive across
 //! `Comp` boundaries until an expression modifies the operand. In every
@@ -106,7 +105,6 @@ struct Args {
     readers: usize,
     hold_ms: u64,
     partitions: usize,
-    steal: bool,
     strategy_sharing: bool,
     objective: String,
     trace_out: Option<String>,
@@ -127,7 +125,6 @@ struct Args {
     serve_live: bool,
     fault_window: usize,
     ledger: Option<String>,
-    recalibrate: bool,
     latency_buckets: Option<Vec<u64>>,
     dir2: Option<String>,
 }
@@ -154,7 +151,6 @@ impl Default for Args {
             readers: 4,
             hold_ms: 2,
             partitions: 1,
-            steal: true,
             strategy_sharing: false,
             objective: "linear".into(),
             trace_out: None,
@@ -175,7 +171,6 @@ impl Default for Args {
             serve_live: false,
             fault_window: 0,
             ledger: None,
-            recalibrate: false,
             latency_buckets: None,
             dir2: None,
         }
@@ -210,7 +205,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
             "--strategy-sharing" => args.strategy_sharing = true,
             "--no-carry" => args.carry = false,
             "--serve" => args.serve_live = true,
-            "--recalibrate" => args.recalibrate = true,
             "--ledger" => {
                 let v = it
                     .next()
@@ -245,8 +239,13 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     "--sla" => args.sla = v.parse().map_err(|_| format!("bad --sla {v}"))?,
                     "--rate" => args.rate = v.parse().map_err(|_| format!("bad --rate {v}"))?,
                     "--service-rate" => {
-                        args.service_rate =
-                            v.parse().map_err(|_| format!("bad --service-rate {v}"))?
+                        args.service_rate = v
+                            .parse()
+                            .ok()
+                            .filter(|r: &f64| r.is_finite() && *r > 0.0)
+                            .ok_or_else(|| {
+                                format!("bad --service-rate {v} (must be finite and positive)")
+                            })?
                     }
                     "--horizon" => {
                         args.horizon = v.parse().map_err(|_| format!("bad --horizon {v}"))?
@@ -283,7 +282,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     return Err("--partitions must be at least 1".to_string());
                 }
             }
-            "--no-steal" => args.steal = false,
             "--strategy" => {
                 let v = it
                     .next()
@@ -514,7 +512,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let mut opts = ExecOptions {
         strategy_sharing: args.strategy_sharing,
         predicted_work: Some(predicted),
-        partition: partition_options(args),
+        partition: PartitionOptions::with_partitions(args.partitions),
         ..ExecOptions::default()
     };
     if let Some(dir) = &args.wal {
@@ -1113,7 +1111,6 @@ fn ingest_sched_config(args: &Args) -> Result<SchedConfig, String> {
         sla: SlaConfig {
             target_staleness: args.sla,
             service_rate: args.service_rate,
-            ..SlaConfig::default()
         },
         window: args.window,
         horizon: args.horizon,
@@ -1122,17 +1119,9 @@ fn ingest_sched_config(args: &Args) -> Result<SchedConfig, String> {
         wal_root: args.wal.clone().map(std::path::PathBuf::from),
         fsync: FsyncPolicy::parse(&args.fsync).map_err(|e| e.to_string())?,
         fault,
-        partition: partition_options(args),
+        partition: PartitionOptions::with_partitions(args.partitions),
         ledger: args.ledger.clone().map(std::path::PathBuf::from),
-        recalibrate: args.recalibrate,
     })
-}
-
-/// The partition-parallel knobs shared by `run` and the continuous modes.
-fn partition_options(args: &Args) -> PartitionOptions {
-    let mut p = PartitionOptions::with_partitions(args.partitions);
-    p.steal = args.steal;
-    p
 }
 
 fn print_ingest_windows(out: &IngestOutcome) {
@@ -1496,18 +1485,14 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             predicted_work: r.predicted_work,
             measured_work: r.measured_work as f64,
             events: r.events,
-            window_ticks: r.window_ticks,
-            est_cost_per_event: r.cost_per_event,
-            est_arrival_rate: r.arrival_rate,
         });
     }
-    let flags = drift.flags();
+    let drifting = drift.flags().work;
     if args.json {
         println!(
             "{{\"records\":{},\"windows\":[{},{}],\"events\":{},\"predicted_work\":{},\
              \"measured_work\":{},\"mean_staleness\":{},\"wall_us\":{},\
-             \"work_residual\":{},\"cost_residual\":{},\"rate_residual\":{},\
-             \"drift_work\":{},\"drift_cost\":{},\"drift_rate\":{}}}",
+             \"work_residual\":{},\"drift_work\":{}}}",
             summary.records,
             summary.windows.0,
             summary.windows.1,
@@ -1517,11 +1502,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             summary.mean_staleness,
             summary.wall_us,
             drift.work_residual(),
-            drift.cost_residual(),
-            drift.rate_residual(),
-            flags.work,
-            flags.cost,
-            flags.rate,
+            drifting,
         );
         return Ok(());
     }
@@ -1534,29 +1515,17 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         summary.predicted_work, summary.measured_work, summary.mean_staleness, summary.wall_us
     );
     println!(
-        "drift: work residual {:+.4}{}, cost residual {:+.4}{}, rate residual {:+.4}{}",
+        "drift: work residual {:+.4}{}",
         drift.work_residual(),
-        if flags.work { " [DRIFTING]" } else { "" },
-        drift.cost_residual(),
-        if flags.cost { " [DRIFTING]" } else { "" },
-        drift.rate_residual(),
-        if flags.rate { " [DRIFTING]" } else { "" },
+        if drifting { " [DRIFTING]" } else { "" },
     );
     println!(
-        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>10} {:>8} {:>7} {:>9}",
-        "win",
-        "ticks",
-        "events",
-        "predicted",
-        "measured",
-        "staleness",
-        "policy",
-        "gamma",
-        "crit_us"
+        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>10} {:>8} {:>9}",
+        "win", "ticks", "events", "predicted", "measured", "staleness", "policy", "crit_us"
     );
     for r in &records {
         println!(
-            "{:>4} {:>6} {:>7} {:>12.1} {:>12} {:>10.2} {:>8} {:>7.3} {:>9}",
+            "{:>4} {:>6} {:>7} {:>12.1} {:>12} {:>10.2} {:>8} {:>9}",
             r.window,
             r.window_ticks,
             r.events,
@@ -1564,7 +1533,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             r.measured_work,
             r.staleness,
             r.policy,
-            r.calibration,
             r.critical_path_us,
         );
     }
@@ -1579,17 +1547,17 @@ const USAGE: &str =
 [--sql NAME=SELECT-statement] \
 [--strategy \"Comp(V,{A,B}); Inst(A); ...\"] [--stages \"stage | stage | ...\"] [--json] \
 [--wal DIR] [--fsync always|never] [--fault crash:K|torn:K|dup:K|dirsync] \
-[--partitions N] [--no-steal] [--strategy-sharing] \
+[--partitions N] [--strategy-sharing] \
 [--objective linear|shared] \
 [--trace-out FILE] [--timeline] [--metrics] \
 [--sharing] [--verify-against TRACE.json]\n\
-       uww ingest [--scenario ...] [--scale F] [--policy fixed|adaptive|greedy] [--window N] \
+       uww ingest [--scenario ...] [--scale F] [--policy fixed|greedy] [--window N] \
 [--sla F] [--rate MILLI] [--service-rate F] [--horizon N] [--seed N] [--no-carry] \
-[--objective linear|shared] [--partitions N] [--no-steal] \
+[--objective linear|shared] [--partitions N] \
 [--wal DIR] [--fsync always|never] \
 [--fault crash:K|torn:K|dup:K|dirsync] [--fault-window W] \
 [--replay FILE] [--record FILE] [--serve] [--readers N] [--json] [--metrics] \
-[--ledger FILE] [--recalibrate] [--latency-buckets US,US,...]\n\
+[--ledger FILE] [--latency-buckets US,US,...]\n\
        uww diff TRACE_A TRACE_B | uww diff LEDGER_A LEDGER_B [--json]\n\
        uww report LEDGER [--json]\n\
        uww recover DIR";

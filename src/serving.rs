@@ -254,7 +254,7 @@ impl IngestSink for QueueSink {
 /// Maps one completed window to the serve scrape's observation struct.
 /// `queue_depth` is the live wire-queue depth at publish time — events that
 /// arrived during processing and will join the next cut. The drift tracker
-/// must already have folded this window in; its residuals and flags ride
+/// must already have folded this window in; its residual and flag ride
 /// along so `METRICS`/`HEALTH` expose the cost-model health.
 fn observation_of(
     wr: &WindowReport,
@@ -262,7 +262,6 @@ fn observation_of(
     sla_target: f64,
     drift: &uww_obs::drift::DriftTracker,
 ) -> WindowObservation {
-    let flags = drift.flags();
     WindowObservation {
         window_ticks: wr.window_ticks,
         events: wr.events,
@@ -275,16 +274,9 @@ fn observation_of(
         carried_table_hits: wr.conformance.measured_carried_table_hits,
         carried_raw_hits: wr.conformance.measured_carried_raw_hits,
         sla_target,
-        arrival_rate: wr.arrival_rate,
-        cost_per_event: wr.cost_per_event,
         service_rate: wr.service_rate,
-        calibration: wr.calibration,
         work_residual: drift.work_residual(),
-        cost_residual: drift.cost_residual(),
-        rate_residual: drift.rate_residual(),
-        drift_work: flags.work,
-        drift_cost: flags.cost,
-        drift_rate: flags.rate,
+        drift_work: drift.flags().work,
     }
 }
 
@@ -423,9 +415,6 @@ pub fn run_continuous(
             predicted_work: wr.predicted_work,
             measured_work: wr.measured_work as f64,
             events: wr.events,
-            window_ticks: wr.window_ticks,
-            est_cost_per_event: wr.cost_per_event,
-            est_arrival_rate: wr.arrival_rate,
         });
         server.observe_window(&observation_of(wr, &queue, sla_target, &drift));
     });
@@ -640,21 +629,14 @@ mod tests {
         assert!(scrape
             .value("uww_maint_measured_work_total", &[])
             .is_some_and(|v| v > 0.0));
-        // The cost-model drift family rides the same scrape: the controller
-        // estimates and residual gauges are present, and a short stationary
-        // run never raises a drift flag.
-        assert!(scrape
-            .value("uww_model_arrival_rate", &[])
-            .is_some_and(|v| v > 0.0));
-        assert!(scrape
-            .value("uww_model_cost_per_event", &[])
-            .is_some_and(|v| v > 0.0));
+        // The cost-model drift family rides the same scrape: the service
+        // rate and the residual gauge are present, and a short stationary
+        // run never raises the drift flag.
         assert!(scrape
             .value("uww_model_service_rate", &[])
             .is_some_and(|v| v > 0.0));
-        assert_eq!(scrape.value("uww_model_calibration_factor", &[]), Some(1.0));
         assert!(scrape.value("uww_model_work_residual", &[]).is_some());
-        assert_eq!(scrape.value("uww_model_drift_rate", &[]), Some(0.0));
+        assert_eq!(scrape.value("uww_model_drift_work", &[]), Some(0.0));
         assert_eq!(scrape.value("uww_obs_spans_dropped_total", &[]), Some(0.0));
     }
 
@@ -686,9 +668,6 @@ mod tests {
                 predicted_work: *pred,
                 measured_work: *meas as f64,
                 events: 4,
-                window_ticks: 8,
-                est_cost_per_event: pred / 4.0,
-                est_arrival_rate: 0.5,
             };
             drift.observe(&obs);
             server.observe_window(&WindowObservation {
@@ -698,10 +677,7 @@ mod tests {
                 predicted_work: *pred,
                 measured_work: *meas,
                 sla_target: 24.0,
-                arrival_rate: 0.5,
-                cost_per_event: pred / 4.0,
                 service_rate: 200.0,
-                calibration: 1.0,
                 work_residual: drift.work_residual(),
                 ..Default::default()
             });

@@ -243,14 +243,53 @@ fn bad_input_fails_with_usage() {
 }
 
 #[test]
-fn removed_term_engine_flags_are_unknown() {
-    // The per-term and term-threaded modes are gone; their flags must not
-    // be silently accepted.
-    for flag in [&["--term-threads", "2"][..], &["--no-term-sharing"][..]] {
-        let o = uww(&[&["run", "--scenario", "q3"], SMALL, flag].concat());
-        assert!(!o.status.success(), "{flag:?} unexpectedly accepted");
-        let expected = format!("unknown flag {}", flag[0]);
-        assert!(stderr(&o).contains(&expected), "{}", stderr(&o));
+fn removed_flags_are_unknown() {
+    // The per-term and term-threaded modes, the pinned (non-stealing) pool
+    // and the recalibration loop are gone; their flags must not be silently
+    // accepted.
+    for flag in [
+        &["--term-threads", "2"][..],
+        &["--no-term-sharing"][..],
+        &["--no-steal"][..],
+        &["--recalibrate"][..],
+    ] {
+        for cmd in ["run", "ingest"] {
+            let o = uww(&[&[cmd, "--scenario", "q3"], SMALL, flag].concat());
+            assert!(!o.status.success(), "{cmd} {flag:?} unexpectedly accepted");
+            let expected = format!("unknown flag {}", flag[0]);
+            assert!(stderr(&o).contains(&expected), "{}", stderr(&o));
+        }
+    }
+}
+
+const INGEST: &[&str] = &["ingest", "--scenario", "q3", "--horizon", "12"];
+
+#[test]
+fn ingest_runs_both_policies_and_refuses_the_deleted_one() {
+    for policy in ["fixed", "greedy"] {
+        let o = uww(&[INGEST, SMALL, &["--policy", policy]].concat());
+        assert!(o.status.success(), "{policy}: {}", stderr(&o));
+        assert!(stdout(&o).contains("mean staleness"), "{policy}");
+    }
+    let o = uww(&[INGEST, SMALL, &["--policy", "adaptive"]].concat());
+    assert!(
+        !o.status.success(),
+        "--policy adaptive unexpectedly accepted"
+    );
+    let e = stderr(&o);
+    assert!(e.contains("unknown policy: adaptive"), "{e}");
+    assert!(e.contains("fixed|greedy"), "{e}");
+}
+
+#[test]
+fn ingest_refuses_a_service_rate_with_no_processing_time() {
+    for rate in ["0", "-5", "nan", "inf"] {
+        let o = uww(&[INGEST, SMALL, &["--service-rate", rate]].concat());
+        assert!(!o.status.success(), "--service-rate {rate} accepted");
+        let e = stderr(&o);
+        assert!(e.contains(&format!("bad --service-rate {rate}")), "{e}");
+        assert!(!e.contains("panicked"), "{e}");
+        assert!(stdout(&o).is_empty(), "a window ran: {}", stdout(&o));
     }
 }
 

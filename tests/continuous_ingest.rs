@@ -2,7 +2,7 @@
 //! ingest scheduler (`uww-sched`).
 //!
 //! The headline property: for any seeded event stream, the continuous
-//! scheduler — any policy, carry on or off — must land in a final state
+//! scheduler — either policy, carry on or off — must land in a final state
 //! **byte-identical** to replaying the very same micro-batches as
 //! independent one-shot windows, and journal **byte-identical** per-window
 //! WAL files while doing it. Staleness and window sizing are allowed to
@@ -10,7 +10,8 @@
 //!
 //! The crash matrix re-runs the schedule with a crash injected before
 //! every WAL record of a chosen window and asserts recovery + resume
-//! reproduce the uninterrupted final state exactly.
+//! reproduce the uninterrupted run exactly: window sequence, per-window WAL
+//! bytes and final state.
 //!
 //! The matrix is seeded; set `UWW_INGEST_SEED` to shift the whole suite to
 //! a different deterministic slice (CI runs several).
@@ -18,8 +19,8 @@
 use std::path::PathBuf;
 
 use uww::core::{
-    plan_strategy_sharing_carried, CostModel, ExecOptions, FaultPlan, FsyncPolicy, SizeCatalog,
-    WalLog, Warehouse, WindowCarry,
+    plan_strategy_sharing_carried, CoreError, CostModel, ExecOptions, FaultPlan, FsyncPolicy,
+    SizeCatalog, WalLog, Warehouse, WindowCarry,
 };
 use uww::relational::catalog_to_string;
 use uww::sched::{
@@ -68,15 +69,26 @@ fn source_cfg(horizon: u64) -> SeededSourceConfig {
     }
 }
 
-fn sched_cfg(policy: Policy, carry: bool, horizon: u64, wal_root: Option<PathBuf>) -> SchedConfig {
+/// `greedy` cuts uneven spans — each is whatever the previous window's
+/// processing let queue up — so it is the rule the carry tests run under.
+const GREEDY: (Policy, u64) = (Policy::Greedy, 12);
+
+/// The cut rules the suite sweeps: `greedy`, and `fixed` at two spans.
+const CUTS: [(Policy, u64); 3] = [GREEDY, (Policy::Fixed, 12), (Policy::Fixed, 5)];
+
+fn sched_cfg(
+    (policy, window): (Policy, u64),
+    carry: bool,
+    horizon: u64,
+    wal_root: Option<PathBuf>,
+) -> SchedConfig {
     SchedConfig {
         policy,
         sla: SlaConfig {
             target_staleness: 24.0,
             service_rate: 400.0,
-            ..SlaConfig::default()
         },
-        window: 12,
+        window,
         horizon,
         carry,
         planner: WindowPlanner::Shared,
@@ -161,9 +173,13 @@ fn assert_sharing_predicted(out: &IngestOutcome, carry_on: bool, tag: &str) {
     }
 }
 
-/// Byte-compares every per-window `wal.log` under the two roots.
-fn assert_wal_bytes_identical(a: &std::path::Path, b: &std::path::Path, windows: usize) {
-    for idx in 0..windows {
+/// Byte-compares the named windows' `wal.log` under the two roots.
+fn assert_wal_bytes_identical(
+    a: &std::path::Path,
+    b: &std::path::Path,
+    windows: impl Iterator<Item = usize>,
+) {
+    for idx in windows {
         let name = format!("window_{idx:04}");
         let fa = std::fs::read(a.join(&name).join("wal.log"))
             .unwrap_or_else(|e| panic!("read {}/{name}/wal.log: {e}", a.display()));
@@ -180,17 +196,17 @@ fn assert_wal_bytes_identical(a: &std::path::Path, b: &std::path::Path, windows:
 // Differential one-shot equivalence
 // ---------------------------------------------------------------------------
 
-/// Every policy × carry setting: continuous mode must be indistinguishable
+/// Every cut rule × carry setting: continuous mode must be indistinguishable
 /// — final state and WAL bytes — from one-shot replays of its own batches.
 #[test]
 fn continuous_mode_equals_one_shot_replay() {
     const HORIZON: u64 = 36;
-    for policy in [Policy::Fixed, Policy::Greedy, Policy::Adaptive] {
+    for cut in CUTS {
         for carry in [true, false] {
-            let tag = format!("diff-{}-{}", policy.as_str(), carry);
+            let tag = format!("diff-{}{}-{}", cut.0.as_str(), cut.1, carry);
             let root_c = wal_root(&tag);
             let root_r = wal_root(&format!("{tag}-replay"));
-            let cfg = sched_cfg(policy, carry, HORIZON, Some(root_c.clone()));
+            let cfg = sched_cfg(cut, carry, HORIZON, Some(root_c.clone()));
             let (out, state) = run_continuous(cfg, HORIZON);
             assert!(
                 !out.windows.is_empty(),
@@ -202,7 +218,7 @@ fn continuous_mode_equals_one_shot_replay() {
                 state, replayed,
                 "{tag}: continuous and one-shot final states diverged"
             );
-            assert_wal_bytes_identical(&root_c, &root_r, out.windows.len());
+            assert_wal_bytes_identical(&root_c, &root_r, 0..out.windows.len());
             let _ = std::fs::remove_dir_all(&root_c);
             let _ = std::fs::remove_dir_all(&root_r);
         }
@@ -215,16 +231,12 @@ fn continuous_mode_equals_one_shot_replay() {
 #[test]
 fn policies_agree_on_the_final_state() {
     const HORIZON: u64 = 36;
-    let (fixed, fixed_state) =
-        run_continuous(sched_cfg(Policy::Fixed, true, HORIZON, None), HORIZON);
-    let (greedy, greedy_state) =
-        run_continuous(sched_cfg(Policy::Greedy, true, HORIZON, None), HORIZON);
-    let (adaptive, adaptive_state) =
-        run_continuous(sched_cfg(Policy::Adaptive, true, HORIZON, None), HORIZON);
+    let [(greedy, greedy_state), (fixed, fixed_state), (short, short_state)] =
+        CUTS.map(|cut| run_continuous(sched_cfg(cut, true, HORIZON, None), HORIZON));
     assert_eq!(fixed.events(), greedy.events());
-    assert_eq!(fixed.events(), adaptive.events());
+    assert_eq!(fixed.events(), short.events());
     assert_eq!(fixed_state, greedy_state, "greedy state diverged");
-    assert_eq!(fixed_state, adaptive_state, "adaptive state diverged");
+    assert_eq!(fixed_state, short_state, "fixed/5 state diverged");
     // Greedy cuts at least as many windows as fixed ever can.
     assert!(greedy.windows.len() >= fixed.windows.len());
 }
@@ -242,7 +254,7 @@ fn policies_agree_on_the_final_state() {
 fn predicted_sharing_equals_measured_on_every_carried_window() {
     const HORIZON: u64 = 60;
     // A service rate at which greedy cuts a window every few ticks.
-    let mut cfg = sched_cfg(Policy::Greedy, true, HORIZON, None);
+    let mut cfg = sched_cfg(GREEDY, true, HORIZON, None);
     cfg.sla.service_rate = 4000.0;
     let (out, _) = run_continuous(cfg, HORIZON);
     assert!(
@@ -259,8 +271,8 @@ fn predicted_sharing_equals_measured_on_every_carried_window() {
 #[test]
 fn carry_over_is_predicted_exactly() {
     const HORIZON: u64 = 60;
-    let (out, _) = run_continuous(sched_cfg(Policy::Adaptive, true, HORIZON, None), HORIZON);
-    assert_sharing_predicted(&out, true, "adaptive");
+    let (out, _) = run_continuous(sched_cfg(GREEDY, true, HORIZON, None), HORIZON);
+    assert_sharing_predicted(&out, true, "greedy");
     assert!(
         out.windows.iter().any(|w| w.carry_in != (0, 0)),
         "no window was seeded from the previous window's cache"
@@ -278,8 +290,8 @@ fn carry_over_is_predicted_exactly() {
         out.windows.len()
     );
     // With carry off, no window may report carried entries or carried hits.
-    let (bare, _) = run_continuous(sched_cfg(Policy::Adaptive, false, HORIZON, None), HORIZON);
-    assert_sharing_predicted(&bare, false, "adaptive, no carry");
+    let (bare, _) = run_continuous(sched_cfg(GREEDY, false, HORIZON, None), HORIZON);
+    assert_sharing_predicted(&bare, false, "greedy, no carry");
     for w in &bare.windows {
         assert_eq!(
             w.carry_in,
@@ -296,114 +308,136 @@ fn carry_over_is_predicted_exactly() {
 // Crash matrix at window boundaries
 // ---------------------------------------------------------------------------
 
-/// Crashes window 1 before **every** WAL record it writes; recovery must
-/// complete the window from the journal and the resumed schedule must end
-/// byte-identical to the uninterrupted run.
+/// Crashes window 1 before **every** WAL record it writes, under each cut
+/// rule; recovery must complete the window from the journal and the resumed
+/// schedule must be byte-identical to the uninterrupted run — the same
+/// window sequence, the same bytes in every other window's WAL, the same
+/// final state. The scheduler carries no state past the clock, the drain point
+/// and the window index, so there is no exception.
 #[test]
 fn crash_matrix_resumes_byte_identical() {
     const HORIZON: u64 = 60;
     const FAULT_WINDOW: usize = 1;
+    let sequence = |ws: &[uww::sched::WindowReport]| -> Vec<(usize, u64, u64, u64, u64)> {
+        ws.iter()
+            .map(|wr| (wr.index, wr.cut, wr.window_ticks, wr.events, wr.done))
+            .collect()
+    };
 
-    // Uninterrupted reference run, journaled so we can count window 1's
-    // WAL records (= the crash points).
-    let ref_root = wal_root("crash-ref");
-    let cfg = sched_cfg(Policy::Fixed, true, HORIZON, Some(ref_root.clone()));
-    let (ref_out, ref_state) = run_continuous(cfg, HORIZON);
-    assert!(
-        ref_out.windows.len() > FAULT_WINDOW + 1,
-        "fixture too small: need windows after the fault window, got {}",
-        ref_out.windows.len()
-    );
-    let total = WalLog::open(&ref_root.join(format!("window_{FAULT_WINDOW:04}")))
-        .expect("open reference WAL")
-        .records
-        .len() as u64;
-    assert!(
-        total > 2,
-        "window {FAULT_WINDOW} wrote only {total} records"
-    );
-
-    for k in 0..total {
-        let root = wal_root(&format!("crash-{k}"));
-        let mut cfg = sched_cfg(Policy::Fixed, true, HORIZON, Some(root.clone()));
-        cfg.fault = Some((FAULT_WINDOW, FaultPlan::crash_before(k)));
-
-        let mut w = fixture();
-        let source = SeededSource::new(&w, source_cfg(HORIZON));
-        let out = IngestScheduler::new(cfg.clone(), source)
-            .run(&mut w)
-            .expect("faulted run");
-        let crash = out
-            .crashed
-            .as_ref()
-            .unwrap_or_else(|| panic!("crash point {k}: schedule did not crash"));
-        assert_eq!(crash.window, FAULT_WINDOW);
+    for cut in CUTS {
+        let policy = format!("{}{}", cut.0.as_str(), cut.1);
+        // Uninterrupted reference run, journaled so we can count window 1's
+        // WAL records (= the crash points).
+        let ref_root = wal_root(&format!("crash-ref-{policy}"));
+        let cfg = sched_cfg(cut, true, HORIZON, Some(ref_root.clone()));
+        let (ref_out, ref_state) = run_continuous(cfg, HORIZON);
         assert!(
-            out.windows.len() <= FAULT_WINDOW,
-            "crash point {k}: windows past the fault completed"
+            ref_out.windows.len() > FAULT_WINDOW + 1,
+            "{policy}: need windows after the fault window, got {}",
+            ref_out.windows.len()
+        );
+        let total = WalLog::open(&ref_root.join(format!("window_{FAULT_WINDOW:04}")))
+            .expect("open reference WAL")
+            .records
+            .len() as u64;
+        assert!(
+            total > 2,
+            "{policy}: window {FAULT_WINDOW} wrote only {total} records"
         );
 
-        cfg.fault = None;
-        let resume_source = SeededSource::new(&fixture(), source_cfg(HORIZON));
-        let (rec, resumed) = resume_after_crash(cfg, resume_source, &mut w, crash)
-            .unwrap_or_else(|e| panic!("crash point {k}: resume failed: {e}"));
-        assert!(
-            rec.replayed_comps + rec.replayed_insts + rec.resumed > 0 || rec.already_committed,
-            "crash point {k}: recovery did no work"
-        );
-        assert!(resumed.crashed.is_none());
-        for wr in &resumed.windows {
-            assert!(
-                wr.index > FAULT_WINDOW,
-                "crash point {k}: resumed window {} re-ran a completed window",
-                wr.index
+        for k in 0..total {
+            let at = format!("{policy}, crash point {k}");
+            let root = wal_root(&format!("crash-{policy}-{k}"));
+            let mut cfg = sched_cfg(cut, true, HORIZON, Some(root.clone()));
+            cfg.fault = Some((FAULT_WINDOW, FaultPlan::crash_before(k)));
+
+            let mut w = fixture();
+            let source = SeededSource::new(&w, source_cfg(HORIZON));
+            let out = IngestScheduler::new(cfg.clone(), source)
+                .run(&mut w)
+                .expect("faulted run");
+            let crash = out
+                .crashed
+                .as_ref()
+                .unwrap_or_else(|| panic!("{at}: schedule did not crash"));
+            assert_eq!(crash.window, FAULT_WINDOW);
+            assert_eq!(
+                sequence(&out.windows),
+                sequence(&ref_out.windows[..FAULT_WINDOW]),
+                "{at}: pre-crash windows diverged"
             );
+
+            cfg.fault = None;
+            let resume_source = SeededSource::new(&fixture(), source_cfg(HORIZON));
+            let (rec, resumed) = resume_after_crash(cfg, resume_source, &mut w, crash)
+                .unwrap_or_else(|e| panic!("{at}: resume failed: {e}"));
+            assert!(
+                rec.replayed_comps + rec.replayed_insts + rec.resumed > 0 || rec.already_committed,
+                "{at}: recovery did no work"
+            );
+            assert!(resumed.crashed.is_none());
+            assert_eq!(
+                sequence(&resumed.windows),
+                sequence(&ref_out.windows[FAULT_WINDOW + 1..]),
+                "{at}: resumed windows diverged from the uninterrupted schedule"
+            );
+            assert_eq!(resumed.clock, ref_out.clock, "{at}: final clock");
+            assert_eq!(
+                catalog_to_string(w.state()),
+                ref_state,
+                "{at}: recovered state diverged from the uninterrupted run"
+            );
+            // The fault window's own journal is recovery's: it re-journals
+            // the interrupted expression's start record, which
+            // `tests/crash_recovery.rs` pins. Every other window's is the
+            // scheduler's and must not differ by a byte.
+            let others = (0..ref_out.windows.len()).filter(|&i| i != FAULT_WINDOW);
+            assert_wal_bytes_identical(&ref_root, &root, others);
+            let _ = std::fs::remove_dir_all(&root);
         }
-        assert_eq!(
-            catalog_to_string(w.state()),
-            ref_state,
-            "crash point {k}: recovered state diverged from the uninterrupted run"
-        );
-        // Completed events: everything the pre-crash windows, the recovered
-        // window, and the resumed windows processed must cover the
-        // reference event count.
-        let covered: u64 = out.windows.iter().map(|wr| wr.events).sum::<u64>()
-            + ref_out.windows[FAULT_WINDOW].events
-            + resumed.events();
-        assert_eq!(
-            covered,
-            ref_out.events(),
-            "crash point {k}: event coverage diverged"
-        );
-        let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&ref_root);
     }
-    let _ = std::fs::remove_dir_all(&ref_root);
 }
 
 // ---------------------------------------------------------------------------
-// Staleness ordering
+// The virtual clock rejects what it cannot represent
 // ---------------------------------------------------------------------------
 
-/// Starting from an oversized nightly-style window, adaptive sizing must
-/// beat fixed on mean staleness — the bench asserts the same dominance at
-/// full scale. (Both start at the same window; fixed is stuck with it,
-/// adaptive re-solves against the SLA after every cut.)
+/// A service rate that is not finite and positive has no processing time:
+/// `run` refuses it as a typed error before cutting a window, instead of
+/// overflowing the clock (`predicted / 0 = ∞`) or running at "zero cost".
 #[test]
-fn adaptive_staleness_never_worse_than_fixed() {
-    const HORIZON: u64 = 96;
-    let nightly = |policy| {
-        let mut cfg = sched_cfg(policy, true, HORIZON, None);
-        cfg.window = 32;
-        cfg.sla.target_staleness = 16.0;
-        cfg
-    };
-    let (fixed, _) = run_continuous(nightly(Policy::Fixed), HORIZON);
-    let (adaptive, _) = run_continuous(nightly(Policy::Adaptive), HORIZON);
-    assert_eq!(fixed.events(), adaptive.events());
+fn non_positive_service_rates_are_a_typed_error() {
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut cfg = sched_cfg(GREEDY, true, 12, None);
+        cfg.sla.service_rate = rate;
+        let mut w = fixture();
+        let before = catalog_to_string(w.state());
+        let source = SeededSource::new(&w, source_cfg(12));
+        let err = IngestScheduler::new(cfg, source)
+            .run(&mut w)
+            .expect_err("a bad service rate must be refused");
+        assert!(
+            matches!(&err, CoreError::Warehouse(m) if m.contains("service rate")),
+            "service rate {rate}: {err}"
+        );
+        assert_eq!(catalog_to_string(w.state()), before, "a window ran");
+    }
+}
+
+/// A prediction too large for the clock is the same typed error, never a
+/// debug-build panic or a release-build wrap.
+#[test]
+fn clock_overflow_is_a_typed_error() {
+    let mut cfg = sched_cfg(GREEDY, true, 12, None);
+    cfg.sla.service_rate = f64::MIN_POSITIVE;
+    let mut w = fixture();
+    let source = SeededSource::new(&w, source_cfg(12));
+    let err = IngestScheduler::new(cfg, source)
+        .run(&mut w)
+        .expect_err("the clock cannot hold this window");
     assert!(
-        adaptive.mean_staleness() <= fixed.mean_staleness() + 1e-9,
-        "adaptive mean staleness {:.3} worse than fixed {:.3}",
-        adaptive.mean_staleness(),
-        fixed.mean_staleness()
+        matches!(&err, CoreError::Warehouse(m) if m.contains("clock overflow")),
+        "{err}"
     );
 }

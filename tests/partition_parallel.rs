@@ -4,8 +4,8 @@
 //! executor (hash-partitioned builds/probes and chunked aggregation on the
 //! work-stealing pool) must be **fully byte-identical** to the sequential
 //! shared engine: final state, WAL journal, and the complete `WorkMeter` —
-//! physical counters included — at every partition count, with stealing on
-//! or off, and under strategy-scope sharing. Unlike the
+//! physical counters included — at every partition count and under
+//! strategy-scope sharing. Unlike the
 //! sharing sweeps (which only pin the *logical* meter), partitioning is
 //! pure plumbing: it changes where rows are probed, never what is charged.
 //!
@@ -219,7 +219,6 @@ fn random_strategies(w: &Warehouse, rng: &mut SplitMix64, count: usize) -> Vec<S
 #[derive(Clone, Copy)]
 struct Mode {
     partitions: usize,
-    steal: bool,
     strategy_sharing: bool,
 }
 
@@ -239,12 +238,10 @@ fn run_mode(
     let mut clone = w.clone();
     clone.load_changes(changes.clone()).unwrap();
     let dir = wal_dir(tag);
-    let mut partition = PartitionOptions::with_partitions(mode.partitions);
-    partition.steal = mode.steal;
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
         strategy_sharing: mode.strategy_sharing,
-        partition,
+        partition: PartitionOptions::with_partitions(mode.partitions),
         ..ExecOptions::default()
     };
     let report = clone.execute_with(strategy, opts).unwrap();
@@ -281,32 +278,28 @@ fn partitioned_execution_is_byte_identical_to_sequential() {
             let tag = |mode: &str| format!("{round}-{si}-{mode}");
             let sequential = Mode {
                 partitions: 1,
-                steal: true,
                 strategy_sharing: false,
             };
             let reference = run_mode(&w, &changes, strategy, &tag("seq"), sequential);
 
             for &p in &parts {
-                for steal in [true, false] {
-                    let run = run_mode(
-                        &w,
-                        &changes,
-                        strategy,
-                        &tag(&format!("p{p}-steal{steal}")),
-                        Mode {
-                            partitions: p,
-                            steal,
-                            ..sequential
-                        },
-                    );
-                    let what = format!("partitions={p} steal={steal} (seed {seed})");
-                    assert_eq!(reference.state, run.state, "{what}: state diverged");
-                    assert_eq!(
-                        reference.wal_bytes, run.wal_bytes,
-                        "{what}: wal bytes diverged"
-                    );
-                    assert_meters_identical(&reference.report, &run.report, &what);
-                }
+                let run = run_mode(
+                    &w,
+                    &changes,
+                    strategy,
+                    &tag(&format!("p{p}")),
+                    Mode {
+                        partitions: p,
+                        ..sequential
+                    },
+                );
+                let what = format!("partitions={p} (seed {seed})");
+                assert_eq!(reference.state, run.state, "{what}: state diverged");
+                assert_eq!(
+                    reference.wal_bytes, run.wal_bytes,
+                    "{what}: wal bytes diverged"
+                );
+                assert_meters_identical(&reference.report, &run.report, &what);
             }
 
             // Partitioning composes with strategy-scope sharing: the strategy cache must
@@ -332,7 +325,6 @@ fn partitioned_execution_is_byte_identical_to_sequential() {
                 Mode {
                     partitions: *parts.last().unwrap(),
                     strategy_sharing: true,
-                    ..sequential
                 },
             );
             assert_eq!(

@@ -1,10 +1,10 @@
 //! Trace-to-trace regression-localization golden tests.
 //!
 //! The differ's CI contract: two traced runs of the *same* seed and
-//! configuration must diff to **zero deltas** (the self-comparison gate),
-//! work stealing must be invisible to every deterministic quantity the
-//! differ tracks (span structure and row counters — stealing only moves
-//! chunks between lanes), and a genuine configuration change must be
+//! configuration must diff to **zero deltas** (the self-comparison gate) —
+//! which worker took which chunk differs between the twins and must be
+//! invisible to every deterministic quantity the differ tracks (span
+//! structure and row counters) — and a genuine configuration change must be
 //! *localized* — every structural delta names a span path that the change
 //! actually touched, not a smear across unrelated siblings.
 
@@ -88,7 +88,7 @@ fn dual_stage(w: &Warehouse) -> Strategy {
 
 /// Executes the fixture once under tracing and returns the Chrome trace
 /// plus the final catalog rendering.
-fn traced_run(partitions: usize, steal: bool) -> (String, String) {
+fn traced_run(partitions: usize) -> (String, String) {
     let (w, changes) = fixture();
     let strategy = dual_stage(&w);
     let sizes = SizeCatalog::estimate(&w).unwrap();
@@ -103,7 +103,7 @@ fn traced_run(partitions: usize, steal: bool) -> (String, String) {
         ExecOptions {
             predicted_work: Some(predicted),
             strategy_sharing: true,
-            partition: PartitionOptions { partitions, steal },
+            partition: PartitionOptions::with_partitions(partitions),
             ..ExecOptions::default()
         },
     );
@@ -128,8 +128,8 @@ fn deterministic_cfg() -> DiffConfig {
 #[test]
 fn same_seed_runs_diff_to_zero_deltas() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (a, state_a) = traced_run(2, true);
-    let (b, state_b) = traced_run(2, true);
+    let (a, state_a) = traced_run(2);
+    let (b, state_b) = traced_run(2);
     assert_eq!(state_a, state_b);
 
     let d = obs::diff::diff_traces(&a, &b, &deterministic_cfg()).unwrap();
@@ -147,34 +147,14 @@ fn same_seed_runs_diff_to_zero_deltas() {
     assert!(json.contains("\"deterministic_match\":true"), "{json}");
 }
 
-/// Work stealing moves partition chunks between lanes but must not change
-/// a single deterministic quantity: `--no-steal` vs stealing is a
-/// deterministic match with identical span structure.
-#[test]
-fn stealing_is_invisible_to_the_differ() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (steal, state_steal) = traced_run(4, true);
-    let (pinned, state_pinned) = traced_run(4, false);
-    assert_eq!(state_steal, state_pinned, "stealing changed the data");
-
-    let d = obs::diff::diff_traces(&steal, &pinned, &deterministic_cfg()).unwrap();
-    assert_eq!(d.spans_a, d.spans_b, "stealing changed the span count");
-    assert!(
-        d.deterministic_match(),
-        "stealing perturbed structure or rows: {:?}",
-        d.deltas
-    );
-    assert!(d.is_empty(), "stealing produced deltas: {:?}", d.deltas);
-}
-
 /// Raising the partition count opens new `[pN]` fan-out spans; the differ
 /// must localize every structural delta to a partitioned span path rather
 /// than smearing the change across the tree.
 #[test]
 fn partition_count_change_localizes_to_fan_out_spans() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (two, state_two) = traced_run(2, true);
-    let (four, state_four) = traced_run(4, true);
+    let (two, state_two) = traced_run(2);
+    let (four, state_four) = traced_run(4);
     assert_eq!(state_two, state_four, "partitioning changed the data");
 
     let d = obs::diff::diff_traces(&two, &four, &deterministic_cfg()).unwrap();
