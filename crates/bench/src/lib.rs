@@ -1,22 +1,39 @@
-//! Shared workload setup and reporting helpers for the UWW benchmark
-//! harness.
+//! Shared workload setup and reporting helpers for `uww-bench`, the one
+//! reports binary.
 //!
-//! Every report binary regenerates one artifact of the paper's evaluation
-//! (Table 1, Figures 12–15) against the from-scratch engine; every Criterion
-//! bench times the same workload. The scale factor defaults to `0.002`
-//! (~12k LINEITEM rows) and can be overridden with the `UWW_SCALE`
-//! environment variable.
+//! Each `uww-bench <report>` subcommand regenerates one work-unit artifact
+//! of the paper's evaluation (Table 1, Figures 12–15, §9, §8, scale
+//! sensitivity) against the from-scratch engine. Wall-clock numbers are not
+//! this crate's job: they come from `e2e/` (see `BENCHMARK.json`). The scale
+//! factor defaults to `0.002` (~12k LINEITEM rows) and can be overridden with
+//! the `UWW_SCALE` environment variable.
 
 use uww::core::{min_work_single, CostModel, SizeCatalog};
 use uww::scenario::{q3_scenario, TpcdScenario};
 use uww::vdag::{Strategy, UpdateExpr};
 
-/// Benchmark scale factor: `UWW_SCALE` env var, default 0.002.
+/// Benchmark scale factor: `UWW_SCALE` env var, default 0.002 when unset.
+/// A set but unusable value ends the process with `bad UWW_SCALE …`: a
+/// mistyped override must not produce a report at some other scale.
 pub fn bench_scale() -> f64 {
-    std::env::var("UWW_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.002)
+    // Lossy: a non-unicode value turns into one that cannot parse.
+    let raw = std::env::var_os("UWW_SCALE").map(|s| s.to_string_lossy().into_owned());
+    parse_scale(raw.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(0.002);
+    };
+    match raw.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "bad UWW_SCALE {raw:?}: expected a finite number > 0"
+        )),
+    }
 }
 
 /// The Experiment 1–3 scenario (C, O, L + Q3) at bench scale with the given
@@ -158,8 +175,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_is_positive() {
-        assert!(bench_scale() > 0.0);
+    fn scale_defaults_when_unset_and_rejects_unusable_values() {
+        assert_eq!(parse_scale(None), Ok(0.002));
+        assert_eq!(parse_scale(Some("0.0005")), Ok(0.0005));
+        for bad in ["abc", "0.0l", "", "0", "-1", "nan", "inf", "-inf"] {
+            let err = parse_scale(Some(bad)).expect_err(bad);
+            assert!(err.starts_with("bad UWW_SCALE"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use uww::core::{greedy_select, Candidate};
 use uww::tpcd::{ChangeBatch, TpcdConfig, TpcdGenerator};
 use uww_bench::bench_scale;
 
-fn main() {
+pub fn run() {
     let generator = TpcdGenerator::new(TpcdConfig::at_scale(bench_scale()));
     let data = generator.generate();
     let base_tables: Vec<_> = uww::tpcd::BASE_VIEWS

@@ -9,7 +9,7 @@ use uww_bench::{
     strategy_kind, ReportRow,
 };
 
-fn main() {
+pub fn run() {
     let sc = q3_with_changes(0.10);
     println!(
         "scale={} (LINEITEM = {} rows)\n",

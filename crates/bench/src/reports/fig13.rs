@@ -5,7 +5,7 @@
 use uww::core::{CostModel, SizeCatalog};
 use uww_bench::{bench_scale, measure, minwork_single_strategy, print_rows, q5_with_changes};
 
-fn main() {
+pub fn run() {
     let sc = q5_with_changes(0.10);
     println!(
         "scale={} (LINEITEM = {} rows)\n",

@@ -5,7 +5,7 @@
 use uww::vdag::{view_strategies, UpdateExpr};
 use uww_bench::{bench_scale, minwork_single_strategy, q3_with_changes, strategy_kind};
 
-fn main() {
+pub fn run() {
     println!("== Figure 14: Q3 strategies under different change percentages ==");
     println!("   paper: MinWorkSingle < Best2Way < dual-stage over the whole 2..10% sweep");
     println!("scale={}\n", bench_scale());

@@ -6,7 +6,7 @@
 use uww::core::{min_work, prune, CostMetric, CostModel, SizeCatalog};
 use uww_bench::{bench_scale, figure4_with_changes, measure, print_rows};
 
-fn main() {
+pub fn run() {
     let sc = figure4_with_changes(0.10);
     println!(
         "scale={} (LINEITEM = {} rows)\n",

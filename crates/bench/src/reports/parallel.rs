@@ -5,7 +5,7 @@
 use uww::core::{makespan, min_work, parallelize, total_work, CostModel, ExecOptions, SizeCatalog};
 use uww_bench::{bench_scale, figure4_with_changes};
 
-fn main() {
+pub fn run() {
     let sc = figure4_with_changes(0.10);
     println!("== Section 9: parallel strategies ==");
     println!(

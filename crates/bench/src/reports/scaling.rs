@@ -12,7 +12,7 @@
 use uww::core::{min_work, SizeCatalog};
 use uww::scenario::{figure4_scenario, q5_scenario};
 
-fn main() {
+pub fn run() {
     println!("== Scale sensitivity of the headline gaps ==\n");
     println!(
         "{:>9} {:>10} {:>14} {:>14} {:>14} {:>14}",

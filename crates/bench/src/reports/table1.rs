@@ -4,7 +4,7 @@
 
 use uww_vdag::{fubini, ordered_set_partitions, paper_formula_strategies};
 
-fn main() {
+pub fn run() {
     println!("== Table 1: number of view strategies for a view over n views ==");
     println!(
         "{:>3} {:>12} {:>12} {:>12} {:>12}",

@@ -2,7 +2,7 @@
 //! disabled and enabled (default sampling), interleaved, and compare
 //! min-of-K wall times. The span engine's budget is < 5% overhead when
 //! enabled; when *disabled* it is a single relaxed atomic load per
-//! instrumentation point, which this binary demonstrates by construction
+//! instrumentation point, which this report demonstrates by construction
 //! (the disabled runs ARE the baseline).
 //!
 //! The same protocol gates the window-health flight recorder: an
@@ -14,13 +14,13 @@
 //! cache, allocator and frequency-scaling drift — the standard min-of-K
 //! protocol for sub-millisecond comparisons.
 //!
-//! Output: a summary on stdout plus `BENCH_trace_overhead.json` in the
-//! current directory. Row count per base view defaults to 2000
-//! (`UWW_TRACE_ROWS` overrides; CI uses a smaller value), iteration count
-//! defaults to 7 (`UWW_TRACE_ITERS`).
+//! Output: a summary on stdout whose last line is one JSON object with
+//! every number (the convention `e2e` uses); no file is written. Row count
+//! per base view defaults to 2000 (`UWW_TRACE_ROWS` overrides; CI uses a
+//! smaller value), iteration count defaults to 7 (`UWW_TRACE_ITERS`); a
+//! set but unusable value of either is an error.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,11 +32,19 @@ use uww::relational::{
 };
 use uww::vdag::{Strategy, UpdateExpr};
 
+/// `name` as a positive count, `default` when unset. A set but unusable
+/// value ends the process: a mistyped override must not run at the default.
 fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    match raw.to_str().and_then(|s| s.parse().ok()) {
+        Some(n) if n > 0 => n,
+        _ => {
+            eprintln!("bad {name} {raw:?}: expected a positive integer");
+            std::process::exit(2);
+        }
+    }
 }
 
 const COLS: &[(&str, ValueType)] = &[
@@ -167,9 +175,9 @@ fn one_ingest(ledger: Option<&std::path::Path>) -> u128 {
     start.elapsed().as_micros()
 }
 
-fn main() {
+pub fn run() {
     let rows = env_usize("UWW_TRACE_ROWS", 2000);
-    let iters = env_usize("UWW_TRACE_ITERS", 7).max(1);
+    let iters = env_usize("UWW_TRACE_ITERS", 7);
     let (w, changes) = workload(rows);
     let strategy = dual_stage(&w);
 
@@ -223,21 +231,14 @@ fn main() {
          overhead={ledger_pct:.2}% windows={ledger_windows}"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"rows_per_base\": {rows},");
-    let _ = writeln!(json, "  \"iterations\": {iters},");
-    let _ = writeln!(json, "  \"disabled_us_min\": {disabled_min},");
-    let _ = writeln!(json, "  \"enabled_us_min\": {enabled_min},");
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.4},");
-    let _ = writeln!(json, "  \"spans_recorded\": {spans_recorded},");
-    let _ = writeln!(json, "  \"dropped\": {dropped},");
-    let _ = writeln!(json, "  \"ingest_us_min\": {ingest_min},");
-    let _ = writeln!(json, "  \"ledger_us_min\": {ledger_min},");
-    let _ = writeln!(json, "  \"ledger_overhead_pct\": {ledger_pct:.4},");
-    let _ = writeln!(json, "  \"ledger_windows\": {ledger_windows}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_trace_overhead.json", &json).expect("write BENCH_trace_overhead.json");
-    println!("Wrote BENCH_trace_overhead.json");
+    println!(
+        "{{\"rows_per_base\":{rows},\"iterations\":{iters},\
+         \"disabled_us_min\":{disabled_min},\"enabled_us_min\":{enabled_min},\
+         \"overhead_pct\":{overhead_pct:.4},\"spans_recorded\":{spans_recorded},\
+         \"dropped\":{dropped},\"ingest_us_min\":{ingest_min},\
+         \"ledger_us_min\":{ledger_min},\"ledger_overhead_pct\":{ledger_pct:.4},\
+         \"ledger_windows\":{ledger_windows}}}"
+    );
 
     // The budget: < 5% at default sampling. Below ~2ms of window the 5%
     // bound dips under scheduler/timer noise, so tiny CI workloads get an

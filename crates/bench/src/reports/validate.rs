@@ -4,15 +4,13 @@
 //! one-line summary. Exits nonzero on any violation, so the bench-smoke job
 //! can gate on it.
 //!
-//! Usage: `validate_trace TRACE.json [TRACE2.json ...]`
+//! Usage: `uww-bench validate-trace TRACE.json [TRACE2.json ...]`
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let paths: Vec<String> = std::env::args().skip(1).collect();
+pub fn run() {
+    let paths: Vec<String> = std::env::args().skip(2).collect();
     if paths.is_empty() {
-        eprintln!("usage: validate_trace TRACE.json [TRACE2.json ...]");
-        return ExitCode::FAILURE;
+        eprintln!("usage: uww-bench validate-trace TRACE.json [TRACE2.json ...]");
+        std::process::exit(1);
     }
     let mut ok = true;
     for path in &paths {
@@ -47,9 +45,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if !ok {
+        std::process::exit(1);
     }
 }

@@ -27,14 +27,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
 pub mod cost;
 pub mod design;
 pub mod engine;
 pub mod error;
-pub mod estimate;
 pub mod exhaustive;
-pub mod lifecycle;
 pub mod olap;
 pub mod parallel;
 pub mod planner;
@@ -43,7 +40,6 @@ pub mod script;
 pub mod sizes;
 pub mod wal;
 
-pub use calibrate::{calibrate, Calibration};
 pub use cost::{CostMetric, CostModel};
 pub use design::{greedy_select, Candidate, DesignOutcome};
 pub use engine::{
@@ -54,9 +50,7 @@ pub use engine::{
     SummaryDelta, Warehouse, WarehouseBuilder, WindowCarry, WindowOutcome,
 };
 pub use error::{CoreError, CoreResult};
-pub use estimate::StatsEstimator;
 pub use exhaustive::{all_one_way_vdag_strategies, all_vdag_strategies, best_vdag_strategy};
-pub use lifecycle::{MaintenancePolicy, PlannerChoice, QueryRecord, WarehouseDriver, WindowRecord};
 pub use olap::{
     simulate as simulate_olap, InterferenceReport, IsolationMode, OlapWorkload, QueryOutcome,
 };

@@ -5,8 +5,8 @@
 //! same question ("what does the update window cost concurrent OLAP
 //! readers?") answered with real threads, a real TCP server, and real
 //! installs instead of a discrete-time model. The CLI (`uww serve`), the
-//! bench binary (`report_serve`), and the concurrency tests all drive this
-//! one harness.
+//! `e2e` benchmark's `Live` operation, and the concurrency tests all drive
+//! this one harness.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

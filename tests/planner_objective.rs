@@ -271,18 +271,40 @@ fn adaptive_cap_extension_recovers_the_hidden_winner() {
     );
 }
 
-/// The objective never makes things worse: on the fixture the shared cost
-/// is bounded above by the linear cost of the same strategy, and the
-/// baseline's shared cost by its linear cost.
+/// The objective never makes things worse, on the fixture and on the
+/// Figure-4 warehouse alike: the shared cost is bounded above by the linear
+/// cost of the same strategy and by the plain winner's cost under the same
+/// objective (its linear cost less its own priced sharing), and both
+/// strategies end in the same state.
 #[test]
 fn shared_cost_only_subtracts_from_linear() {
-    let (w, changes) = fixture();
-    let mut w = w;
-    w.load_changes(changes).unwrap();
-    let sizes = SizeCatalog::estimate(&w).unwrap();
-    let model = CostModel::new(w.vdag(), &sizes);
-    let outcome = uww::core::min_work_shared(&w, &model).unwrap();
-    assert!(outcome.cost <= outcome.linear_cost);
-    assert!(outcome.cost <= outcome.baseline_cost);
-    assert!(outcome.candidates >= 2, "the fixture has 6 valid orderings");
+    let (mut fx, changes) = fixture();
+    fx.load_changes(changes).unwrap();
+    let mut fig4 = uww::scenario::figure4_scenario(0.0002).unwrap();
+    fig4.load_paper_changes(0.10).unwrap();
+
+    for (label, w) in [("fixture", fx), ("fig4", fig4.warehouse)] {
+        let sizes = SizeCatalog::estimate(&w).unwrap();
+        let model = CostModel::new(w.vdag(), &sizes);
+        let outcome = uww::core::min_work_shared(&w, &model).unwrap();
+        assert!(outcome.cost <= outcome.linear_cost, "{label}");
+        assert!(outcome.cost <= outcome.baseline_cost, "{label}");
+        assert!(outcome.candidates >= 2, "{label}: several valid orderings");
+        let base_saving = model.cross_share_saving(
+            plan_strategy_sharing(&w, &outcome.baseline, SharingScope::Strategy)
+                .unwrap()
+                .cross_saved_rows(),
+        );
+        assert!(
+            outcome.cost <= outcome.baseline_cost - base_saving + 1e-9,
+            "{label}: MinWorkShared's objective {} exceeds MinWork's {}",
+            outcome.cost,
+            outcome.baseline_cost - base_saving
+        );
+        assert_eq!(
+            run_shared(&w, &outcome.strategy).0,
+            run_shared(&w, &outcome.baseline).0,
+            "{label}: shared choice diverged"
+        );
+    }
 }
