@@ -546,7 +546,7 @@ impl Ctx<'_> {
 /// The dependence relation of the parallel scheduler (Section 9): `later`
 /// must not run in the same stage as (or before) `earlier`.
 ///
-/// Mirrors `uww_core::parallel`'s list-scheduling dependence exactly:
+/// This is the relation `uww_core::parallel::parallelize` list-schedules by:
 /// C3 (`Inst` after the `Comp`s reading its delta), C5 (`Inst(V)` after
 /// `Comp(V, ·)`), C8 (`Comp` producing a delta before the `Comp` reading
 /// it), C4-ordering between same-view `Comp`s, and state preservation

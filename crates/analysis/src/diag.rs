@@ -38,15 +38,15 @@ pub enum Rule {
     /// `Comp` on a base view, an empty over-set, or an over-set escaping
     /// the view's sources (conditions C1/C2/C7).
     MalformedExpr,
-    /// `UWW011` (advisory): a `Comp` rebuilds the same `(operand,
-    /// pushed-down filter, key columns)` hash table across two or more of
-    /// its maintenance terms — the intra-`Comp` share the operand cache
-    /// exploits when term sharing is on, and a per-term executor misses.
+    /// `UWW011` (advisory): a `Comp` uses the same `(operand, pushed-down
+    /// filter, key columns)` hash table in two or more of its maintenance
+    /// terms — the intra-`Comp` share the operand store serves, and a
+    /// per-term executor misses.
     IntraCompShare,
-    /// `UWW012` (advisory): two `Comp`s of the strategy build an identical
+    /// `UWW012` (advisory): two `Comp`s of the strategy use an identical
     /// operand hash table with no intervening modification of the operand —
-    /// a cross-`Comp` sharing opportunity the per-`Comp` cache cannot
-    /// exploit (the planner hook for a strategy-wide operand cache).
+    /// the cross-`Comp` share a window-scope operand store serves and a
+    /// per-`Comp` one rebuilds.
     CrossCompShare,
     /// `UWW013` (advisory): two operand uses inside one `Comp` are equal
     /// modulo a keying detail the runtime cache distinguishes — e.g. two

@@ -55,4 +55,5 @@ pub use interference::{analyze_interference, reads, writes, Loc};
 pub use parse::{parse_expr, parse_stages, parse_strategy};
 pub use sharing::{
     analyze_sharing, modifies_operand, ExprSharingProfile, OperandProfile, SharingProfile,
+    TermProfile,
 };

@@ -1,14 +1,14 @@
 //! The sharing-opportunity pass: `UWW011`–`UWW013` over a strategy's
 //! sharing profile.
 //!
-//! The profile is produced by the engine's static predictor
-//! (`uww_core::predict_strategy_sharing`, priced by the cost model in
-//! `uww_core::sharing_report`) and describes, per expression, every
-//! distinct `(operand, pushed-down filter, key columns)` hash-table build
-//! the shared executor will perform, with exact predicted build/reuse
-//! counters. This module is deliberately core-agnostic — it sees only the
-//! profile — so the rule logic stays beside the other `UWW` rules while the
-//! numeric plan stays beside the engine that must conform to it.
+//! The profile is what the engine's window runner records as it runs
+//! (`uww_core::WindowOutcome::profile`; offline, `uww_core::plan_strategy_sharing`
+//! runs a scratch clone to get one): per expression, every maintenance
+//! term's executed join order and every distinct `(operand, pushed-down
+//! filter, key columns)` hash-table use. The counters are not here — they
+//! are the `WorkMeter` of the same run. This module is deliberately
+//! core-agnostic — it sees only the profile — so the rule logic stays
+//! beside the other `UWW` rules.
 //!
 //! The three rules are advisory ([`Severity::Warning`]): they describe
 //! work that *could* be shared, not a correctness defect.
@@ -16,9 +16,9 @@
 //! * `UWW011` — an operand repeats across one `Comp`'s terms: the
 //!   intra-`Comp` share the operand cache exploits (and the per-term
 //!   baseline misses), with the priced saving;
-//! * `UWW012` — two `Comp`s build an identical operand table with no
+//! * `UWW012` — two `Comp`s use an identical operand table with no
 //!   intervening modification of that operand: the cross-`Comp` share a
-//!   strategy-wide cache would exploit (the ROADMAP planner hook);
+//!   window-scope operand store serves and a per-`Comp` one rebuilds;
 //! * `UWW013` — two operand uses inside one `Comp` are equal modulo the
 //!   cache's source-position key (aliases of one view): shareable in
 //!   principle, kept apart by the runtime's keying detail.
@@ -28,8 +28,8 @@ use crate::diag::{Diagnostic, Report, Rule, Severity};
 use std::collections::BTreeMap;
 use uww_vdag::{Strategy, UpdateExpr, Vdag};
 
-/// One distinct keyed operand use inside a `Comp`, as the engine's static
-/// plan reports it — a node of the sharing-opportunity graph.
+/// One distinct keyed operand use inside a `Comp`, as the engine records
+/// it — a node of the sharing-opportunity graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OperandProfile {
     /// Source view name.
@@ -49,9 +49,10 @@ pub struct OperandProfile {
     pub rows: u64,
     /// Keyed join steps using this exact key across the `Comp`'s terms.
     pub occurrences: u64,
-    /// Cost-model-priced rows saved by interning this key
-    /// (`occurrences − 1` avoided rebuilds).
-    pub saved_rows: u64,
+    /// True when the operand store already held this key's table when the
+    /// `Comp` started: every use probed an earlier expression's or
+    /// window's table, and the `Comp` built nothing for it.
+    pub held: bool,
 }
 
 /// Owned form of [`OperandProfile::identity`], used as a grouping key.
@@ -82,26 +83,33 @@ impl OperandProfile {
     }
 }
 
-/// The engine's static sharing prediction for one strategy expression.
+/// One maintenance term of a `Comp`, as the engine ran it.
 #[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TermProfile {
+    /// Source views in the delta role for this term.
+    pub delta_sources: Vec<String>,
+    /// Every operand in the join order the engine executed, rendered as
+    /// `Δname(rows)` or `name(rows)`; the rows are the filtered counts the
+    /// order was chosen by. Empty for a term skipped over an empty delta.
+    pub join_order: Vec<String>,
+}
+
+impl TermProfile {
+    /// True when the engine skipped this term because one of its deltas is
+    /// empty (footnote 5).
+    pub fn skipped(&self) -> bool {
+        self.join_order.is_empty()
+    }
+}
+
+/// What the engine did for one strategy expression, beside its meter:
+/// empty for an `Inst`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExprSharingProfile {
-    /// Target view name.
-    pub view: String,
-    /// `"comp"` or `"inst"`.
-    pub kind: String,
-    /// Surviving maintenance terms (footnote-5 filter applied).
-    pub terms: usize,
-    /// Hash tables the shared engine will build for this expression.
-    pub predicted_builds: u64,
-    /// Hash-table reuses the shared engine will record.
-    pub predicted_reuses: u64,
-    /// Of `predicted_reuses`, join steps served from a hash table built by
-    /// an *earlier expression* (zero outside strategy-scope caching).
-    pub predicted_cross_reuses: u64,
-    /// Raw operand reads the strategy-scope cache serves without touching
-    /// the stored/delta extent (zero outside strategy-scope caching).
-    pub predicted_cached_reads: u64,
-    /// Every distinct keyed operand use.
+    /// The maintenance terms the engine evaluated, in term order (the
+    /// footnote-5 filter applied).
+    pub terms: Vec<TermProfile>,
+    /// Every distinct keyed operand use, sorted by key.
     pub operands: Vec<OperandProfile>,
 }
 
@@ -114,24 +122,12 @@ pub struct SharingProfile {
 }
 
 impl SharingProfile {
-    /// Total predicted hash-table builds across the strategy.
-    pub fn predicted_builds(&self) -> u64 {
-        self.exprs.iter().map(|e| e.predicted_builds).sum()
-    }
-
-    /// Total predicted hash-table reuses across the strategy.
-    pub fn predicted_reuses(&self) -> u64 {
-        self.exprs.iter().map(|e| e.predicted_reuses).sum()
-    }
-
-    /// Total predicted cross-expression hash-table reuses.
-    pub fn predicted_cross_reuses(&self) -> u64 {
-        self.exprs.iter().map(|e| e.predicted_cross_reuses).sum()
-    }
-
-    /// Total predicted strategy-cache-served raw operand reads.
-    pub fn predicted_cached_reads(&self) -> u64 {
-        self.exprs.iter().map(|e| e.predicted_cached_reads).sum()
+    /// Total filtered rows of the keys found in the store across the
+    /// strategy — the hash builds avoided by probing earlier expressions'
+    /// tables, which the shared planner objective prices.
+    pub fn cross_saved_rows(&self) -> u64 {
+        let operands = self.exprs.iter().flat_map(|e| &e.operands);
+        operands.filter(|o| o.held).map(|o| o.rows).sum()
     }
 }
 
@@ -160,14 +156,14 @@ pub fn analyze_sharing(g: &Vdag, s: &Strategy, profile: &SharingProfile) -> Repo
                     op.label(),
                     op.rows,
                     op.occurrences,
-                    prof.terms,
+                    prof.terms.len(),
                     op.occurrences - 1,
-                    op.saved_rows,
+                    op.rows * (op.occurrences - 1),
                 ),
                 primary: Some(i),
                 primary_label: "repeated operand build across terms".to_string(),
                 related: vec![],
-                views: vec![prof.view.clone(), op.source.clone()],
+                views: vec![safe_name(g, expr.subject()), op.source.clone()],
             });
         }
     }
@@ -212,14 +208,14 @@ pub fn analyze_sharing(g: &Vdag, s: &Strategy, profile: &SharingProfile) -> Repo
                 primary: Some(i),
                 primary_label: "aliases split an otherwise-shared cache key".to_string(),
                 related: vec![],
-                views: vec![prof.view.clone(), first.source.clone()],
+                views: vec![safe_name(g, expr.subject()), first.source.clone()],
             });
         }
     }
 
-    // UWW012: a Comp rebuilds a table an earlier Comp built, with the
+    // UWW012: a Comp needs a table an earlier Comp built, with the
     // operand unmodified in between. Each rebuild is attributed to the
-    // *first* builder of its live run — the table a strategy-wide cache
+    // *first* builder of its live run — the table a window-scope store
     // actually holds — so a chain of n sharing Comps prices n−1 avoided
     // rebuilds, not the n(n−1)/2 a pairwise walk would double-count.
     for (j, (ej, pj)) in s.exprs.iter().zip(&profile.exprs).enumerate() {
@@ -242,18 +238,18 @@ pub fn analyze_sharing(g: &Vdag, s: &Strategy, profile: &SharingProfile) -> Repo
                     {
                         return None;
                     }
-                    Some((i, ei, pi))
+                    Some((i, ei))
                 });
-            let Some((i, ei, pi)) = builder else {
+            let Some((i, ei)) = builder else {
                 continue;
             };
             out.push(Diagnostic {
                 rule: Rule::CrossCompShare,
                 severity: Severity::Warning,
                 message: format!(
-                    "{} rebuilds the hash table over {} ({} rows) that {} already built, \
-                     with {} unmodified in between; a strategy-wide operand cache would \
-                     reuse it (~{} rows saved)",
+                    "{} uses the hash table over {} ({} rows) that {} already built, \
+                     with {} unmodified in between; a window-scope operand store \
+                     serves it without a rebuild (~{} rows saved)",
                     safe_expr(g, ej),
                     oj.label(),
                     oj.rows,
@@ -264,7 +260,11 @@ pub fn analyze_sharing(g: &Vdag, s: &Strategy, profile: &SharingProfile) -> Repo
                 primary: Some(j),
                 primary_label: "cross-Comp rebuild of an unchanged operand".to_string(),
                 related: vec![(i, "same hash table first built here".to_string())],
-                views: vec![pi.view.clone(), pj.view.clone(), oj.source.clone()],
+                views: vec![
+                    safe_name(g, ei.subject()),
+                    safe_name(g, ej.subject()),
+                    oj.source.clone(),
+                ],
             });
         }
     }
@@ -305,38 +305,14 @@ mod tests {
             filters: vec![],
             rows: 100,
             occurrences: occ,
-            saved_rows: 100 * occ.saturating_sub(1),
+            held: false,
         }
     }
 
-    fn comp_profile(view: &str, operands: Vec<OperandProfile>) -> ExprSharingProfile {
-        let builds = operands.len() as u64;
-        let reuses = operands
-            .iter()
-            .map(|o| o.occurrences.saturating_sub(1))
-            .sum();
+    fn comp_profile(operands: Vec<OperandProfile>) -> ExprSharingProfile {
         ExprSharingProfile {
-            view: view.to_string(),
-            kind: "comp".to_string(),
-            terms: 3,
-            predicted_builds: builds,
-            predicted_reuses: reuses,
-            predicted_cross_reuses: 0,
-            predicted_cached_reads: 0,
+            terms: vec![],
             operands,
-        }
-    }
-
-    fn inst_profile(view: &str) -> ExprSharingProfile {
-        ExprSharingProfile {
-            view: view.to_string(),
-            kind: "inst".to_string(),
-            terms: 0,
-            predicted_builds: 0,
-            predicted_reuses: 0,
-            predicted_cross_reuses: 0,
-            predicted_cached_reads: 0,
-            operands: vec![],
         }
     }
 
@@ -347,7 +323,7 @@ mod tests {
         let v2 = g.id_of("V2").unwrap();
         let s = Strategy::from_exprs(vec![UpdateExpr::comp1(v4, v2)]);
         let profile = SharingProfile {
-            exprs: vec![comp_profile("V4", vec![op("V3", 1, false, 3)])],
+            exprs: vec![comp_profile(vec![op("V3", 1, false, 3)])],
         };
         let r = analyze_sharing(&g, &s, &profile);
         assert!(!r.has_errors());
@@ -367,7 +343,7 @@ mod tests {
         let mut b = op("V2", 2, false, 1);
         b.alias = "r".to_string();
         let profile = SharingProfile {
-            exprs: vec![comp_profile("V4", vec![a, b])],
+            exprs: vec![comp_profile(vec![a, b])],
         };
         let r = analyze_sharing(&g, &s, &profile);
         assert_eq!(r.warning_count(), 1);
@@ -383,10 +359,7 @@ mod tests {
         let v2 = g.id_of("V2").unwrap();
         let shared = || op("V1", 0, false, 1);
         let profile = SharingProfile {
-            exprs: vec![
-                comp_profile("V4", vec![shared()]),
-                comp_profile("V5", vec![shared()]),
-            ],
+            exprs: vec![comp_profile(vec![shared()]), comp_profile(vec![shared()])],
         };
         // Back-to-back Comps reusing stored V1: flagged.
         let s = Strategy::from_exprs(vec![UpdateExpr::comp1(v4, v2), UpdateExpr::comp1(v5, v2)]);
@@ -408,9 +381,9 @@ mod tests {
         ]);
         let profile2 = SharingProfile {
             exprs: vec![
-                comp_profile("V4", vec![shared()]),
-                inst_profile("V1"),
-                comp_profile("V5", vec![shared()]),
+                comp_profile(vec![shared()]),
+                ExprSharingProfile::default(),
+                comp_profile(vec![shared()]),
             ],
         };
         let r2 = analyze_sharing(&g, &s2, &profile2);
@@ -439,9 +412,9 @@ mod tests {
         ]);
         let profile = SharingProfile {
             exprs: vec![
-                comp_profile("V4", vec![shared()]),
-                comp_profile("V5", vec![shared()]),
-                comp_profile("V4", vec![shared()]),
+                comp_profile(vec![shared()]),
+                comp_profile(vec![shared()]),
+                comp_profile(vec![shared()]),
             ],
         };
         let r = analyze_sharing(&g, &s, &profile);
@@ -473,11 +446,11 @@ mod tests {
         ]);
         let profile2 = SharingProfile {
             exprs: vec![
-                comp_profile("V4", vec![shared()]),
-                comp_profile("V5", vec![shared()]),
-                inst_profile("V1"),
-                comp_profile("V4", vec![shared()]),
-                comp_profile("V5", vec![shared()]),
+                comp_profile(vec![shared()]),
+                comp_profile(vec![shared()]),
+                ExprSharingProfile::default(),
+                comp_profile(vec![shared()]),
+                comp_profile(vec![shared()]),
             ],
         };
         let r2 = analyze_sharing(&g, &s2, &profile2);
@@ -505,9 +478,9 @@ mod tests {
         ]);
         let profile = SharingProfile {
             exprs: vec![
-                comp_profile("V5", vec![dv4()]),
-                comp_profile("V4", vec![]),
-                comp_profile("V5", vec![dv4()]),
+                comp_profile(vec![dv4()]),
+                comp_profile(vec![]),
+                comp_profile(vec![dv4()]),
             ],
         };
         let r = analyze_sharing(&g, &s, &profile);
@@ -525,7 +498,7 @@ mod tests {
         let g = figure3_vdag();
         let s = Strategy::from_exprs(vec![UpdateExpr::inst(ViewId(0))]);
         let profile = SharingProfile {
-            exprs: vec![inst_profile("V1")],
+            exprs: vec![ExprSharingProfile::default()],
         };
         assert!(analyze_sharing(&g, &s, &profile).is_clean());
     }

@@ -65,23 +65,13 @@ impl<'a> CostModel<'a> {
         self.sizes
     }
 
-    /// Prices an intra-`Comp` sharing opportunity under the linear metric
-    /// (Definition 3.5): an operand of `rows` filtered rows that `occurrences`
-    /// keyed join steps build a hash table over costs `c · rows` per build, so
-    /// interning the table saves `c · rows · (occurrences − 1)` work units —
-    /// the builds avoided by reuse.
-    pub fn share_saving(&self, rows: u64, occurrences: u64) -> f64 {
-        self.comp_coeff * rows as f64 * occurrences.saturating_sub(1) as f64
-    }
-
     /// Prices a *cross*-expression sharing opportunity (strategy-scope
     /// cache): a `Comp` that probes a table published by an earlier
     /// expression avoids one `c · rows` hash build per consumed key. The
     /// publisher pays nothing extra under the linear metric — a keyed join
     /// charges build + probe over both sides whichever side is built — so
     /// the saving is the whole of it. `rows` is the total filtered rows of
-    /// the consumed keys
-    /// ([`StrategySharingPlan::cross_saved_rows`](crate::engine::StrategySharingPlan::cross_saved_rows)).
+    /// the consumed keys (`SharingProfile::cross_saved_rows`).
     pub fn cross_share_saving(&self, rows: u64) -> f64 {
         self.comp_coeff * rows as f64
     }

@@ -5,8 +5,10 @@
 //! opens and commits its WAL, opens its run/stage/expression spans, journals
 //! its records, folds its meters and builds its report; `execute`,
 //! `execute_with`, `execute_carried`, `execute_staged` and
-//! [`crate::recovery`] differ only in the items they hand it.
+//! [`crate::recovery`] differ only in the items they hand it — and
+//! [`plan_strategy_sharing`] only in running it on a scratch clone.
 
+use crate::engine::pool::PartitionOptions;
 use crate::engine::share::{self, OperandStore, Retention, WindowCarry};
 use crate::engine::warehouse::{PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
@@ -14,6 +16,7 @@ use crate::parallel::{canonical_stage_order, ParallelStrategy};
 use crate::wal::{encode_pending, Manifest, ManifestExpr, RecordBody, WalConfig, WalWriter};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
+use uww_analysis::{ExprSharingProfile, SharingProfile};
 use uww_obs as obs;
 use uww_relational::{catalog_to_string, deltas_to_string, digest64, WorkMeter};
 use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr, ViewId};
@@ -45,7 +48,7 @@ pub struct ExecOptions {
     /// (default: one partition — the sequential engine). Final states, WAL
     /// bytes, and the full meter are byte-identical at any partition count;
     /// only wall-clock (and per-partition trace spans) change.
-    pub partition: crate::engine::pool::PartitionOptions,
+    pub partition: PartitionOptions,
 }
 
 impl Default for ExecOptions {
@@ -55,7 +58,7 @@ impl Default for ExecOptions {
             wal: None,
             strategy_sharing: false,
             predicted_work: None,
-            partition: crate::engine::pool::PartitionOptions::default(),
+            partition: PartitionOptions::default(),
         }
     }
 }
@@ -179,9 +182,7 @@ impl ExecutionReport {
 }
 
 /// What the operand store served during one window, as the meter and the
-/// store's producer tags measured it. What a predictor would have said is
-/// [`plan_strategy_sharing_carried`](crate::engine::plan_strategy_sharing_carried)'s
-/// to answer, offline.
+/// store's producer tags measured it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CarryConformance {
     /// Hash-table uses served by an earlier expression's or window's table.
@@ -210,6 +211,65 @@ pub struct WindowOutcome {
     pub carry: WindowCarry,
     /// What the operand store served during this window.
     pub conformance: CarryConformance,
+    /// What each expression this run executed did beside its meter — every
+    /// `Comp`'s term join orders and keyed operand uses — in execution
+    /// order (a recovered window's replayed prefix is not among them).
+    pub profile: SharingProfile,
+}
+
+/// How long the operand store of a described window keeps its entries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SharingScope {
+    /// Emptied after each `Comp` — the default.
+    Comp,
+    /// Kept to the end of the window: materializations and build tables
+    /// survive across expressions until the operand is modified.
+    Strategy,
+}
+
+/// Describes the window `strategy` would be on `w` without running it for
+/// real: a scratch clone — publisher detached, spans suppressed, no
+/// validation, no WAL — goes through the one window runner at the requested
+/// store scope, and the outcome is the description. Per-expression meters,
+/// term join orders and operand uses are therefore exactly what executing
+/// the strategy next reports. Offline: as costly as running the window.
+pub fn plan_strategy_sharing(
+    w: &Warehouse,
+    strategy: &Strategy,
+    scope: SharingScope,
+) -> CoreResult<WindowOutcome> {
+    describe(w, strategy, scope, None)
+}
+
+/// [`plan_strategy_sharing`] for a carried window: the scratch run's store
+/// starts from `carry` (at the partition count it was built at) and keeps
+/// stored-role entries past the strategy's end, as
+/// [`Warehouse::execute_carried`] does.
+pub fn plan_strategy_sharing_carried(
+    w: &Warehouse,
+    strategy: &Strategy,
+    carry: &WindowCarry,
+) -> CoreResult<WindowOutcome> {
+    describe(w, strategy, SharingScope::Strategy, Some(carry))
+}
+
+fn describe(
+    w: &Warehouse,
+    strategy: &Strategy,
+    scope: SharingScope,
+    carry: Option<&WindowCarry>,
+) -> CoreResult<WindowOutcome> {
+    let mut scratch = w.clone();
+    // A description must not reach online readers or an installed trace.
+    scratch.detach_publisher();
+    let _quiet = obs::suppress();
+    let opts = ExecOptions {
+        validate: false,
+        strategy_sharing: scope == SharingScope::Strategy,
+        partition: PartitionOptions::with_partitions(carry.map_or(1, OperandStore::partitions)),
+        ..ExecOptions::default()
+    };
+    scratch.run_window(&serial_items(strategy), None, &opts, None, carry.cloned())
 }
 
 /// One window item: `(manifest idx, §9 stage, expression)`.
@@ -237,6 +297,8 @@ struct Run<'a> {
     /// The items not yet finished, the running one first.
     rest: &'a [Item<'a>],
     report: ExecutionReport,
+    /// One entry per `report.per_expr` entry.
+    profile: SharingProfile,
 }
 
 impl Run<'_> {
@@ -396,6 +458,7 @@ impl Warehouse {
             carried,
             rest: items,
             report: ExecutionReport::default(),
+            profile: SharingProfile::default(),
         };
         for group in items.chunk_by(|a, b| a.1 == b.1) {
             let stage = group[0].1;
@@ -440,6 +503,7 @@ impl Warehouse {
                 measured_carried_table_hits,
                 measured_carried_raw_hits,
             },
+            profile: run.profile,
         })
     }
 
@@ -486,9 +550,10 @@ impl Warehouse {
             };
             let t = Instant::now();
             share::comp_fragment(this, *view, over, opts.partition, store, item.0, retention)
-                .map(|(fragment, work, _)| (fragment, work, t.elapsed()))
+                .map(|(fragment, work, profile)| (fragment, work, profile, t.elapsed()))
         };
-        let results: Vec<CoreResult<(PendingDelta, WorkMeter, Duration)>> = match batch {
+        type Computed = (PendingDelta, WorkMeter, ExprSharingProfile, Duration);
+        let results: Vec<CoreResult<Computed>> = match batch {
             [one] => {
                 let retention = run.window_scope.then_some((&run.rest[1..], run.carried));
                 vec![fragment_of(one, &mut run.store, retention)]
@@ -502,7 +567,7 @@ impl Warehouse {
                         scope.spawn(move || {
                             let mut span = this.expr_span(parent, item, opts);
                             let out = fragment_of(item, &mut OperandStore::empty(), None);
-                            if let Ok((_, work, _)) = &out {
+                            if let Ok((_, work, ..)) = &out {
                                 meter_attrs(&mut span, work);
                             }
                             out
@@ -520,7 +585,7 @@ impl Warehouse {
             }),
         };
         for (&(idx, _, expr), result) in batch.iter().zip(results) {
-            let (fragment, mut work, wall) = result?;
+            let (fragment, mut work, profile, wall) = result?;
             if let Some(w) = &mut run.wal {
                 let payload = encode_pending(&fragment);
                 w.append(&RecordBody::CompDone {
@@ -548,6 +613,7 @@ impl Warehouse {
                 wall,
                 replayed: false,
             });
+            run.profile.exprs.push(profile);
         }
         run.rest = &run.rest[batch.len()..];
         Ok(())
@@ -582,6 +648,7 @@ impl Warehouse {
             wall: t0.elapsed(),
             replayed: false,
         });
+        run.profile.exprs.push(ExprSharingProfile::default());
         run.rest = &run.rest[1..];
         Ok(())
     }

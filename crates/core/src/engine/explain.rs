@@ -1,38 +1,31 @@
-//! EXPLAIN: the physical plan a strategy will execute, without running it.
+//! EXPLAIN: the physical plan a strategy executes, read off a scratch run.
 //!
-//! For each `Comp(W, Y)` this renders the maintenance terms (which operands
-//! play the delta role, which stored extents get scanned, and the greedy
-//! join order the evaluator will choose), plus the model-predicted work.
-//! The paper's WHA writes update scripts by hand; `explain` is the tool
-//! that shows what each script line actually does.
+//! For each `Comp(W, Y)` this renders the maintenance terms — which operands
+//! play the delta role, which stored extents get scanned, and the join order
+//! the engine runs, sized by the filtered row counts it was chosen by — plus
+//! the model-predicted work. Nothing here plans a join: the terms are what
+//! [`plan_strategy_sharing`] saw the window runner execute on a scratch
+//! clone, so each `Comp` is explained against the state the preceding
+//! expressions leave. The paper's WHA writes update scripts by hand;
+//! `explain` is the tool that shows what each script line actually does.
 
 use crate::cost::CostModel;
 use crate::engine::eval;
+use crate::engine::exec::{plan_strategy_sharing, SharingScope};
 use crate::engine::warehouse::Warehouse;
-use crate::error::{CoreError, CoreResult};
-use std::collections::{BTreeSet, HashSet};
+use crate::error::CoreResult;
 use std::fmt::Write as _;
-use uww_vdag::{Strategy, UpdateExpr, ViewId};
-
-/// The physical plan of one maintenance term.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TermPlan {
-    /// Source views in the delta role for this term.
-    pub delta_sources: Vec<String>,
-    /// Every operand in the greedy join order, rendered as
-    /// `Δname(rows)` or `name(rows)`.
-    pub join_order: Vec<String>,
-    /// Whether the term will be skipped because some delta is empty.
-    pub skipped: bool,
-}
+use uww_analysis::TermProfile;
+use uww_vdag::{Strategy, UpdateExpr};
 
 /// The plan of one strategy expression.
 #[derive(Clone, Debug)]
 pub struct ExprPlan {
     /// The expression.
     pub expr: UpdateExpr,
-    /// Terms, for `Comp` expressions.
-    pub terms: Vec<TermPlan>,
+    /// Every maintenance term of a `Comp`, in term order; a term skipped
+    /// over an empty delta has no join order.
+    pub terms: Vec<TermProfile>,
     /// Model-predicted work given the installs preceding this expression.
     pub predicted_work: f64,
 }
@@ -41,108 +34,34 @@ impl Warehouse {
     /// Explains every expression of `strategy` against the current state
     /// and pending deltas, using `model` for work predictions.
     pub fn explain(&self, strategy: &Strategy, model: &CostModel<'_>) -> CoreResult<Vec<ExprPlan>> {
-        let mut installed: HashSet<ViewId> = HashSet::new();
-        let mut out = Vec::with_capacity(strategy.len());
-        for e in &strategy.exprs {
-            let predicted_work = model.expression_work(e, &installed);
-            let terms = match e {
-                UpdateExpr::Inst(_) => Vec::new(),
-                UpdateExpr::Comp { view, over } => self.explain_comp(*view, over)?,
-            };
-            out.push(ExprPlan {
-                expr: e.clone(),
-                terms,
-                predicted_work,
-            });
-            if let UpdateExpr::Inst(v) = e {
-                installed.insert(*v);
-            }
-        }
-        Ok(out)
-    }
-
-    fn explain_comp(&self, view: ViewId, over: &BTreeSet<ViewId>) -> CoreResult<Vec<TermPlan>> {
-        let g = self.vdag();
-        let name = g.name(view);
-        let def = self
-            .def(name)
-            .ok_or_else(|| CoreError::Warehouse(format!("no definition for {name}")))?;
-        let over_names: BTreeSet<String> = over.iter().map(|v| g.name(*v).to_string()).collect();
-
-        let mut plans = Vec::new();
-        for subset in eval::nonempty_subsets(&over_names) {
-            let skipped = subset
-                .iter()
-                .any(|v| self.pending_len(v).map(|n| n == 0).unwrap_or(true));
-            // Reconstruct the greedy join order: smallest operand first,
-            // then smallest connected (mirrors eval::eval_term's policy).
-            let mut sizes: Vec<(usize, u64, bool)> = Vec::new(); // (source idx, rows, is_delta)
-            for (i, s) in def.sources.iter().enumerate() {
-                let is_delta = subset.contains(&s.view);
-                let rows = if is_delta {
-                    self.pending_len(&s.view)?
-                } else {
-                    self.table(&s.view)?.len()
+        let described = plan_strategy_sharing(self, strategy, SharingScope::Comp)?;
+        let exprs = strategy.exprs.iter().zip(described.profile.exprs);
+        Ok(exprs
+            .zip(model.per_expression_work(strategy))
+            .map(|((e, ran), predicted_work)| {
+                // The runner reports the terms it evaluated; the rest of the
+                // `Comp`'s terms were skipped.
+                let mut ran = ran.terms.into_iter().peekable();
+                let all = match e {
+                    UpdateExpr::Comp { over, .. } => eval::nonempty_subsets(&self.view_names(over)),
+                    UpdateExpr::Inst(_) => Vec::new(),
                 };
-                sizes.push((i, rows, is_delta));
-            }
-            let mut remaining: Vec<(usize, u64, bool)> = sizes.clone();
-            remaining.sort_by_key(|(_, rows, _)| *rows);
-            let mut order = Vec::new();
-            let mut in_set: Vec<bool> = vec![false; def.sources.len()];
-            // First pick: global smallest.
-            let (first, _, _) = remaining[0];
-            in_set[first] = true;
-            order.push(first);
-            while order.len() < def.sources.len() {
-                let connected: Vec<usize> = (0..def.sources.len())
-                    .filter(|&i| !in_set[i] && is_connected(def, &in_set, i))
-                    .collect();
-                let next = connected
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| sizes[i].1)
-                    .or_else(|| {
-                        (0..def.sources.len())
-                            .filter(|&i| !in_set[i])
-                            .min_by_key(|&i| sizes[i].1)
-                    })
-                    .expect("sources remain");
-                in_set[next] = true;
-                order.push(next);
-            }
-            let join_order = order
-                .into_iter()
-                .map(|i| {
-                    let s = &def.sources[i];
-                    let (_, rows, is_delta) = sizes[i];
-                    if is_delta {
-                        format!("Δ{}({rows})", s.view)
-                    } else {
-                        format!("{}({rows})", s.view)
-                    }
-                })
-                .collect();
-            plans.push(TermPlan {
-                delta_sources: subset.iter().cloned().collect(),
-                join_order,
-                skipped,
-            });
-        }
-        Ok(plans)
+                let terms = all.into_iter().map(|subset| {
+                    let delta_sources: Vec<String> = subset.into_iter().collect();
+                    ran.next_if(|t| t.delta_sources == delta_sources)
+                        .unwrap_or(TermProfile {
+                            delta_sources,
+                            join_order: Vec::new(),
+                        })
+                });
+                ExprPlan {
+                    expr: e.clone(),
+                    terms: terms.collect(),
+                    predicted_work,
+                }
+            })
+            .collect())
     }
-}
-
-fn is_connected(def: &uww_relational::ViewDef, in_set: &[bool], candidate: usize) -> bool {
-    def.joins.iter().any(|j| {
-        match (
-            def.source_of_column(&j.left),
-            def.source_of_column(&j.right),
-        ) {
-            (Some(a), Some(b)) => (a == candidate && in_set[b]) || (b == candidate && in_set[a]),
-            _ => false,
-        }
-    })
 }
 
 /// Renders an explain result as indented text.
@@ -162,8 +81,8 @@ pub fn render_explain(warehouse: &Warehouse, plans: &[ExprPlan]) -> String {
                 "    term Δ{{{}}}: {}{}",
                 t.delta_sources.join(","),
                 t.join_order.join(" ⋈ "),
-                if t.skipped {
-                    "   [skipped: empty delta]"
+                if t.skipped() {
+                    "[skipped: empty delta]"
                 } else {
                     ""
                 }
@@ -180,38 +99,99 @@ mod tests {
     use crate::sizes::SizeCatalog;
     use std::collections::BTreeMap;
     use uww_relational::{
-        tup, DeltaRelation, EquiJoin, OutputColumn, Schema, Table, Value, ValueType, ViewDef,
-        ViewOutput, ViewSource,
+        tup, DeltaRelation, EquiJoin, OutputColumn, Predicate, Schema, Table, Value, ValueType,
+        ViewDef, ViewOutput, ViewSource,
     };
 
-    fn warehouse() -> Warehouse {
-        let mut r = Table::new("R", Schema::of(&[("k", ValueType::Int)]));
-        for i in 0..100 {
-            r.insert(tup![Value::Int(i)]).unwrap();
+    /// Single-column base tables holding `0..rows`, a view `V` joining them
+    /// on `joins`, and a batch deleting `0..n` from each `deleted` table.
+    fn fixture(
+        tables: &[(&str, i64)],
+        joins: &[(&str, &str)],
+        filters: Vec<Predicate>,
+        deleted: &[(&str, i64)],
+    ) -> Warehouse {
+        let mut b = Warehouse::builder();
+        for &(name, rows) in tables {
+            let mut t = Table::new(name, Schema::of(&[("k", ValueType::Int)]));
+            for i in 0..rows {
+                t.insert(tup![Value::Int(i)]).unwrap();
+            }
+            b = b.base_table(t);
         }
-        let mut s = Table::new("S", Schema::of(&[("k", ValueType::Int)]));
-        for i in 0..10 {
-            s.insert(tup![Value::Int(i)]).unwrap();
-        }
-        let def = ViewDef {
-            name: "V".into(),
-            sources: vec![ViewSource::named("R"), ViewSource::named("S")],
-            joins: vec![EquiJoin::new("R.k", "S.k")],
-            filters: vec![],
-            output: ViewOutput::Project(vec![OutputColumn::col("k", "R.k")]),
-        };
-        let mut w = Warehouse::builder()
-            .base_table(r)
-            .base_table(s)
-            .view(def)
+        let first = tables[0].0;
+        let mut w = b
+            .view(ViewDef {
+                name: "V".into(),
+                sources: tables.iter().map(|t| ViewSource::named(t.0)).collect(),
+                joins: joins.iter().map(|(l, r)| EquiJoin::new(*l, *r)).collect(),
+                filters,
+                output: ViewOutput::Project(vec![OutputColumn::col("k", format!("{first}.k"))]),
+            })
             .build()
             .unwrap();
-        let mut d = DeltaRelation::new(w.table("R").unwrap().schema().clone());
-        d.add(tup![Value::Int(0)], -1);
         let mut changes = BTreeMap::new();
-        changes.insert("R".to_string(), d);
+        for &(name, n) in deleted {
+            let mut d = DeltaRelation::new(w.table(name).unwrap().schema().clone());
+            for i in 0..n {
+                d.add(tup![Value::Int(i)], -1);
+            }
+            changes.insert(name.to_string(), d);
+        }
         w.load_changes(changes).unwrap();
         w
+    }
+
+    fn warehouse() -> Warehouse {
+        fixture(
+            &[("R", 100), ("S", 10)],
+            &[("R.k", "S.k")],
+            vec![],
+            &[("R", 1)],
+        )
+    }
+
+    #[test]
+    fn join_order_follows_pushed_down_filters() {
+        // Star on T; R is the larger extent but `R.k < 3` leaves 3 rows, so
+        // the engine joins it before the 10-row S.
+        let w = fixture(
+            &[("R", 100), ("S", 10), ("T", 5)],
+            &[("R.k", "T.k"), ("S.k", "T.k")],
+            vec![Predicate::col_lt("R.k", Value::Int(3))],
+            &[("T", 1)],
+        );
+        let sizes = SizeCatalog::estimate(&w).unwrap();
+        let strategy = min_work(w.vdag(), &sizes).unwrap().strategy;
+        let model = CostModel::new(w.vdag(), &sizes);
+        let term = &w.explain(&strategy, &model).unwrap()[0].terms[0];
+        assert_eq!(term.delta_sources, ["T"]);
+        assert_eq!(term.join_order, ["ΔT(1)", "R(3)", "S(10)"]);
+    }
+
+    #[test]
+    fn join_order_follows_earlier_installs() {
+        // ΔR empties R down to 2 rows; once it is installed, the term over
+        // ΔS(5) starts from R, not from the delta.
+        let w = fixture(
+            &[("R", 8), ("S", 20)],
+            &[("R.k", "S.k")],
+            vec![],
+            &[("R", 6), ("S", 5)],
+        );
+        let g = w.vdag();
+        let [v, r, s] = ["V", "R", "S"].map(|n| g.id_of(n).unwrap());
+        let strategy = Strategy::from_exprs(vec![
+            UpdateExpr::comp1(v, r),
+            UpdateExpr::inst(r),
+            UpdateExpr::comp1(v, s),
+            UpdateExpr::inst(s),
+            UpdateExpr::inst(v),
+        ]);
+        let sizes = SizeCatalog::estimate(&w).unwrap();
+        let explained = w.explain(&strategy, &CostModel::new(g, &sizes)).unwrap();
+        assert_eq!(explained[0].terms[0].join_order, ["ΔR(6)", "S(20)"]);
+        assert_eq!(explained[2].terms[0].join_order, ["R(2)", "ΔS(5)"]);
     }
 
     #[test]
@@ -233,7 +213,7 @@ mod tests {
             .unwrap();
         assert_eq!(comp_r.terms.len(), 1);
         assert_eq!(comp_r.terms[0].join_order[0], "ΔR(1)");
-        assert!(!comp_r.terms[0].skipped);
+        assert!(!comp_r.terms[0].skipped());
 
         // Comp(V,{S}): ΔS is empty -> skipped.
         let comp_s = explained
@@ -243,7 +223,7 @@ mod tests {
                     if over.iter().any(|v| w.vdag().name(*v) == "S"))
             })
             .unwrap();
-        assert!(comp_s.terms[0].skipped);
+        assert!(comp_s.terms[0].skipped());
         assert_eq!(comp_s.predicted_work, 0.0);
 
         let text = render_explain(&w, &explained);

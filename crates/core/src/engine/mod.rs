@@ -26,14 +26,13 @@ pub mod warehouse;
 
 pub(crate) use summary::raw_to_value as summary_raw_to_value;
 
-pub use exec::{CarryConformance, ExecOptions, ExecutionReport, ExprReport, WindowOutcome};
-pub use explain::{render_explain, ExprPlan, TermPlan};
+pub use exec::{
+    plan_strategy_sharing, plan_strategy_sharing_carried, CarryConformance, ExecOptions,
+    ExecutionReport, ExprReport, SharingScope, WindowOutcome,
+};
+pub use explain::{render_explain, ExprPlan};
 pub use pool::PartitionOptions;
 pub use publish::InstallPublisher;
-pub use share::{
-    plan_strategy_sharing, plan_strategy_sharing_carried, predict_comp_sharing,
-    predict_strategy_sharing, surviving_terms, CompSharingPlan, ExprSharingPrediction, OperandUse,
-    SharedIdentity, SharingScope, StrategySharingPlan, WindowCarry,
-};
+pub use share::{surviving_terms, WindowCarry};
 pub use summary::{stored_aggregate_schema, SummaryDelta, COUNT_COLUMN};
 pub use warehouse::{PendingDelta, Warehouse, WarehouseBuilder};

@@ -75,14 +75,20 @@ where
     // join), so `Relaxed` suffices.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Span suppression is per thread: a caller describing a window offline
+    // must not have its workers' spans reach an installed trace.
+    let quiet = uww_obs::suppressed();
     std::thread::scope(|scope| {
         for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                let _quiet = quiet.then(uww_obs::suppress);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(f(i));
                 }
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(f(i));
             });
         }
     });
@@ -108,6 +114,28 @@ mod tests {
                 assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
             }
         }
+    }
+
+    #[test]
+    fn workers_inherit_the_callers_span_suppression() {
+        use uww_obs::{SpanKind, TraceBuffer};
+        let buf = std::sync::Arc::new(TraceBuffer::new(1 << 16));
+        uww_obs::install(std::sync::Arc::clone(&buf));
+        let fan_out = |name: &'static str| {
+            run_tasks(4, 2, |_| {
+                drop(uww_obs::span_under(SpanKind::Operator, 0, name))
+            });
+        };
+        fan_out("pool-test-loud");
+        {
+            let _quiet = uww_obs::suppress();
+            fan_out("pool-test-quiet");
+        }
+        uww_obs::uninstall();
+        // Other tests of this binary may have recorded spans meanwhile.
+        let count = |name| buf.records().iter().filter(|s| s.name == name).count();
+        assert_eq!(count("pool-test-loud"), 4);
+        assert_eq!(count("pool-test-quiet"), 0);
     }
 
     #[test]

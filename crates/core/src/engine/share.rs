@@ -1,5 +1,4 @@
-//! Shared-operand term evaluation: one operand store and its offline
-//! predictor.
+//! Shared-operand term evaluation: one operand store.
 //!
 //! Within one `Comp(W, Y)` no `Inst` intervenes, so the stored extents and
 //! pending deltas every maintenance term scans are *identical* across the
@@ -47,8 +46,7 @@
 //! it occurs in two or more join steps across the `Comp`'s terms, or when
 //! retention will keep it for a later expression. Every other step builds
 //! fresh on its smaller side, exactly like `hash_join`. The resulting
-//! counters equal the `Comp`'s [`CompSharingPlan`] exactly, independent of
-//! data and of the partition count.
+//! counters are independent of the partition count.
 //!
 //! Three invariants make the store safe to enable by default:
 //!
@@ -66,28 +64,28 @@
 //! * **every planned step runs** — unlike the per-term reference, the shared
 //!   path performs every join step even when an intermediate empties
 //!   (joining an empty side costs nothing and emits nothing), so the
-//!   hash-table counters never drift below the `Comp`'s plan.
+//!   hash-table counters depend on the join sequences alone.
 //!
-//! **Prediction is offline.** [`plan_strategy_sharing`] and its siblings
-//! replay a strategy on a scratch clone through this same store and report
-//! what it did, per expression — for the shared planner objective, `uww
-//! analyze --sharing` and the benchmark. No production window calls them;
-//! "predicted ≡ measured" is what tests assert by calling them themselves.
+//! **There is no predictor.** What a `Comp` did — each term's join order
+//! and every distinct keyed operand use — leaves [`comp_fragment`] as an
+//! [`ExprSharingProfile`] beside the meter; describing a window offline is
+//! running it on a scratch clone
+//! ([`plan_strategy_sharing`](crate::engine::plan_strategy_sharing)).
 
 use crate::engine::eval;
-use crate::engine::exec::{meter_attrs, serial_items, Item};
+use crate::engine::exec::{meter_attrs, Item};
 use crate::engine::pool::{self, PartitionOptions};
 use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use uww_analysis::modifies_operand;
+use uww_analysis::{modifies_operand, ExprSharingProfile, OperandProfile, TermProfile};
 use uww_obs as obs;
 use uww_relational::ops::{self, GroupAcc, PartitionedTable, Partitioner, SignedRows};
 use uww_relational::{
     BoundPredicate, Catalog, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter,
 };
-use uww_vdag::{Strategy, UpdateExpr, Vdag, ViewId};
+use uww_vdag::{UpdateExpr, Vdag, ViewId};
 
 /// One materialized operand: the filtered rows every term sees, plus the
 /// raw (pre-filter) extent size the logical metric charges per term.
@@ -99,31 +97,6 @@ struct CachedOperand {
 /// A `Comp`-local build key: `(source index, as_delta, key columns)`.
 type TableKey = (usize, bool, Vec<usize>);
 
-/// One distinct keyed build inside a `Comp`'s term set — a node of the
-/// sharing-opportunity graph. Two uses share a hash table exactly when
-/// their whole `(source position, role, key columns)` key matches; the
-/// analyzer's `UWW013` flags uses equal modulo the source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OperandUse {
-    /// Source view name.
-    pub source: String,
-    /// Source alias (distinct for self-join aliases).
-    pub alias: String,
-    /// Source position in the view definition — the cache-key component
-    /// that distinguishes aliases of one view.
-    pub source_idx: usize,
-    /// True when the operand is the delta form of the source.
-    pub as_delta: bool,
-    /// Build-key column names, in key order.
-    pub key_cols: Vec<String>,
-    /// Rendered pushed-down filters applied to this operand.
-    pub filters: Vec<String>,
-    /// Filtered operand cardinality (rows one build scans).
-    pub rows: u64,
-    /// Keyed join steps using this exact key across the `Comp`'s terms.
-    pub occurrences: u64,
-}
-
 /// The store key of a keyed build: everything the table's contents depend
 /// on — source view, role, key column names (alias qualified), and the
 /// rendered pushed-down filters — but *not* the source position, so
@@ -131,48 +104,16 @@ pub struct OperandUse {
 /// equal identity over an operand no expression modified in between
 /// materialize element-identical filtered rows and therefore build
 /// interchangeable hash tables.
-pub type SharedIdentity = (String, bool, Vec<String>, Vec<String>);
+type SharedIdentity = (String, bool, Vec<String>, Vec<String>);
 
-impl OperandUse {
-    /// This use's store key.
-    pub fn identity(&self) -> SharedIdentity {
-        (
-            self.source.clone(),
-            self.as_delta,
-            self.key_cols.clone(),
-            self.filters.clone(),
-        )
-    }
-}
-
-/// What the store did for one `Comp`: the exact hash-table counters the
-/// shared engine produced, plus every distinct keyed operand use.
-#[derive(Clone, Debug, Default)]
-pub struct CompSharingPlan {
-    /// Surviving terms the plan covers (footnote-5 filter applied).
-    pub terms: usize,
-    /// Hash tables the shared engine will build — one per distinct key the
-    /// store did not already hold.
-    pub predicted_builds: u64,
-    /// Reuses the shared engine will record — every other keyed step.
-    pub predicted_reuses: u64,
-    /// Of `predicted_reuses`, join steps served from a hash table built by
-    /// an *earlier expression* or window (zero at per-`Comp` scope).
-    pub cross_reuses: u64,
-    /// Raw operand reads served from an earlier expression's or window's
-    /// materialization instead of re-scanning the stored/delta extent.
-    pub cached_reads: u64,
-    /// Filtered rows of the keys the store already held — the hash builds
-    /// this `Comp` avoids by probing earlier expressions' tables, which is
-    /// what
-    /// [`CostModel::cross_share_saving`](crate::cost::CostModel::cross_share_saving)
-    /// prices.
-    pub cross_saved_rows: u64,
-    /// Distinct raw `(view, as-delta)` reads the materialization performs,
-    /// sorted — the store's unit of materialization reuse.
-    pub reads: Vec<(String, bool)>,
-    /// One entry per distinct keyed build, sorted by key.
-    pub operands: Vec<OperandUse>,
+/// `use_`'s store key.
+fn identity(use_: &OperandProfile) -> SharedIdentity {
+    (
+        use_.source.clone(),
+        use_.as_delta,
+        use_.key_cols.clone(),
+        use_.filters.clone(),
+    )
 }
 
 /// Who produced a store entry: the strategy position of the `Comp` that
@@ -393,8 +334,8 @@ struct CompInputs {
     stored: HashMap<TableKey, SharedIdentity>,
     /// Partition-parallel configuration every stored build is split at.
     partition: PartitionOptions,
-    /// What the store will do for this `Comp`.
-    plan: CompSharingPlan,
+    /// Every distinct keyed build of the `Comp`'s terms, sorted by key.
+    operands: Vec<OperandProfile>,
 }
 
 impl CompInputs {
@@ -504,28 +445,21 @@ impl CompInputs {
         };
         let mut steps = Vec::with_capacity(terms.len());
         let mut uses: BTreeMap<TableKey, u64> = BTreeMap::new();
-        let mut keyed_steps = 0u64;
         for t in terms {
             let term = plan_term_steps(def, &qschemas, &size_of, t)?;
             for (next, _, rk) in term.steps.iter().filter(|(_, lk, _)| !lk.is_empty()) {
                 let role = t.contains(&def.sources[*next].view);
                 *uses.entry((*next, role, rk.clone())).or_insert(0) += 1;
-                keyed_steps += 1;
             }
             steps.push(term);
         }
 
-        let mut plan = CompSharingPlan {
-            terms: terms.len(),
-            cached_reads: meter.operand_reads_cached,
-            reads: reads.into_iter().collect(),
-            ..CompSharingPlan::default()
-        };
+        let mut operands = Vec::with_capacity(uses.len());
         let mut stored: HashMap<TableKey, SharedIdentity> = HashMap::new();
         for (key, &occurrences) in &uses {
             let (i, as_delta, cols) = key;
             let s = &def.sources[*i];
-            let use_ = OperandUse {
+            let mut use_ = OperandProfile {
                 source: s.view.clone(),
                 alias: s.alias.clone(),
                 source_idx: *i,
@@ -540,25 +474,19 @@ impl CompInputs {
                     .collect(),
                 rows: size_of(*i, *as_delta) as u64,
                 occurrences,
+                held: false,
             };
-            let id = use_.identity();
+            let id = identity(&use_);
             // A key the store holds never builds here: every use probes the
             // earlier table. One it does not hold is built once and stored
             // when this `Comp` uses it again or a later expression can.
-            if store.tables.contains_key(&id) {
-                plan.cross_reuses += occurrences;
-                plan.cross_saved_rows += use_.rows;
+            use_.held = store.tables.contains_key(&id);
+            let entry = (s.view.as_str(), *as_delta, Some(&id));
+            if use_.held || occurrences >= 2 || read_later(w, retention, entry) == Keep::Reader {
                 stored.insert(key.clone(), id);
-            } else {
-                plan.predicted_builds += 1;
-                let entry = (s.view.as_str(), *as_delta, Some(&id));
-                if occurrences >= 2 || read_later(w, retention, entry) == Keep::Reader {
-                    stored.insert(key.clone(), id);
-                }
             }
-            plan.operands.push(use_);
+            operands.push(use_);
         }
-        plan.predicted_reuses = keyed_steps - plan.predicted_builds;
 
         Ok((
             CompInputs {
@@ -567,10 +495,30 @@ impl CompInputs {
                 steps,
                 stored,
                 partition,
-                plan,
+                operands,
             },
             meter,
         ))
+    }
+
+    /// Term `ti` (over delta subset `subset`) as it will run: its operands
+    /// in join order, each with the filtered size the order was chosen by.
+    fn term_profile(&self, def: &ViewDef, ti: usize, subset: &BTreeSet<String>) -> TermProfile {
+        let plan = &self.steps[ti];
+        let order = std::iter::once(plan.start).chain(plan.steps.iter().map(|s| s.0));
+        TermProfile {
+            delta_sources: subset.iter().cloned().collect(),
+            join_order: order
+                .map(|i| {
+                    let view = &def.sources[i].view;
+                    let as_delta = subset.contains(view);
+                    let rows = (self.slots[i][usize::from(as_delta)].as_ref())
+                        .map_or(0, |op| op.rows.len());
+                    let role = if as_delta { "Δ" } else { "" };
+                    format!("{role}{view}({rows})")
+                })
+                .collect(),
+        }
     }
 
     fn operand(&self, i: usize, as_delta: bool) -> CoreResult<&CachedOperand> {
@@ -1074,7 +1022,8 @@ fn term_label(subset: &BTreeSet<String>) -> String {
 /// independent `Comp` expressions of one parallel stage can run on separate
 /// threads (Section 9), each with a store of its own. The fragment bytes and
 /// logical meter equal [`eval::reference_comp_fragment`]'s; only the
-/// physical counters differ.
+/// physical counters differ. The profile is what ran: each surviving term's
+/// join order and every distinct keyed operand use.
 pub(crate) fn comp_fragment(
     w: &Warehouse,
     view: ViewId,
@@ -1083,7 +1032,7 @@ pub(crate) fn comp_fragment(
     store: &mut OperandStore,
     at: usize,
     retention: Retention<'_>,
-) -> CoreResult<(PendingDelta, WorkMeter, CompSharingPlan)> {
+) -> CoreResult<(PendingDelta, WorkMeter, ExprSharingProfile)> {
     let name = w.vdag().name(view);
     let def = w
         .def(name)
@@ -1093,12 +1042,7 @@ pub(crate) fn comp_fragment(
     let (inputs, mut total) = {
         let mut sp = obs::span(obs::SpanKind::Operator, "materialize_operands");
         let (inputs, meter) = CompInputs::build(w, def, &terms, partition, store, at, retention)?;
-        let plan = &inputs.plan;
         sp.attr_u64(obs::keys::PHYSICAL_ROWS, meter.physical_rows_touched);
-        sp.attr_u64(obs::keys::PREDICTED_HASH_BUILDS, plan.predicted_builds);
-        sp.attr_u64(obs::keys::PREDICTED_HASH_REUSES, plan.predicted_reuses);
-        sp.attr_u64(obs::keys::PREDICTED_HASH_CROSS_REUSES, plan.cross_reuses);
-        sp.attr_u64(obs::keys::PREDICTED_CACHED_READS, plan.cached_reads);
         (inputs, meter)
     };
     for (ti, subset) in terms.iter().enumerate() {
@@ -1124,12 +1068,17 @@ pub(crate) fn comp_fragment(
     store.retain(|view, as_delta, table| {
         read_later(w, retention, (view, as_delta, table)) != Keep::No
     });
-    Ok((fragment, total, inputs.plan))
+    let profile = ExprSharingProfile {
+        terms: (terms.iter().enumerate())
+            .map(|(ti, subset)| inputs.term_profile(def, ti, subset))
+            .collect(),
+        operands: inputs.operands,
+    };
+    Ok((fragment, total, profile))
 }
 
 /// The surviving terms of a `Comp` over `over_names` under the footnote-5
-/// empty-delta filter — exactly the term set the executor evaluates, and
-/// therefore the term set every static prediction must cover.
+/// empty-delta filter — exactly the term set the executor evaluates.
 pub fn surviving_terms(w: &Warehouse, over_names: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
     eval::nonempty_subsets(over_names)
         .into_iter()
@@ -1139,179 +1088,4 @@ pub fn surviving_terms(w: &Warehouse, over_names: &BTreeSet<String>) -> Vec<BTre
                 .all(|v| w.pending(v).is_some_and(|d| !d.is_empty()))
         })
         .collect()
-}
-
-/// Statically predicts the shared engine's hash-table counters and operand
-/// uses for one `Comp(view, over)` against the warehouse's **current**
-/// state and pending deltas, at per-`Comp` scope. The prediction is exact:
-/// executing that `Comp` next (at any partition count) produces precisely
-/// `predicted_builds`/`predicted_reuses`.
-pub fn predict_comp_sharing(
-    w: &Warehouse,
-    view: &str,
-    over_names: &BTreeSet<String>,
-) -> CoreResult<CompSharingPlan> {
-    let def = w
-        .def(view)
-        .ok_or_else(|| CoreError::Warehouse(format!("no definition for {view}")))?;
-    let terms = surviving_terms(w, over_names);
-    // Predictions are partition-independent: the partitioned engine's
-    // logical and hash-table meters are byte-identical to sequential.
-    let (inputs, _) = CompInputs::build(
-        w,
-        def,
-        &terms,
-        PartitionOptions::default(),
-        &mut OperandStore::empty(),
-        0,
-        None,
-    )?;
-    Ok(inputs.plan)
-}
-
-/// The sharing prediction for one strategy expression.
-#[derive(Clone, Debug)]
-pub struct ExprSharingPrediction {
-    /// Target view name.
-    pub view: String,
-    /// `"comp"` or `"inst"` — matches the `expr_kind` span attribute.
-    pub kind: &'static str,
-    /// The `Comp`'s plan; zeroed for `Inst` (installs build no tables).
-    pub plan: CompSharingPlan,
-}
-
-/// Predicts the shared engine's per-expression hash-table counters for a
-/// whole strategy at per-`Comp` scope ([`plan_strategy_sharing`]).
-pub fn predict_strategy_sharing(
-    w: &Warehouse,
-    strategy: &Strategy,
-) -> CoreResult<Vec<ExprSharingPrediction>> {
-    Ok(plan_strategy_sharing(w, strategy, SharingScope::Comp)?.exprs)
-}
-
-/// How long a sharing plan's store keeps its entries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SharingScope {
-    /// Emptied after each `Comp` — the default.
-    Comp,
-    /// Kept to the end of the window: materializations and build tables
-    /// survive across expressions until the operand is modified.
-    Strategy,
-}
-
-/// What the store does for a whole strategy: exact per-expression
-/// predictions.
-pub struct StrategySharingPlan {
-    /// Per-expression predictions, in strategy order. Under
-    /// [`SharingScope::Strategy`] the build/reuse counters account for
-    /// cross-expression service and `cross_reuses`/`cached_reads` are
-    /// populated.
-    pub exprs: Vec<ExprSharingPrediction>,
-    /// Predicted hash-table uses served from a *previous window's* carried
-    /// table (zero unless the plan was seeded with a [`WindowCarry`]).
-    /// Subset of the total predicted cross-reuses.
-    pub carried_table_hits: u64,
-    /// Predicted raw operand reads served from a previous window's carried
-    /// materialization. Subset of the total predicted cached reads.
-    pub carried_raw_hits: u64,
-}
-
-impl StrategySharingPlan {
-    /// Total predicted cross-expression hash-table reuses.
-    pub fn cross_reuses(&self) -> u64 {
-        self.exprs.iter().map(|e| e.plan.cross_reuses).sum()
-    }
-
-    /// Total predicted raw operand reads served from the store.
-    pub fn cached_reads(&self) -> u64 {
-        self.exprs.iter().map(|e| e.plan.cached_reads).sum()
-    }
-
-    /// Total filtered rows of the keys found in the store across the
-    /// strategy — the build-avoidance quantity the shared planner objective
-    /// prices.
-    pub fn cross_saved_rows(&self) -> u64 {
-        self.exprs.iter().map(|e| e.plan.cross_saved_rows).sum()
-    }
-}
-
-/// Predicts a whole strategy's sharing at the requested scope by replaying
-/// it on a scratch clone through an [`OperandStore`] of that scope — the
-/// store, liveness rule and retention rule the window runner uses — and
-/// reporting each `Comp`'s plan. Each `Comp` is planned against the state
-/// the preceding expressions produce (derived deltas — and hence operand
-/// sizes and join orders — depend on it). Validation is skipped; the
-/// strategy itself is not judged here. Offline: as costly as running the
-/// window, and no window runs it.
-pub fn plan_strategy_sharing(
-    w: &Warehouse,
-    strategy: &Strategy,
-    scope: SharingScope,
-) -> CoreResult<StrategySharingPlan> {
-    plan_strategy_sharing_seeded(w, strategy, scope, None)
-}
-
-/// [`plan_strategy_sharing`] at strategy scope for a carried window: the
-/// replay's store starts from `carry`, so expressions at the *front* of the
-/// strategy can be served by tables (and raw materializations) the previous
-/// window built, and keeps stored-role entries past the strategy's end as
-/// [`Warehouse::execute_carried`](crate::engine::Warehouse::execute_carried)
-/// does. The plan's `carried_table_hits`/`carried_raw_hits` predict exactly
-/// how many uses the carried entries will serve.
-pub fn plan_strategy_sharing_carried(
-    w: &Warehouse,
-    strategy: &Strategy,
-    carry: &WindowCarry,
-) -> CoreResult<StrategySharingPlan> {
-    plan_strategy_sharing_seeded(w, strategy, SharingScope::Strategy, Some(carry))
-}
-
-fn plan_strategy_sharing_seeded(
-    w: &Warehouse,
-    strategy: &Strategy,
-    scope: SharingScope,
-    carry: Option<&WindowCarry>,
-) -> CoreResult<StrategySharingPlan> {
-    let mut scratch = w.clone();
-    // The replay is a prediction, not part of a run: keep its spans out of
-    // any installed trace.
-    let _quiet = obs::suppress();
-    let items = serial_items(strategy);
-    let mut store =
-        OperandStore::start_window(carry.cloned(), carry.map_or(0, OperandStore::partitions));
-    let mut exprs = Vec::with_capacity(items.len());
-    for (at, &(_, _, expr)) in items.iter().enumerate() {
-        let view = scratch.vdag().name(expr.subject()).to_string();
-        let (kind, plan, changed) = match expr {
-            UpdateExpr::Comp { view: target, over } => {
-                let retention = (scope == SharingScope::Strategy)
-                    .then_some((&items[at + 1..], carry.is_some()));
-                let (fragment, _, plan) = comp_fragment(
-                    &scratch,
-                    *target,
-                    over,
-                    PartitionOptions::default(),
-                    &mut store,
-                    at,
-                    retention,
-                )?;
-                let changed = !fragment.is_empty();
-                scratch.merge_fragment(&view, fragment)?;
-                ("comp", plan, changed)
-            }
-            UpdateExpr::Inst(v) => (
-                "inst",
-                CompSharingPlan::default(),
-                scratch.exec_inst(*v)? > 0,
-            ),
-        };
-        store.expr_done(scratch.vdag(), expr, changed);
-        exprs.push(ExprSharingPrediction { view, kind, plan });
-    }
-    let (carried_table_hits, carried_raw_hits) = store.carried_hits();
-    Ok(StrategySharingPlan {
-        exprs,
-        carried_table_hits,
-        carried_raw_hits,
-    })
 }

@@ -43,11 +43,9 @@ pub mod wal;
 pub use cost::{CostMetric, CostModel};
 pub use design::{greedy_select, Candidate, DesignOutcome};
 pub use engine::{
-    plan_strategy_sharing, plan_strategy_sharing_carried, predict_comp_sharing,
-    predict_strategy_sharing, surviving_terms, CarryConformance, CompSharingPlan, ExecOptions,
-    ExecutionReport, ExprReport, ExprSharingPrediction, InstallPublisher, OperandUse,
-    PartitionOptions, PendingDelta, SharedIdentity, SharingScope, StrategySharingPlan,
-    SummaryDelta, Warehouse, WarehouseBuilder, WindowCarry, WindowOutcome,
+    plan_strategy_sharing, plan_strategy_sharing_carried, surviving_terms, CarryConformance,
+    ExecOptions, ExecutionReport, ExprReport, InstallPublisher, PartitionOptions, PendingDelta,
+    SharingScope, SummaryDelta, Warehouse, WarehouseBuilder, WindowCarry, WindowOutcome,
 };
 pub use error::{CoreError, CoreResult};
 pub use exhaustive::{all_one_way_vdag_strategies, all_vdag_strategies, best_vdag_strategy};
@@ -59,8 +57,8 @@ pub use parallel::{
 };
 pub use planner::{
     min_work, min_work_shared, min_work_shared_capped, min_work_single, one_way_for_ordering,
-    prune, prune_full, sharing_report, sharing_report_scoped, MinWorkPlan, PruneOutcome,
-    SharedPlanOutcome, PRUNE_MAX_VIEWS, SHARED_REPLAY_CAP,
+    prune, prune_full, MinWorkPlan, PruneOutcome, SharedPlanOutcome, PRUNE_MAX_VIEWS,
+    SHARED_REPLAY_CAP,
 };
 pub use recovery::{recover, recover_with, RecoveryOutcome};
 pub use script::{expr_to_sql, predicate_to_sql, value_to_sql, ScriptGenerator, SqlProcedure};

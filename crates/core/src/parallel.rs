@@ -62,7 +62,7 @@ pub fn parallelize(g: &Vdag, s: &Strategy) -> ParallelStrategy {
     for j in 0..n {
         let mut min_stage = 0usize;
         for (i, earlier_stage) in stage.iter().enumerate().take(j) {
-            if depends(g, &s.exprs[i], &s.exprs[j]) {
+            if uww_analysis::depends(g, &s.exprs[i], &s.exprs[j]) {
                 min_stage = min_stage.max(earlier_stage + 1);
             }
         }
@@ -74,25 +74,6 @@ pub fn parallelize(g: &Vdag, s: &Strategy) -> ParallelStrategy {
         stages[stage[j]].push(e.clone());
     }
     ParallelStrategy { stages }
-}
-
-/// True when `later` must stay after `earlier` (see [`parallelize`]).
-fn depends(g: &Vdag, earlier: &UpdateExpr, later: &UpdateExpr) -> bool {
-    match (earlier, later) {
-        // C3: Comp propagating Δv, then Inst(v); C5: Inst(W) after Comp(W,·).
-        (UpdateExpr::Comp { view, over }, UpdateExpr::Inst(v)) => over.contains(v) || *view == *v,
-        // C5 and C8.
-        (UpdateExpr::Comp { view: w1, .. }, UpdateExpr::Comp { view: w2, over }) => {
-            // C8: the later Comp propagates Δw1, or same view (keep a view's
-            // comps ordered so C4's install interleavings stay sequential).
-            *w1 == *w2 || over.contains(w1)
-        }
-        // State preservation: Inst(v) before a Comp that reads v.
-        (UpdateExpr::Inst(v), UpdateExpr::Comp { view, .. }) => g.sources(*view).contains(v),
-        // Inst(W) after its own comps is covered above; C5 here:
-        // (Comp(W,·), Inst(W)).
-        (UpdateExpr::Inst(_), UpdateExpr::Inst(_)) => false,
-    }
 }
 
 /// Makespan of a parallel strategy under the linear work metric: the sum

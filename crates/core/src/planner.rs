@@ -257,8 +257,8 @@ pub const SHARED_REPLAY_CAP: usize = 24;
 /// **MinWorkShared**: the sharing-aware planner objective. Scores each
 /// candidate 1-way strategy by `strategy_work − cross_share_saving`, where
 /// the saving prices the hash builds the strategy-scope operand cache
-/// avoids across expression boundaries ([`plan_strategy_sharing`]'s exact
-/// consumed-key rows). Candidates are every [`prune`]-feasible ordering's
+/// avoids across expression boundaries (the held-key rows of
+/// [`plan_strategy_sharing`]'s profile). Candidates are every [`prune`]-feasible ordering's
 /// strongly consistent representative (when the VDAG has at most
 /// [`PRUNE_MAX_VIEWS`] consumed views) plus the [`min_work`] strategy —
 /// capped at the [`SHARED_REPLAY_CAP`] linear-cheapest, which always
@@ -329,7 +329,9 @@ pub fn min_work_shared_capped(
         replayed += 1;
         debug_lint(g, &s);
         let saving = model.cross_share_saving(
-            plan_strategy_sharing(w, &s, SharingScope::Strategy)?.cross_saved_rows(),
+            plan_strategy_sharing(w, &s, SharingScope::Strategy)?
+                .profile
+                .cross_saved_rows(),
         );
         max_saving = max_saving.max(saving);
         let cost = linear - saving;
@@ -350,69 +352,6 @@ pub fn min_work_shared_capped(
     out.candidates = replayed;
     out.differs = out.strategy != out.baseline;
     Ok(out)
-}
-
-/// Runs the static sharing predictor over a strategy and lints the result:
-/// the planner-facing surface of the sharing-opportunity graph.
-///
-/// [`predict_strategy_sharing`](crate::engine::predict_strategy_sharing)
-/// replays the strategy against a scratch copy of `w`, computing for each
-/// `Comp` the exact hash-table builds/reuses the shared executor will
-/// perform; each opportunity is priced by `model` ([`CostModel::share_saving`])
-/// and the whole profile is handed to the `UWW011`–`UWW013` rules. Returns
-/// the profile (for conformance checking against a traced run) alongside
-/// the advisory report.
-pub fn sharing_report(
-    w: &crate::engine::Warehouse,
-    strategy: &Strategy,
-    model: &CostModel<'_>,
-) -> CoreResult<(uww_analysis::SharingProfile, uww_analysis::Report)> {
-    sharing_report_scoped(w, strategy, model, crate::engine::SharingScope::Comp)
-}
-
-/// [`sharing_report`] with an explicit cache scope: `SharingScope::Strategy`
-/// additionally predicts the cross-expression hash-table reuses and cached
-/// raw reads the strategy-scope cache will record, so conformance checking
-/// works against a `--strategy-sharing` trace.
-pub fn sharing_report_scoped(
-    w: &crate::engine::Warehouse,
-    strategy: &Strategy,
-    model: &CostModel<'_>,
-    scope: crate::engine::SharingScope,
-) -> CoreResult<(uww_analysis::SharingProfile, uww_analysis::Report)> {
-    let predictions = crate::engine::plan_strategy_sharing(w, strategy, scope)?.exprs;
-    let profile = uww_analysis::SharingProfile {
-        exprs: predictions
-            .into_iter()
-            .map(|p| uww_analysis::ExprSharingProfile {
-                view: p.view,
-                kind: p.kind.to_string(),
-                terms: p.plan.terms,
-                predicted_builds: p.plan.predicted_builds,
-                predicted_reuses: p.plan.predicted_reuses,
-                predicted_cross_reuses: p.plan.cross_reuses,
-                predicted_cached_reads: p.plan.cached_reads,
-                operands: p
-                    .plan
-                    .operands
-                    .into_iter()
-                    .map(|o| uww_analysis::OperandProfile {
-                        saved_rows: model.share_saving(o.rows, o.occurrences).round() as u64,
-                        source: o.source,
-                        alias: o.alias,
-                        source_idx: o.source_idx,
-                        as_delta: o.as_delta,
-                        key_cols: o.key_cols,
-                        filters: o.filters,
-                        rows: o.rows,
-                        occurrences: o.occurrences,
-                    })
-                    .collect(),
-            })
-            .collect(),
-    };
-    let report = uww_analysis::analyze_sharing(w.vdag(), strategy, &profile);
-    Ok((profile, report))
 }
 
 #[cfg(test)]

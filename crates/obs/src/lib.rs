@@ -52,6 +52,6 @@ pub mod timeline;
 
 pub use span::{
     current_span_id, enabled, install, keys, span, span_dyn, span_under, span_under_dyn,
-    subscriber, suppress, uninstall, AttrValue, Span, SpanKind, SpanRecord, SuppressGuard,
-    TraceBuffer, DEFAULT_CAPACITY,
+    subscriber, suppress, suppressed, uninstall, AttrValue, Span, SpanKind, SpanRecord,
+    SuppressGuard, TraceBuffer, DEFAULT_CAPACITY,
 };

@@ -107,14 +107,6 @@ pub mod keys {
     pub const HASH_CROSS_REUSES: &str = "hash_cross_reuses";
     /// Meter delta: raw operand reads served from the strategy-scope cache.
     pub const CACHED_READS: &str = "cached_reads";
-    /// Statically predicted hash-table builds for a `Comp`'s term set.
-    pub const PREDICTED_HASH_BUILDS: &str = "predicted_hash_builds";
-    /// Statically predicted hash-table reuses for a `Comp`'s term set.
-    pub const PREDICTED_HASH_REUSES: &str = "predicted_hash_reuses";
-    /// Statically predicted cross-expression hash-table reuses for a `Comp`.
-    pub const PREDICTED_HASH_CROSS_REUSES: &str = "predicted_hash_cross_reuses";
-    /// Statically predicted strategy-cache-served raw operand reads.
-    pub const PREDICTED_CACHED_READS: &str = "predicted_cached_reads";
     /// `1` on expression spans reconstructed from the WAL during recovery.
     pub const REPLAYED: &str = "replayed";
     /// WAL record sequence number.
@@ -328,6 +320,12 @@ pub fn suppress() -> SuppressGuard {
     SuppressGuard(())
 }
 
+/// True while a [`suppress`] guard lives on the current thread. A fan-out
+/// reads this before spawning so its workers can suppress too.
+pub fn suppressed() -> bool {
+    SUPPRESSED.with(|s| s.get()) > 0
+}
+
 /// Installs `buf` as the process-global subscriber and enables tracing.
 /// Replaces any previous subscriber.
 pub fn install(buf: Arc<TraceBuffer>) {
@@ -398,7 +396,7 @@ struct Active {
 pub struct Span(Option<Active>);
 
 fn start(kind: SpanKind, explicit_parent: Option<u64>, name: impl FnOnce() -> String) -> Span {
-    if !enabled() || SUPPRESSED.with(|s| s.get()) > 0 {
+    if !enabled() || suppressed() {
         return Span(None);
     }
     let Some(buf) = subscriber() else {

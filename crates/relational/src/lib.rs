@@ -30,7 +30,6 @@ pub mod ops;
 pub mod schema;
 pub mod snapshot;
 pub mod sql;
-pub mod stats;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -50,7 +49,6 @@ pub use snapshot::{
     value_from_wire, value_to_wire,
 };
 pub use sql::parse_view_def;
-pub use stats::{join_cardinality, ColumnStats, TableStats};
 pub use table::Table;
 pub use tuple::Tuple;
 pub use value::{date, days_to_ymd, ymd_to_days, Value, ValueType, DECIMAL_ONE, DECIMAL_SCALE};

@@ -176,20 +176,4 @@ proptest! {
         let back = inverse.applied_to(&forward).unwrap();
         prop_assert!(back.same_contents(&t));
     }
-
-    /// Statistics invariants: distinct ≤ rows, min ≤ max.
-    #[test]
-    fn stats_invariants(rows in arb_rows()) {
-        let t = table_of(&rows);
-        let s = uww_relational::TableStats::collect(&t);
-        prop_assert_eq!(s.rows, t.len());
-        for c in &s.columns {
-            prop_assert!(c.distinct <= s.rows.max(1));
-            if let (Some(min), Some(max)) = (&c.min, &c.max) {
-                prop_assert!(min <= max);
-            } else {
-                prop_assert_eq!(s.rows, 0);
-            }
-        }
-    }
 }

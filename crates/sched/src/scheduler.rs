@@ -103,7 +103,7 @@ impl Default for SchedConfig {
             window: 16,
             horizon: 200,
             carry: true,
-            planner: WindowPlanner::Shared,
+            planner: WindowPlanner::MinWork,
             wal_root: None,
             fsync: FsyncPolicy::Never,
             fault: None,

@@ -66,11 +66,11 @@
 //! `serve --metrics` prints each regime's final Prometheus scrape (the
 //! server's `METRICS` response). See `docs/OBSERVABILITY.md`.
 //!
-//! `analyze --sharing` adds the sharing-opportunity pass (`UWW011`–`UWW013`):
-//! the engine's static prediction of every hash-table build and reuse the
-//! shared executor will perform, priced by the cost model. `analyze --stages`
-//! always includes the interference pass (`UWW014`). `--verify-against
-//! TRACE.json` replays a `run --trace-out` trace against the prediction and
+//! `analyze --sharing` adds the sharing-opportunity pass (`UWW011`–`UWW013`)
+//! over the window's offline description: the strategy run on a scratch
+//! clone, every keyed operand use recorded. `analyze --stages` always
+//! includes the interference pass (`UWW014`). `--verify-against TRACE.json`
+//! compares a `run --trace-out` trace against the description's meter and
 //! fails on any divergence — use the same scenario/scale/frac/planner flags
 //! for both commands. See `docs/ANALYSIS.md`.
 
@@ -85,7 +85,7 @@ use uww::sched::{
     events_to_string, resume_after_crash, DeltaSource, IngestOutcome, IngestScheduler, Policy,
     ReplaySource, SchedConfig, SeededSource, SeededSourceConfig, SlaConfig, WindowPlanner,
 };
-use uww::vdag::{construct_eg, Strategy};
+use uww::vdag::{construct_eg, Strategy, UpdateExpr, Vdag};
 
 struct Args {
     scenario: String,
@@ -667,58 +667,62 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Outcome of replaying a traced run against the static sharing prediction.
+/// Outcome of comparing a traced run against the offline description.
 struct Conformance {
     expressions: usize,
     divergences: Vec<String>,
 }
 
-/// Compares a traced run's per-expression hash counters against the static
-/// profile, position by position. Exact equality is required: the engine's
-/// intern policy is fully static, so any slack would hide a real divergence.
+/// Compares a traced run's per-expression hash counters against the
+/// description's meter, position by position. Both come from the one window
+/// runner, so exact equality is required: a divergence means the trace was
+/// recorded on other data, another strategy or scope — or that a partitioned
+/// run's counters depend on its partition count.
 fn check_conformance(
-    profile: &uww::analysis::SharingProfile,
+    g: &Vdag,
+    described: &uww::core::ExecutionReport,
     measured: &[uww::obs::chrome::ExprCounters],
 ) -> Conformance {
     let mut div = Vec::new();
-    if profile.exprs.len() != measured.len() {
+    let exprs = &described.per_expr;
+    if exprs.len() != measured.len() {
         div.push(format!(
-            "expression count: {} predicted vs {} traced",
-            profile.exprs.len(),
+            "expression count: {} described vs {} traced",
+            exprs.len(),
             measured.len()
         ));
     }
-    for (i, (p, m)) in profile.exprs.iter().zip(measured).enumerate() {
-        if p.view != m.view || p.kind != m.kind {
+    for (i, (e, m)) in exprs.iter().zip(measured).enumerate() {
+        let (kind, view) = match &e.expr {
+            UpdateExpr::Comp { view, .. } => ("comp", g.name(*view)),
+            UpdateExpr::Inst(view) => ("inst", g.name(*view)),
+        };
+        if view != m.view || kind != m.kind {
             div.push(format!(
-                "expr {i}: predicted {} of {} vs traced {} of {}",
-                p.kind, p.view, m.kind, m.view
+                "expr {i}: described {kind} of {view} vs traced {} of {}",
+                m.kind, m.view
             ));
             continue;
         }
-        if p.predicted_builds != m.hash_builds {
-            div.push(format!(
-                "expr {i} ({} {}): {} predicted hash builds vs {} measured",
-                p.kind, p.view, p.predicted_builds, m.hash_builds
-            ));
-        }
-        if p.predicted_reuses != m.hash_reuses {
-            div.push(format!(
-                "expr {i} ({} {}): {} predicted hash reuses vs {} measured",
-                p.kind, p.view, p.predicted_reuses, m.hash_reuses
-            ));
-        }
-        if p.predicted_cross_reuses != m.cross_reuses {
-            div.push(format!(
-                "expr {i} ({} {}): {} predicted cross-expression reuses vs {} measured",
-                p.kind, p.view, p.predicted_cross_reuses, m.cross_reuses
-            ));
-        }
-        if p.predicted_cached_reads != m.cached_reads {
-            div.push(format!(
-                "expr {i} ({} {}): {} predicted cached raw reads vs {} measured",
-                p.kind, p.view, p.predicted_cached_reads, m.cached_reads
-            ));
+        for (what, described, traced) in [
+            ("hash builds", e.work.hash_tables_built, m.hash_builds),
+            ("hash reuses", e.work.hash_tables_reused, m.hash_reuses),
+            (
+                "cross-expression reuses",
+                e.work.hash_tables_cross_reused,
+                m.cross_reuses,
+            ),
+            (
+                "cached raw reads",
+                e.work.operand_reads_cached,
+                m.cached_reads,
+            ),
+        ] {
+            if described != traced {
+                div.push(format!(
+                    "expr {i} ({kind} {view}): {described} described {what} vs {traced} traced"
+                ));
+            }
         }
     }
     Conformance {
@@ -746,8 +750,8 @@ fn conformance_json(c: &Conformance) -> String {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    // --verify-against implies the sharing pass (it checks its prediction);
-    // both need the change batch loaded so prediction sees the same deltas
+    // --verify-against implies the sharing pass (it checks its meter); both
+    // need the change batch loaded so the description sees the same deltas
     // the traced run saw.
     let sharing = args.sharing || args.verify_against.is_some();
     let mut sc = build_scenario(args)?;
@@ -778,28 +782,26 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             (uww::analysis::analyze(g, &s), label, s)
         }
     };
-    let mut profile = None;
+    let mut described = None;
     if sharing {
-        let sizes = SizeCatalog::estimate(&sc.warehouse).map_err(|e| e.to_string())?;
-        let model = CostModel::new(sc.warehouse.vdag(), &sizes);
-        // Predict at the scope the traced run used: a `--strategy-sharing`
-        // run needs the strategy-scope plan for its cross counters to
-        // conform.
+        // Describe at the scope the traced run used: a `--strategy-sharing`
+        // run's cross counters only conform to a strategy-scope description.
         let scope = if args.strategy_sharing {
             SharingScope::Strategy
         } else {
             SharingScope::Comp
         };
-        let (p, shr) = uww::core::sharing_report_scoped(&sc.warehouse, &strategy, &model, scope)
+        let d = uww::core::plan_strategy_sharing(&sc.warehouse, &strategy, scope)
             .map_err(|e| e.to_string())?;
-        report = report.merge(shr);
-        profile = Some(p);
+        let g = sc.warehouse.vdag();
+        report = report.merge(uww::analysis::analyze_sharing(g, &strategy, &d.profile));
+        described = Some(d);
     }
-    let conformance = match (&args.verify_against, &profile) {
+    let conformance = match (&args.verify_against, &described) {
         (Some(path), Some(p)) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             let measured = uww::obs::chrome::expression_counters(&text)?;
-            Some(check_conformance(p, &measured))
+            Some(check_conformance(sc.warehouse.vdag(), &p.report, &measured))
         }
         _ => None,
     };
@@ -815,25 +817,25 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     } else {
         println!("analyzing {label}:");
         print!("{}", report.render_text());
-        if let Some(p) = &profile {
+        if let Some(d) = &described {
+            let work = d.report.total_work();
             println!(
-                "sharing: {} predicted hash build(s), {} predicted reuse(s) across {} expression(s)",
-                p.predicted_builds(),
-                p.predicted_reuses(),
-                p.exprs.len(),
+                "sharing: {} hash build(s), {} reuse(s) across {} expression(s)",
+                work.hash_tables_built,
+                work.hash_tables_reused,
+                d.report.per_expr.len(),
             );
             if args.strategy_sharing {
                 println!(
-                    "strategy scope: {} predicted cross-expression reuse(s), {} cached raw read(s)",
-                    p.predicted_cross_reuses(),
-                    p.predicted_cached_reads(),
+                    "strategy scope: {} cross-expression reuse(s), {} cached raw read(s)",
+                    work.hash_tables_cross_reused, work.operand_reads_cached,
                 );
             }
         }
         if let Some(c) = &conformance {
             if c.divergences.is_empty() {
                 println!(
-                    "conformance: traced run matches static prediction over {} expression(s)",
+                    "conformance: traced run matches the description over {} expression(s)",
                     c.expressions
                 );
             } else {
@@ -852,7 +854,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     if let Some(c) = &conformance {
         if !c.divergences.is_empty() {
             return Err(format!(
-                "conformance: {} divergence(s) between static prediction and the traced run",
+                "conformance: {} divergence(s) between the description and the traced run",
                 c.divergences.len()
             ));
         }

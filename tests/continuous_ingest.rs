@@ -133,10 +133,11 @@ fn replay_one_shot(out: &IngestOutcome, root: &std::path::Path) -> String {
 }
 
 /// Re-drives `out`'s windows by hand through `execute_carried` on a fresh
-/// fixture, asking the offline predictor before each one: predicted
-/// cross-reuses, cached reads, carried table hits and carried raw hits must
-/// equal what the window then measures — and what the scheduler's own run of
-/// it measured — and every window must land on the recompute oracle's state.
+/// fixture, asking for the offline description before each one: its
+/// cross-reuses, cached reads, carried table hits, carried raw hits and
+/// per-expression meters must equal what the window then measures — and
+/// what the scheduler's own run of it measured — and every window must land
+/// on the recompute oracle's state.
 fn assert_sharing_predicted(out: &IngestOutcome, carry_on: bool, tag: &str) {
     let mut w = fixture();
     let mut carry = WindowCarry::empty();
@@ -144,7 +145,7 @@ fn assert_sharing_predicted(out: &IngestOutcome, carry_on: bool, tag: &str) {
         let at = format!("{tag}: window {}", wr.index);
         w.load_changes(wr.batch.clone()).expect("load batch");
         let expected = w.expected_final_state().expect("oracle");
-        let plan = plan_strategy_sharing_carried(&w, &wr.strategy, &carry).expect("predict");
+        let described = plan_strategy_sharing_carried(&w, &wr.strategy, &carry).expect("describe");
         let opts = ExecOptions {
             strategy_sharing: true,
             ..ExecOptions::default()
@@ -154,13 +155,12 @@ fn assert_sharing_predicted(out: &IngestOutcome, carry_on: bool, tag: &str) {
             .expect("carried window");
         assert!(w.diff_state(&expected).is_empty(), "{at}: wrong state");
         let c = outcome.conformance;
-        assert_eq!(plan.cross_reuses(), c.measured_cross_reuses, "{at}");
-        assert_eq!(plan.cached_reads(), c.measured_cached_reads, "{at}");
-        assert_eq!(
-            plan.carried_table_hits, c.measured_carried_table_hits,
-            "{at}"
-        );
-        assert_eq!(plan.carried_raw_hits, c.measured_carried_raw_hits, "{at}");
+        assert_eq!(described.conformance, c, "{at}");
+        // The description is the run: every expression's full meter.
+        let real = outcome.report.per_expr.iter();
+        for (d, e) in described.report.per_expr.iter().zip(real) {
+            assert_eq!((&d.expr, d.work), (&e.expr, e.work), "{at}");
+        }
         assert_eq!(
             c, wr.conformance,
             "{at}: the scheduler's run measured otherwise"
@@ -245,8 +245,8 @@ fn policies_agree_on_the_final_state() {
 // Carry-over conformance
 // ---------------------------------------------------------------------------
 
-/// No window predicts its own sharing any more; the predictor is called
-/// here instead. Over a stream cut into at least eight windows, what
+/// No window predicts its own sharing; the offline description is asked
+/// for here instead. Over a stream cut into at least eight windows, what
 /// `plan_strategy_sharing_carried` says before each hand-driven
 /// `execute_carried` is what the window measures, no tolerance, and every
 /// window ends in the oracle's state.

@@ -4,7 +4,7 @@
 //! byte-identical WAL journals, and identical logical `WorkMeter`s to the
 //! per-`Comp` cached path — while touching no more physical rows — and
 //! every per-expression hash-table counter (builds, reuses, cross-reuses,
-//! cached raw reads) must equal `plan_strategy_sharing`'s static
+//! cached raw reads) must equal `plan_strategy_sharing`'s offline
 //! prediction exactly.
 //!
 //! Seeded like the crash matrix: set `UWW_SHARE_SEED` to shift the whole
@@ -269,8 +269,8 @@ fn logical(meter: &WorkMeter) -> WorkMeter {
 
 /// The differential tentpole: per-`Comp` cached ≡ strategy-scope cached on
 /// final state, WAL bytes, and per-expression logical meters — and the
-/// strategy scope's measured hash-table counters equal the static plan
-/// *exactly*, expression by expression. (Per-`Comp` cached ≡ the uncached
+/// meters of both scopes equal the offline description's *exactly*,
+/// expression by expression. (Per-`Comp` cached ≡ the uncached
 /// per-term reference is `tests/term_sharing.rs`.)
 #[test]
 fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
@@ -323,39 +323,27 @@ fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
 
             let st = strat.report.total_work();
 
-            // Exact static conformance: predicted == measured for every
-            // counter of every expression, no tolerance.
-            let plan =
-                plan_strategy_sharing(&loaded(&w, &changes), strategy, SharingScope::Strategy)
-                    .unwrap();
-            assert_eq!(plan.exprs.len(), strat.report.per_expr.len());
-            for (p, e) in plan.exprs.iter().zip(strat.report.per_expr.iter()) {
-                assert_eq!(
-                    p.plan.predicted_builds, e.work.hash_tables_built,
-                    "builds diverged at {} ({:?})",
-                    p.view, e.expr
-                );
-                assert_eq!(
-                    p.plan.predicted_reuses, e.work.hash_tables_reused,
-                    "reuses diverged at {} ({:?})",
-                    p.view, e.expr
-                );
-                assert_eq!(
-                    p.plan.cross_reuses, e.work.hash_tables_cross_reused,
-                    "cross-reuses diverged at {} ({:?})",
-                    p.view, e.expr
-                );
-                assert_eq!(
-                    p.plan.cached_reads, e.work.operand_reads_cached,
-                    "cached reads diverged at {} ({:?})",
-                    p.view, e.expr
-                );
-            }
-            // Cross-reuses are a subset of reuses; cross-saved rows only
-            // exist where cross-reuses do.
-            for p in &plan.exprs {
-                assert!(p.plan.cross_reuses <= p.plan.predicted_reuses);
-                assert!(p.plan.cross_reuses > 0 || p.plan.cross_saved_rows == 0);
+            // The description is the run: at either scope, every expression's
+            // full meter equals what then really executing the window reports.
+            for (scope, real) in [
+                (SharingScope::Comp, &percomp),
+                (SharingScope::Strategy, &strat),
+            ] {
+                let described =
+                    plan_strategy_sharing(&loaded(&w, &changes), strategy, scope).unwrap();
+                assert_eq!(described.report.per_expr.len(), real.report.per_expr.len());
+                assert_eq!(described.profile.exprs.len(), real.report.per_expr.len());
+                for (d, e) in described.report.per_expr.iter().zip(&real.report.per_expr) {
+                    assert_eq!(d.expr, e.expr);
+                    assert_eq!(d.work, e.work, "{scope:?}: meter diverged at {:?}", e.expr);
+                }
+                // Cross-reuses are a subset of reuses, and a `Comp` found a
+                // key already held only where it recorded cross-reuses.
+                for (p, e) in described.profile.exprs.iter().zip(&real.report.per_expr) {
+                    assert!(e.work.hash_tables_cross_reused <= e.work.hash_tables_reused);
+                    let held = p.operands.iter().any(|o| o.held);
+                    assert!(e.work.hash_tables_cross_reused > 0 || !held);
+                }
             }
 
             if st.hash_tables_cross_reused > 0 {
@@ -391,10 +379,10 @@ fn uww(args: &[&str]) -> Output {
 }
 
 /// The CLI conformance path: a traced `--strategy-sharing` run must verify
-/// exactly against the strategy-scope static prediction, and the run must
+/// exactly against the strategy-scope description, and the run must
 /// actually exercise the cache.
 #[test]
-fn cli_traced_strategy_sharing_run_verifies_against_static_prediction() {
+fn cli_traced_strategy_sharing_run_verifies_against_the_description() {
     let dir = wal_dir("cli");
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.json");
@@ -439,12 +427,12 @@ fn cli_traced_strategy_sharing_run_verifies_against_static_prediction() {
         String::from_utf8_lossy(&analyze.stderr)
     );
     assert!(
-        analyze_out.contains("matches static prediction"),
+        analyze_out.contains("matches the description"),
         "conformance must hold:\n{analyze_out}"
     );
     assert!(
         analyze_out.contains("strategy scope:"),
-        "analyze must report the strategy-scope prediction:\n{analyze_out}"
+        "analyze must report the strategy-scope counters:\n{analyze_out}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -258,13 +258,13 @@ fn invalidated_operand_is_never_served_stale() {
         let mut loaded = w.clone();
         loaded.load_changes(changes.clone()).unwrap();
         let plan = plan_strategy_sharing(&loaded, &strategy, SharingScope::Strategy).unwrap();
-        let post = &plan.exprs[post_inval].plan;
+        let post = &plan.report.per_expr[post_inval].work;
         assert_eq!(
-            post.cross_reuses, 0,
+            post.hash_tables_cross_reused, 0,
             "seed {seed}: Comp(V2,{{C}}) must not probe a table Inst(B) invalidated"
         );
         assert_eq!(
-            post.cached_reads, 0,
+            post.operand_reads_cached, 0,
             "seed {seed}: Comp(V2,{{C}}) must not read a materialization Inst(B) invalidated"
         );
 
@@ -274,7 +274,10 @@ fn invalidated_operand_is_never_served_stale() {
         let (control, consumer) = control_strategy(&w);
         let cplan = plan_strategy_sharing(&loaded, &control, SharingScope::Strategy).unwrap();
         assert!(
-            cplan.exprs[consumer].plan.cross_reuses > 0,
+            cplan.report.per_expr[consumer]
+                .work
+                .hash_tables_cross_reused
+                > 0,
             "seed {seed}: the control ordering must consume the live stored-B table"
         );
         let dir = wal_dir(&format!("control-ref-{round}"));

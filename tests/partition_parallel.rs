@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use uww::core::{
-    all_one_way_vdag_strategies, predict_strategy_sharing, ExecOptions, ExecutionReport,
-    FsyncPolicy, PartitionOptions, WalConfig, Warehouse,
+    all_one_way_vdag_strategies, plan_strategy_sharing, ExecOptions, ExecutionReport, FsyncPolicy,
+    PartitionOptions, SharingScope, WalConfig, Warehouse,
 };
 use uww::relational::{
     catalog_to_string, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate,
@@ -346,8 +346,8 @@ fn partitioned_execution_is_byte_identical_to_sequential() {
 
 /// The empty-key degenerate, end to end (the bugfix satellite): a
 /// keyless build is a disguised cross join, so the engine meters it as a
-/// scan + emit — never a hash build — and the static sharing predictor
-/// agrees exactly, under strategy scope and at any partition count.
+/// scan + emit — never a hash build — and the offline description agrees
+/// exactly, at any partition count.
 #[test]
 fn empty_key_cross_join_conforms_and_never_interns() {
     let (w, changes) = random_warehouse(seed_base().wrapping_mul(71).wrapping_add(5));
@@ -366,16 +366,23 @@ fn empty_key_cross_join_conforms_and_never_interns() {
 
     let mut loaded = w.clone();
     loaded.load_changes(changes.clone()).unwrap();
-    let predictions = predict_strategy_sharing(&loaded, &strategy).unwrap();
+    let described = plan_strategy_sharing(&loaded, &strategy, SharingScope::Comp).unwrap();
+    let predictions = &described.report.per_expr;
 
-    // The pure cross-join Comp plans zero hash builds: every join step is
+    // The pure cross-join Comp does zero hash builds: every join step is
     // keyless, so nothing is internable.
-    let x2 = predictions
-        .iter()
-        .find(|p| p.view == "X2" && p.kind == "comp")
-        .expect("X2 comp prediction");
-    assert_eq!(x2.plan.predicted_builds, 0, "cross join planned a build");
-    assert_eq!(x2.plan.predicted_reuses, 0, "cross join planned a reuse");
+    let x2 = (strategy.exprs.iter())
+        .position(|e| matches!(e, UpdateExpr::Comp { view, .. } if g.name(*view) == "X2"))
+        .expect("X2 comp description");
+    assert!(described.profile.exprs[x2].operands.is_empty());
+    assert_eq!(
+        predictions[x2].work.hash_tables_built, 0,
+        "cross join built"
+    );
+    assert_eq!(
+        predictions[x2].work.hash_tables_reused, 0,
+        "cross join reused"
+    );
 
     for partitions in [1usize, 3] {
         let mut run = w.clone();
@@ -392,14 +399,14 @@ fn empty_key_cross_join_conforms_and_never_interns() {
         assert_eq!(predictions.len(), report.per_expr.len());
         for (p, e) in predictions.iter().zip(&report.per_expr) {
             assert_eq!(
-                p.plan.predicted_builds, e.work.hash_tables_built,
-                "partitions={partitions}: builds diverged for {}",
-                p.view
+                p.work.hash_tables_built, e.work.hash_tables_built,
+                "partitions={partitions}: builds diverged for {:?}",
+                e.expr
             );
             assert_eq!(
-                p.plan.predicted_reuses, e.work.hash_tables_reused,
-                "partitions={partitions}: reuses diverged for {}",
-                p.view
+                p.work.hash_tables_reused, e.work.hash_tables_reused,
+                "partitions={partitions}: reuses diverged for {:?}",
+                e.expr
             );
         }
     }

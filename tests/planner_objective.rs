@@ -161,6 +161,7 @@ fn shared_objective_flips_the_strategy_and_measures_strictly_less_physical_work(
     let base_saving = model.cross_share_saving(
         plan_strategy_sharing(&w, &outcome.baseline, SharingScope::Strategy)
             .unwrap()
+            .profile
             .cross_saved_rows(),
     );
     assert!(outcome.cost < outcome.baseline_cost - base_saving + 1e-9);
@@ -183,9 +184,12 @@ fn shared_objective_flips_the_strategy_and_measures_strictly_less_physical_work(
     for s in [&outcome.strategy, &outcome.baseline] {
         let plan = plan_strategy_sharing(&w, s, SharingScope::Strategy).unwrap();
         let (_, report) = run_shared(&w, s);
-        for (p, e) in plan.exprs.iter().zip(report.per_expr.iter()) {
-            assert_eq!(p.plan.cross_reuses, e.work.hash_tables_cross_reused);
-            assert_eq!(p.plan.predicted_builds, e.work.hash_tables_built);
+        for (p, e) in plan.report.per_expr.iter().zip(report.per_expr.iter()) {
+            assert_eq!(
+                p.work.hash_tables_cross_reused,
+                e.work.hash_tables_cross_reused
+            );
+            assert_eq!(p.work.hash_tables_built, e.work.hash_tables_built);
         }
     }
 }
@@ -248,6 +252,7 @@ fn adaptive_cap_extension_recovers_the_hidden_winner() {
     let base_saving = model.cross_share_saving(
         plan_strategy_sharing(&w, &capped.baseline, SharingScope::Strategy)
             .unwrap()
+            .profile
             .cross_saved_rows(),
     );
     assert!(
@@ -293,6 +298,7 @@ fn shared_cost_only_subtracts_from_linear() {
         let base_saving = model.cross_share_saving(
             plan_strategy_sharing(&w, &outcome.baseline, SharingScope::Strategy)
                 .unwrap()
+                .profile
                 .cross_saved_rows(),
         );
         assert!(

@@ -1,12 +1,12 @@
-//! Property tests for the static sharing & interference analyzer.
+//! Property tests for the sharing description & interference analyzer.
 //!
 //! Two contracts across the stack:
 //!
 //! 1. **Sharing conformance**: over random warehouses × random valid
-//!    strategies, the static predictor's per-expression hash-table
+//!    strategies, the offline description's per-expression hash-table
 //!    build/reuse counts equal the shared executor's measured
-//!    `hash_tables_built`/`hash_tables_reused` *exactly* — the intern
-//!    policy is fully static, so prediction is not an estimate.
+//!    `hash_tables_built`/`hash_tables_reused` *exactly* — describing a
+//!    window is running it on a scratch clone, not an estimate.
 //! 2. **Interference soundness**: the static `UWW014` pass is at least as
 //!    strict as the staged executor's dynamic race rejection — any
 //!    schedule the executor refuses is already a static error, and a
@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 
 use uww::analysis::{analyze_interference, analyze_parallel};
 use uww::core::{
-    all_one_way_vdag_strategies, parallelize, predict_strategy_sharing, ExecOptions,
-    ParallelStrategy, Warehouse,
+    all_one_way_vdag_strategies, parallelize, plan_strategy_sharing, ExecOptions, ParallelStrategy,
+    SharingScope, Warehouse,
 };
 use uww::relational::{
     catalog_to_string, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate,
@@ -219,7 +219,7 @@ fn loaded(w: &Warehouse, changes: &BTreeMap<String, DeltaRelation>) -> Warehouse
 }
 
 #[test]
-fn static_prediction_matches_measured_hash_counters_exactly() {
+fn description_matches_measured_hash_counters_exactly() {
     let base = seed_base();
     let mut reuse_ever_predicted = false;
     for round in 0..4u64 {
@@ -227,29 +227,31 @@ fn static_prediction_matches_measured_hash_counters_exactly() {
         let (w, changes) = random_warehouse(seed);
         let mut rng = SplitMix64::new(seed ^ 0x5A5A_0FF1);
         for strategy in random_strategies(&w, &mut rng, 2) {
-            let predictions = predict_strategy_sharing(&loaded(&w, &changes), &strategy).unwrap();
+            let described =
+                plan_strategy_sharing(&loaded(&w, &changes), &strategy, SharingScope::Comp)
+                    .unwrap();
             let mut run = loaded(&w, &changes);
             let report = run.execute(&strategy).unwrap();
-            assert_eq!(predictions.len(), report.per_expr.len());
-            for (p, e) in predictions.iter().zip(&report.per_expr) {
+            assert_eq!(described.report.per_expr.len(), report.per_expr.len());
+            for (p, e) in described.report.per_expr.iter().zip(&report.per_expr) {
                 assert_eq!(
-                    p.plan.predicted_builds, e.work.hash_tables_built,
-                    "builds diverged for {} {:?} (seed {seed})",
-                    p.view, e.expr
+                    p.work.hash_tables_built, e.work.hash_tables_built,
+                    "builds diverged for {:?} (seed {seed})",
+                    e.expr
                 );
                 assert_eq!(
-                    p.plan.predicted_reuses, e.work.hash_tables_reused,
-                    "reuses diverged for {} {:?} (seed {seed})",
-                    p.view, e.expr
+                    p.work.hash_tables_reused, e.work.hash_tables_reused,
+                    "reuses diverged for {:?} (seed {seed})",
+                    e.expr
                 );
-                if p.plan.predicted_reuses > 0 {
+                if p.work.hash_tables_reused > 0 {
                     reuse_ever_predicted = true;
                 }
             }
         }
     }
     // The sweep always contains a dual-stage strategy over the three-way
-    // join, so the predictor must have found real sharing somewhere —
+    // join, so the description must have found real sharing somewhere —
     // otherwise this test is vacuous.
     assert!(
         reuse_ever_predicted,
