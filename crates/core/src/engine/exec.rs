@@ -43,11 +43,12 @@ pub struct ExecOptions {
     /// traces and the timeline report show predicted vs measured work
     /// side by side (default: none). Never affects execution.
     pub predicted_work: Option<Vec<f64>>,
-    /// Partition-parallel execution within each term: hash-partitioned
-    /// build/probe and chunked aggregation on a work-stealing pool
-    /// (default: one partition — the sequential engine). Final states, WAL
-    /// bytes, and the full meter are byte-identical at any partition count;
-    /// only wall-clock (and per-partition trace spans) change.
+    /// Partition-parallel execution within each term: every filter, probe,
+    /// cross join and grouping input cut into contiguous slices that run on
+    /// a work-stealing pool against one shared build table (default: one
+    /// partition — the sequential engine). Final states, WAL bytes, the full
+    /// meter and the operand store are byte-identical at any partition
+    /// count; only wall-clock (and per-partition trace spans) change.
     pub partition: PartitionOptions,
 }
 
@@ -242,9 +243,8 @@ pub fn plan_strategy_sharing(
 }
 
 /// [`plan_strategy_sharing`] for a carried window: the scratch run's store
-/// starts from `carry` (at the partition count it was built at) and keeps
-/// stored-role entries past the strategy's end, as
-/// [`Warehouse::execute_carried`] does.
+/// starts from `carry` and keeps stored-role entries past the strategy's
+/// end, as [`Warehouse::execute_carried`] does.
 pub fn plan_strategy_sharing_carried(
     w: &Warehouse,
     strategy: &Strategy,
@@ -266,7 +266,6 @@ fn describe(
     let opts = ExecOptions {
         validate: false,
         strategy_sharing: scope == SharingScope::Strategy,
-        partition: PartitionOptions::with_partitions(carry.map_or(1, OperandStore::partitions)),
         ..ExecOptions::default()
     };
     scratch.run_window(&serial_items(strategy), None, &opts, None, carry.cloned())
@@ -433,11 +432,9 @@ impl Warehouse {
         };
 
         // Nothing about sharing is planned: the store is driven by lookups,
-        // and its scope is how long this window keeps it. A carry built at a
-        // different partition count is discarded — its tables are split
-        // differently than this run's probes.
+        // and its scope is how long this window keeps it.
         let carried = carry.is_some();
-        let store = OperandStore::start_window(carry, opts.partition.partitions);
+        let store = OperandStore::start_window(carry);
 
         // The staged label predates `execute_staged`; trace diffs key on it.
         let _run_span = fresh.then(|| {

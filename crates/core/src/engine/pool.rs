@@ -14,14 +14,14 @@
 //! shared-runtime deadlock surface.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Partition-parallel execution knobs, threaded from the CLI through
 /// [`ExecOptions`](crate::engine::exec::ExecOptions) into the term engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionOptions {
-    /// Hash partitions per join/aggregate step; `1` (the default) is the
-    /// sequential engine, byte-identical to the pre-partitioning code path.
+    /// Contiguous slices each probe, filter, cross join and grouping step
+    /// cuts its input into; `1` (the default) runs every step inline.
     pub partitions: usize,
 }
 
@@ -52,9 +52,13 @@ impl PartitionOptions {
     /// Worker threads for an `n`-task fan-out under this configuration:
     /// one per partition, capped by the machine's available parallelism —
     /// on a smaller machine the same partitions run on fewer workers with
-    /// identical results (the differential tests rely on this).
+    /// identical results (the differential tests rely on this). The
+    /// parallelism is read once per process: on Linux each read parses the
+    /// cgroup files.
     pub fn workers(&self, n: usize) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
         self.partitions.min(n).min(cores).max(1)
     }
 }

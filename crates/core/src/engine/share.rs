@@ -48,6 +48,14 @@
 //! fresh on its smaller side, exactly like `hash_join`. The resulting
 //! counters are independent of the partition count.
 //!
+//! **Partitions cut inputs, never tables.** At every partition count an
+//! operand is read once and a build table indexes the whole of it; `P`
+//! partitions cut the input of each pushed-down filter, probe, cross join
+//! and grouping into `P` contiguous slices that run on the pool against the
+//! same rows and table ([`chunked`]), and the outputs join back in slice
+//! order. Output, meter and store are therefore byte-identical to `P = 1`,
+//! row order included, and an entry serves a window at any partition count.
+//!
 //! Three invariants make the store safe to enable by default:
 //!
 //! * **output identity** — the cached evaluator replays `eval_term`'s exact
@@ -81,10 +89,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use uww_analysis::{modifies_operand, ExprSharingProfile, OperandProfile, TermProfile};
 use uww_obs as obs;
-use uww_relational::ops::{self, GroupAcc, PartitionedTable, Partitioner, SignedRows};
-use uww_relational::{
-    BoundPredicate, Catalog, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter,
-};
+use uww_relational::ops::{self, BuiltTable, GroupAcc, SignedRows};
+use uww_relational::{BoundPredicate, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter};
 use uww_vdag::{UpdateExpr, Vdag, ViewId};
 
 /// One materialized operand: the filtered rows every term sees, plus the
@@ -122,7 +128,8 @@ type Producer = Option<usize>;
 
 /// The one operand cache: raw `(view, as-delta)` materializations (with the
 /// raw extent length the logical metric charges per term) and hash-join
-/// build tables keyed by [`SharedIdentity`], each tagged with its producer.
+/// build tables keyed by [`SharedIdentity`] — each with the filtered rows it
+/// indexes — every entry tagged with its producer.
 ///
 /// Its scope is how long the window runner keeps it (module docs). Handed
 /// back by [`Warehouse::execute_carried`](crate::engine::Warehouse::execute_carried)
@@ -133,12 +140,8 @@ type Producer = Option<usize>;
 /// nothing).
 #[derive(Clone, Default)]
 pub struct OperandStore {
-    tables: HashMap<SharedIdentity, (Arc<PartitionedTable>, Producer)>,
+    tables: HashMap<SharedIdentity, (Arc<SignedRows>, Arc<BuiltTable>, Producer)>,
     raws: HashMap<(String, bool), (Arc<SignedRows>, u64, Producer)>,
-    /// The partition count the tables were built at. A carry only seeds a
-    /// window run at the *same* partitioning, so a table split `P` ways can
-    /// never serve a probe split `Q` ways (a cross-partition stale hit).
-    partitions: usize,
     /// Per-use hits on entries the previous window produced.
     carried_table_hits: u64,
     carried_raw_hits: u64,
@@ -152,7 +155,6 @@ impl std::fmt::Debug for OperandStore {
         f.debug_struct("OperandStore")
             .field("tables", &self.tables.len())
             .field("raws", &self.raws.len())
-            .field("partitions", &self.partitions)
             .finish()
     }
 }
@@ -168,11 +170,6 @@ impl OperandStore {
         self.tables.is_empty() && self.raws.is_empty()
     }
 
-    /// The partition count the stored build tables were split at.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
     /// Number of stored hash-join build tables.
     pub fn tables(&self) -> usize {
         self.tables.len()
@@ -183,16 +180,12 @@ impl OperandStore {
         self.raws.len()
     }
 
-    /// The store a window run at `partitions` starts from: the previous
-    /// window's `carry` with every entry re-tagged as carried in, or nothing
-    /// when there is none or it was built at a different partition count.
-    pub(crate) fn start_window(carry: Option<WindowCarry>, partitions: usize) -> OperandStore {
-        let mut store = carry
-            .filter(|c| c.partitions == partitions)
-            .unwrap_or_default();
-        store.partitions = partitions;
+    /// The store a window starts from: the previous window's `carry` with
+    /// every entry re-tagged as carried in, or nothing when there is none.
+    pub(crate) fn start_window(carry: Option<WindowCarry>) -> OperandStore {
+        let mut store = carry.unwrap_or_default();
         (store.carried_table_hits, store.carried_raw_hits) = (0, 0);
-        store.tables.values_mut().for_each(|e| e.1 = None);
+        store.tables.values_mut().for_each(|e| e.2 = None);
         store.raws.values_mut().for_each(|e| e.2 = None);
         store
     }
@@ -217,6 +210,42 @@ impl OperandStore {
         if changed {
             self.retain(|view, as_delta, _| !modifies_operand(g, e, view, as_delta));
         }
+    }
+
+    /// The stored build table for `id` with the rows it indexes, over an
+    /// operand's filtered `rows` keyed on `keys`: a miss builds (and
+    /// charges) it once under producer `at`; a hit counts a reuse — a
+    /// cross-expression one, under its own span, when an earlier expression
+    /// or window produced the entry.
+    fn table(
+        &mut self,
+        at: usize,
+        id: &SharedIdentity,
+        (rows, keys): (&Arc<SignedRows>, &[usize]),
+        meter: &mut WorkMeter,
+    ) -> (Arc<SignedRows>, Arc<BuiltTable>) {
+        let held = self.tables.get(id).cloned();
+        let cross = held.as_ref().is_some_and(|(.., by)| *by != Some(at));
+        let label = if cross {
+            "hash_table_cross"
+        } else {
+            "hash_table_intern"
+        };
+        let mut sp = obs::span(obs::SpanKind::Operator, label);
+        sp.attr_u64(obs::keys::ROWS, rows.len() as u64);
+        let Some((indexed, table, by)) = held else {
+            let table = Arc::new(ops::build_table(rows, keys, meter));
+            let entry = (Arc::clone(rows), Arc::clone(&table), Some(at));
+            self.tables.insert(id.clone(), entry);
+            return (Arc::clone(rows), table);
+        };
+        if cross {
+            meter.hash_cross_reuse();
+            self.carried_table_hits += u64::from(by.is_none());
+        } else {
+            meter.hash_reuse();
+        }
+        (indexed, table)
     }
 }
 
@@ -332,7 +361,8 @@ struct CompInputs {
     /// already, used by ≥ 2 join steps of this `Comp`, or retained for a
     /// later expression. Every other keyed step builds fresh.
     stored: HashMap<TableKey, SharedIdentity>,
-    /// Partition-parallel configuration every stored build is split at.
+    /// How many slices each filter, probe, cross join and grouping input is
+    /// cut into.
     partition: PartitionOptions,
     /// Every distinct keyed build of the `Comp`'s terms, sorted by key.
     operands: Vec<OperandProfile>,
@@ -408,14 +438,9 @@ impl CompInputs {
                         // its physical side is real — the logical charge is
                         // made per term to keep the paper's metric intact.
                         let mut probe = WorkMeter::new();
-                        let rows = Arc::new(scan_operand_pooled(
-                            partition,
-                            state,
-                            w.pending_map(),
-                            &s.view,
-                            as_delta,
-                            &mut probe,
-                        )?);
+                        let pending = w.pending_map();
+                        let rows =
+                            Arc::new(scan_operand(state, pending, &s.view, as_delta, &mut probe)?);
                         meter.physical_rows_touched += probe.physical_rows_touched;
                         let entry = (Arc::clone(&rows), probe.operand_rows_scanned, Some(at));
                         store.raws.insert(key, entry);
@@ -429,7 +454,10 @@ impl CompInputs {
                     for &fi in &local[i] {
                         bounds.push(def.filters[fi].bind(&qschemas[i])?);
                     }
-                    Arc::new(filter_pooled(partition, &rows, &bounds)?)
+                    let kept = chunked(partition, "filter", &rows, &mut meter, |c, _| {
+                        filtered(c, &bounds)
+                    })?;
+                    Arc::new(concat(kept))
                 };
                 *slot = Some(CachedOperand { rows, raw_len });
             }
@@ -530,272 +558,92 @@ impl CompInputs {
                 ))
             })
     }
-
-    /// The stored build table for `id`, over an operand's filtered `rows`
-    /// keyed on `keys`: a miss builds (and charges) it once under producer
-    /// `at`; a hit counts a reuse — a cross-expression one, under its own
-    /// span, when an earlier expression or window produced the entry.
-    fn table(
-        &self,
-        store: &mut OperandStore,
-        at: usize,
-        id: &SharedIdentity,
-        (rows, keys): (&SignedRows, &[usize]),
-        meter: &mut WorkMeter,
-    ) -> Arc<PartitionedTable> {
-        let held = store.tables.get(id).map(|(t, by)| (Arc::clone(t), *by));
-        let cross = held.as_ref().is_some_and(|(_, by)| *by != Some(at));
-        let label = if cross {
-            "hash_table_cross"
-        } else {
-            "hash_table_intern"
-        };
-        let mut sp = obs::span(obs::SpanKind::Operator, label);
-        sp.attr_u64(obs::keys::ROWS, rows.len() as u64);
-        let Some((table, by)) = held else {
-            let table = Arc::new(build_pooled(self.partition, rows, keys, meter));
-            store
-                .tables
-                .insert(id.clone(), (Arc::clone(&table), Some(at)));
-            return table;
-        };
-        if cross {
-            meter.hash_cross_reuse();
-            store.carried_table_hits += u64::from(by.is_none());
-        } else {
-            meter.hash_reuse();
-        }
-        table
-    }
 }
 
-/// Fans `n` partition tasks out over the work-stealing pool, concatenating
-/// the per-partition row outputs **in partition order** and folding each
-/// worker's local meter into `meter`. Every task gets its own `Operator`
-/// span (parented explicitly — workers don't inherit the spawner's span
-/// stack) tagged with its partition index, so traces expose per-partition
-/// skew and the bench can reconstruct the critical path on any machine.
-fn pooled_rows<F>(
+/// Runs `f` over `items` cut into one contiguous slice per partition, on
+/// the pool, and returns the outputs in slice order — the term engine's one
+/// fan-out. Each slice gets a `label[pI]` span (parented explicitly: workers
+/// don't inherit the spawner's span stack) and a meter of its own, folded
+/// into `meter` in slice order. With one partition or fewer than two items
+/// `f` runs once, inline, over all of `items` and on `meter` itself.
+fn chunked<T, R, F>(
     popt: PartitionOptions,
-    parent: u64,
     label: &'static str,
-    n: usize,
-    f: F,
+    items: &[T],
     meter: &mut WorkMeter,
-) -> RelResult<SignedRows>
+    f: F,
+) -> RelResult<Vec<R>>
 where
-    F: Fn(usize, &mut WorkMeter) -> RelResult<SignedRows> + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(&[T], &mut WorkMeter) -> RelResult<R> + Sync,
 {
-    let results = pool::run_tasks(n, popt.workers(n), |i| {
+    if !popt.parallel() || items.len() < 2 {
+        return Ok(vec![f(items, meter)?]);
+    }
+    let slices: Vec<&[T]> = items
+        .chunks(items.len().div_ceil(popt.partitions))
+        .collect();
+    let parent = obs::current_span_id();
+    let results = pool::run_tasks(slices.len(), popt.workers(slices.len()), |i| {
         let mut span =
             obs::span_under_dyn(obs::SpanKind::Operator, parent, || format!("{label}[p{i}]"));
+        span.attr_u64(obs::keys::PARTITION, i as u64);
+        span.attr_u64(obs::keys::ROWS, slices[i].len() as u64);
         let mut m = WorkMeter::new();
-        let out = f(i, &mut m)?;
-        span.attr_u64(obs::keys::PARTITION, i as u64);
-        span.attr_u64(obs::keys::ROWS, out.len() as u64);
-        Ok((out, m))
+        f(slices[i], &mut m).map(|out| (out, m))
     });
-    let results = results.into_iter().collect::<RelResult<Vec<_>>>()?;
-    let mut rows = Vec::with_capacity(results.iter().map(|(r, _)| r.len()).sum());
-    for (out, m) in results {
-        rows.extend(out);
+    let mut outs = Vec::with_capacity(results.len());
+    for result in results {
+        let (out, m) = result?;
         meter.absorb(&m);
+        outs.push(out);
     }
-    Ok(rows)
+    Ok(outs)
 }
 
-/// Probes a partitioned table with `probe` rows, co-partitioning them onto
-/// the table's chunks and probing every chunk through the pool. At one
-/// partition this is byte-identical (order included) to the sequential
-/// [`ops::probe_table`]; at `P` partitions the concatenated output is the
-/// same multiset and the meter is byte-identical (each chunk charges its
-/// own emit; the emits sum to the sequential total).
-fn probe_pooled(
-    popt: PartitionOptions,
-    table: &PartitionedTable,
-    probe: &SignedRows,
-    probe_keys: &[usize],
-    build_is_left: bool,
-    meter: &mut WorkMeter,
-) -> RelResult<SignedRows> {
-    let mut sp = obs::span(obs::SpanKind::Operator, "hash_probe");
-    let out = if table.parts() > 1 {
-        sp.attr_u64(obs::keys::PARTITIONS, table.parts() as u64);
-        let chunks = split_pooled(popt, table.parts(), probe, probe_keys);
-        let parent = obs::current_span_id();
-        pooled_rows(
-            popt,
-            parent,
-            "hash_probe",
-            table.parts(),
-            |i, m| table.probe_chunk(i, &chunks[i], probe_keys, build_is_left, m),
-            meter,
-        )?
-    } else {
-        table.probe_chunk(0, probe, probe_keys, build_is_left, meter)?
-    };
-    sp.attr_u64(obs::keys::ROWS, out.len() as u64);
-    Ok(out)
-}
-
-/// [`scan_operand`], chunk-parallel over the pool for base-extent reads.
-/// Cloning each stored tuple is row-independent, so contiguous ranges of
-/// the extent clone concurrently and concatenate back in iteration order —
-/// the output bytes and the meter charge (one `scan` of the full extent)
-/// are identical to the sequential scan. Delta reads stay sequential: they
-/// are a window's worth of rows, far below the extent sizes that make the
-/// fan-out pay.
-fn scan_operand_pooled(
-    popt: PartitionOptions,
-    state: &Catalog,
-    pending: &BTreeMap<String, PendingDelta>,
-    view: &str,
-    as_delta: bool,
-    meter: &mut WorkMeter,
-) -> RelResult<SignedRows> {
-    if as_delta || !popt.parallel() {
-        return scan_operand(state, pending, view, as_delta, meter);
-    }
-    let table = state.get(view)?;
-    let entries: Vec<(&Tuple, u64)> = table.iter().collect();
-    if entries.len() < 2 {
-        return scan_operand(state, pending, view, as_delta, meter);
-    }
-    meter.scan(table.len());
-    let parent = obs::current_span_id();
-    let parts = popt.partitions;
-    let chunk = entries.len().div_ceil(parts);
-    let cloned = pool::run_tasks(parts, popt.workers(parts), |i| {
-        let lo = (i * chunk).min(entries.len());
-        let hi = (lo + chunk).min(entries.len());
-        let mut span =
-            obs::span_under_dyn(obs::SpanKind::Operator, parent, || format!("scan[p{i}]"));
-        span.attr_u64(obs::keys::PARTITION, i as u64);
-        span.attr_u64(obs::keys::ROWS, (hi - lo) as u64);
-        entries[lo..hi]
-            .iter()
-            .map(|&(t, m)| (t.clone(), m as i64))
-            .collect::<SignedRows>()
-    });
-    Ok(cloned.concat())
-}
-
-/// Materializes a filtered operand from `rows`, chunk-parallel: each worker
-/// clones only the rows of its contiguous range that pass every pushed-down
-/// filter, and ranges concatenate back in input order — byte-identical to
-/// cloning the raw extent and filtering it, without ever materializing the
-/// unfiltered clone.
-fn filter_pooled(
-    popt: PartitionOptions,
-    rows: &SignedRows,
-    bounds: &[BoundPredicate],
-) -> RelResult<SignedRows> {
-    let keep = |(t, m): &(Tuple, i64)| -> RelResult<Option<(Tuple, i64)>> {
-        for b in bounds {
-            if !b.eval(t)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some((t.clone(), *m)))
-    };
-    if !popt.parallel() || rows.len() < 2 {
-        let mut out = Vec::new();
-        for r in rows {
-            if let Some(x) = keep(r)? {
-                out.push(x);
-            }
-        }
-        return Ok(out);
-    }
-    let parent = obs::current_span_id();
-    let parts = popt.partitions;
-    let chunk = rows.len().div_ceil(parts);
-    let chunks = pool::run_tasks(parts, popt.workers(parts), |i| {
-        let lo = (i * chunk).min(rows.len());
-        let hi = (lo + chunk).min(rows.len());
-        let mut span =
-            obs::span_under_dyn(obs::SpanKind::Operator, parent, || format!("filter[p{i}]"));
-        span.attr_u64(obs::keys::PARTITION, i as u64);
-        span.attr_u64(obs::keys::ROWS, (hi - lo) as u64);
-        let mut out = Vec::new();
-        for r in &rows[lo..hi] {
-            if let Some(x) = keep(r)? {
-                out.push(x);
-            }
-        }
-        Ok(out)
-    });
-    let mut out = Vec::new();
-    for c in chunks {
-        out.extend(c?);
-    }
-    Ok(out)
-}
-
-/// [`Partitioner::split`], chunk-parallel: each worker buckets one
-/// contiguous range of `rows` by key hash, and per-partition buckets
-/// concatenate in range order — the same stable row order the sequential
-/// split produces. The per-row cost (key serialization, FNV, tuple clone)
-/// is what makes large splits expensive, and all of it runs inside the
-/// fan-out.
-fn split_pooled(
-    popt: PartitionOptions,
-    parts: usize,
-    rows: &SignedRows,
-    keys: &[usize],
-) -> Vec<SignedRows> {
-    if !popt.parallel() || keys.is_empty() || rows.len() < 2 {
-        return Partitioner::new(parts).split(rows, keys);
-    }
-    let parent = obs::current_span_id();
-    let chunk = rows.len().div_ceil(parts);
-    let bucketed = pool::run_tasks(parts, popt.workers(parts), |i| {
-        let lo = (i * chunk).min(rows.len());
-        let hi = (lo + chunk).min(rows.len());
-        let mut span =
-            obs::span_under_dyn(obs::SpanKind::Operator, parent, || format!("split[p{i}]"));
-        span.attr_u64(obs::keys::PARTITION, i as u64);
-        span.attr_u64(obs::keys::ROWS, (hi - lo) as u64);
-        let mut buckets: Vec<SignedRows> = vec![Vec::new(); parts];
-        for (t, m) in &rows[lo..hi] {
-            buckets[ops::part_of(t, keys, parts)].push((t.clone(), *m));
-        }
-        buckets
-    });
-    let mut out: Vec<SignedRows> = vec![Vec::new(); parts];
-    for buckets in bucketed {
-        for (j, b) in buckets.into_iter().enumerate() {
-            out[j].extend(b);
-        }
+/// Row batches [`chunked`] produced, joined back in slice order; the first
+/// batch is the accumulator, so a single one comes back without a copy.
+fn concat(parts: Vec<SignedRows>) -> SignedRows {
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
+    for part in parts {
+        out.extend(part);
     }
     out
 }
 
-/// Builds a partitioned table over `rows`, splitting by key hash and
-/// indexing the chunks through the pool. Charges exactly one
-/// [`WorkMeter::hash_build`] over the total input, so the meter equals the
-/// sequential build's at any partition count.
-fn build_pooled(
-    popt: PartitionOptions,
-    rows: &SignedRows,
-    keys: &[usize],
-    meter: &mut WorkMeter,
-) -> PartitionedTable {
-    if !popt.parallel() || keys.is_empty() {
-        return ops::build_partitioned(rows, keys, 1, meter);
+/// The rows of `rows` that pass every pushed-down filter in `bounds`,
+/// cloned in input order.
+fn filtered(rows: &[(Tuple, i64)], bounds: &[BoundPredicate]) -> RelResult<SignedRows> {
+    let mut out = Vec::new();
+    'rows: for (t, m) in rows {
+        for b in bounds {
+            if !b.eval(t)? {
+                continue 'rows;
+            }
+        }
+        out.push((t.clone(), *m));
     }
-    let parent = obs::current_span_id();
-    let chunks = split_pooled(popt, popt.partitions, rows, keys);
-    let indexed = pool::run_tasks(chunks.len(), popt.workers(chunks.len()), |i| {
-        let mut span = obs::span_under_dyn(obs::SpanKind::Operator, parent, || {
-            format!("hash_build[p{i}]")
-        });
-        span.attr_u64(obs::keys::PARTITION, i as u64);
-        span.attr_u64(obs::keys::ROWS, chunks[i].len() as u64);
-        ops::BuiltTable::index(&chunks[i], keys)
-    });
-    meter.hash_build(rows.len() as u64);
-    PartitionedTable::from_indexed(keys.to_vec(), chunks.into_iter().zip(indexed).collect())
+    Ok(out)
+}
+
+/// [`chunked`] for a step whose slices emit rows, under one `label` span
+/// that records the joined-back output's length.
+fn sliced_rows<F>(
+    popt: PartitionOptions,
+    label: &'static str,
+    items: &[(Tuple, i64)],
+    meter: &mut WorkMeter,
+    f: F,
+) -> RelResult<SignedRows>
+where
+    F: Fn(&[(Tuple, i64)], &mut WorkMeter) -> RelResult<SignedRows> + Sync,
+{
+    let mut sp = obs::span(obs::SpanKind::Operator, label);
+    let out = concat(chunked(popt, label, items, meter, f)?);
+    sp.attr_u64(obs::keys::ROWS, out.len() as u64);
+    Ok(out)
 }
 
 /// One term's greedy join sequence, fixed before the term runs.
@@ -876,31 +724,14 @@ fn eval_term_cached(
             Ok(TermOut::Rows(ops::consolidate(out)))
         }
         ViewOutput::Aggregate { .. } => {
-            let popt = inputs.partition;
-            if popt.parallel() && rows.len() > 1 {
-                // Grouping is commutative and associative: group contiguous
-                // chunks through the pool and merge — identical accumulator
-                // map to the sequential pass (merge order cannot matter).
-                let spec = eval::agg_spec(def, schema)?;
-                let mut sp = obs::span(obs::SpanKind::Operator, "group_merge");
-                sp.attr_u64(obs::keys::PARTITIONS, popt.partitions as u64);
-                let chunks = Partitioner::new(popt.partitions).split_contiguous(&rows);
-                let parent = obs::current_span_id();
-                let parts = pool::run_tasks(chunks.len(), popt.workers(chunks.len()), |i| {
-                    let mut span = obs::span_under_dyn(obs::SpanKind::Operator, parent, || {
-                        format!("group[p{i}]")
-                    });
-                    span.attr_u64(obs::keys::PARTITION, i as u64);
-                    span.attr_u64(obs::keys::ROWS, chunks[i].len() as u64);
-                    ops::group_rows(&chunks[i], &spec)
-                });
-                let maps = parts.into_iter().collect::<RelResult<Vec<_>>>()?;
-                let groups = ops::merge_groups(maps);
-                sp.attr_u64(obs::keys::ROWS, groups.len() as u64);
-                Ok(TermOut::Groups(groups))
-            } else {
-                Ok(TermOut::Groups(eval::group_output(def, schema, &rows)?))
-            }
+            // Grouping is commutative and associative: contiguous slices
+            // group separately and merge into the accumulator map one pass
+            // would build.
+            let spec = eval::agg_spec(def, schema)?;
+            let maps = chunked(inputs.partition, "group", &rows, meter, |c, _| {
+                ops::group_rows(c, &spec)
+            })?;
+            Ok(TermOut::Groups(ops::merge_groups(maps)))
         }
     }
 }
@@ -932,39 +763,23 @@ fn join_term(
     for (next, lk, rk) in &plan.steps {
         let (as_delta, right) = operands[*next];
         joined_rows = if lk.is_empty() {
-            // Cross join: no key to co-partition on, so fan out over
-            // contiguous chunks of the intermediate — chunk order
-            // concatenates back to the sequential output byte-for-byte.
-            let mut sp = obs::span(obs::SpanKind::Operator, "cross_join");
-            let out = if popt.parallel() && joined_rows.len() > 1 {
-                sp.attr_u64(obs::keys::PARTITIONS, popt.partitions as u64);
-                let chunks = Partitioner::new(popt.partitions).split_contiguous(&joined_rows);
-                let parent = obs::current_span_id();
-                pooled_rows(
-                    popt,
-                    parent,
-                    "cross_join",
-                    chunks.len(),
-                    |i, m| ops::cross_join(&chunks[i], &right.rows, m),
-                    meter,
-                )?
-            } else {
-                ops::cross_join(&joined_rows, &right.rows, meter)?
-            };
-            sp.attr_u64(obs::keys::ROWS, out.len() as u64);
-            out
+            sliced_rows(popt, "cross_join", &joined_rows, meter, |c, m| {
+                ops::cross_join(c, &right.rows, m)
+            })?
         } else if let Some(id) = inputs.stored.get(&(*next, as_delta, rk.clone())) {
             // This (source, role, keys) goes through the store: probe the
             // pure-operand table — built by the first use, here or in an
             // earlier expression — regardless of how large the accumulated
             // intermediate happens to be.
-            let table = inputs.table(store, at, id, (&right.rows, rk), meter);
-            probe_pooled(popt, &table, &joined_rows, lk, false, meter)?
+            let (rows, table) = store.table(at, id, (&right.rows, rk), meter);
+            sliced_rows(popt, "hash_probe", &joined_rows, meter, |c, m| {
+                ops::probe_table(&rows, &table, c, lk, false, m)
+            })?
         } else {
             // A step nothing else uses: build fresh on the smaller side,
             // exactly as hash_join would — one build, no reuse.
             let build_left = joined_rows.len() <= right.rows.len();
-            let (build, build_keys, probe, probe_keys) = if build_left {
+            let (build, build_keys, probe_rows, probe_keys) = if build_left {
                 (&joined_rows, lk, &*right.rows, rk)
             } else {
                 (&*right.rows, rk, &joined_rows, lk)
@@ -972,9 +787,11 @@ fn join_term(
             let table = {
                 let mut sp = obs::span(obs::SpanKind::Operator, "hash_build");
                 sp.attr_u64(obs::keys::ROWS, build.len() as u64);
-                build_pooled(popt, build, build_keys, meter)
+                ops::build_table(build, build_keys, meter)
             };
-            probe_pooled(popt, &table, probe, probe_keys, build_left, meter)?
+            sliced_rows(popt, "hash_probe", probe_rows, meter, |c, m| {
+                ops::probe_table(build, &table, c, probe_keys, build_left, m)
+            })?
         };
         // Deliberately no empty-intermediate short circuit here (the
         // per-term reference keeps it): the plan prices every step, and

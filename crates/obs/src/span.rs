@@ -129,12 +129,9 @@ pub mod keys {
     pub const STALENESS: &str = "staleness";
     /// Events still queued when a window was cut.
     pub const QUEUE_DEPTH: &str = "queue_depth";
-    /// Partition index on a per-partition operator span (partition-parallel
+    /// Slice index on a per-partition operator span (partition-parallel
     /// term execution); the timeline uses these to attribute skew.
     pub const PARTITION: &str = "partition";
-    /// Partition count on the operator span that fanned out per-partition
-    /// children.
-    pub const PARTITIONS: &str = "partitions";
 }
 
 /// A finished span as stored in the ring buffer.

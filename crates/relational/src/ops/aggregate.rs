@@ -201,16 +201,20 @@ pub fn group_rows(rows: &[(Tuple, i64)], spec: &AggSpec) -> RelResult<HashMap<Tu
 }
 
 /// Merges per-chunk group maps into one, re-applying the identity filter —
-/// the reduce side of partition-parallel aggregation. Every accumulator is
-/// commutative and associative under [`GroupAcc::merge`] (SUM/COUNT add;
-/// MIN/MAX, insert-only, take extrema), so the merged map equals
-/// [`group_rows`] over the concatenated input regardless of how the batch
-/// was chunked or in which order chunks arrive.
+/// the reduce side of chunked aggregation. Every accumulator is commutative
+/// and associative under [`GroupAcc::merge`] (SUM/COUNT add; MIN/MAX,
+/// insert-only, take extrema), so the merged map equals [`group_rows`] over
+/// the concatenated input regardless of how the batch was chunked or in
+/// which order chunks arrive. The first map is the accumulator, so a single
+/// chunk comes back as it is.
 pub fn merge_groups(
     maps: impl IntoIterator<Item = HashMap<Tuple, GroupAcc>>,
 ) -> HashMap<Tuple, GroupAcc> {
-    let mut out: HashMap<Tuple, GroupAcc> = HashMap::new();
+    let mut maps = maps.into_iter();
+    let mut out = maps.next().unwrap_or_default();
+    let mut merged = false;
     for m in maps {
+        merged = true;
         for (key, acc) in m {
             match out.entry(key) {
                 std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().merge(&acc),
@@ -222,7 +226,9 @@ pub fn merge_groups(
     }
     // A group can net to the identity only across chunks (each chunk map
     // already dropped its own identities).
-    out.retain(|_, acc| !acc.is_identity());
+    if merged {
+        out.retain(|_, acc| !acc.is_identity());
+    }
     out
 }
 

@@ -13,9 +13,9 @@ use std::collections::HashMap;
 /// multiplying their signed multiplicities ([`RelError::Overflow`] when a
 /// product leaves `i64`). Builds the hash table on the smaller batch.
 pub fn hash_join(
-    left: &SignedRows,
+    left: &[(Tuple, i64)],
     left_keys: &[usize],
-    right: &SignedRows,
+    right: &[(Tuple, i64)],
     right_keys: &[usize],
     meter: &mut WorkMeter,
 ) -> RelResult<SignedRows> {
@@ -43,20 +43,17 @@ fn joined_multiplicity(a: i64, b: i64) -> RelResult<i64> {
 /// A hash-join build table decoupled from the batch it indexes: key
 /// projection → indices into the build batch, in batch order. Because it
 /// holds indices rather than row references it has no lifetime tie and can
-/// be interned (e.g. in an `Arc`) and probed many times — the shared-operand
-/// term engine reuses one table across every term that joins the same
-/// operand on the same key columns.
+/// be interned (e.g. in an `Arc`) and probed many times, from any number of
+/// threads at once — the shared-operand term engine reuses one table across
+/// every term that joins the same operand on the same key columns, and
+/// probes it with contiguous slices of the probe side in parallel.
 #[derive(Debug)]
 pub struct BuiltTable {
     index: HashMap<Tuple, Vec<usize>>,
 }
 
 impl BuiltTable {
-    /// Indexes `rows` by their projection onto `keys` without metering —
-    /// for the partition-parallel build, whose chunks are indexed
-    /// separately while the single aggregate [`WorkMeter::hash_build`] is
-    /// charged once over the whole batch by the caller.
-    pub fn index(rows: &SignedRows, keys: &[usize]) -> BuiltTable {
+    fn index(rows: &[(Tuple, i64)], keys: &[usize]) -> BuiltTable {
         let mut index: HashMap<Tuple, Vec<usize>> = HashMap::with_capacity(rows.len());
         for (i, (t, _)) in rows.iter().enumerate() {
             index.entry(t.project(keys)).or_default().push(i);
@@ -75,7 +72,7 @@ impl BuiltTable {
 /// genuine keyed builds — the quantity the static sharing plan predicts and
 /// the conformance oracle compares against ([`hash_join`] never reaches
 /// this path; it routes empty keys to [`cross_join`] outright).
-pub fn build_table(rows: &SignedRows, keys: &[usize], meter: &mut WorkMeter) -> BuiltTable {
+pub fn build_table(rows: &[(Tuple, i64)], keys: &[usize], meter: &mut WorkMeter) -> BuiltTable {
     if keys.is_empty() {
         meter.touch(rows.len() as u64);
     } else {
@@ -87,11 +84,13 @@ pub fn build_table(rows: &SignedRows, keys: &[usize], meter: &mut WorkMeter) -> 
 /// Probes `table` (built over `build` — the same batch, same order) with
 /// `probe`, concatenating matches with the build columns on the left when
 /// `build_is_left`. Emission order and content are byte-identical to the
-/// equivalent [`hash_join`] call.
+/// equivalent [`hash_join`] call. Output follows probe order, so probing
+/// contiguous slices of `probe` and concatenating the results in slice order
+/// reproduces one call over the whole batch exactly, meter included.
 pub fn probe_table(
-    build: &SignedRows,
+    build: &[(Tuple, i64)],
     table: &BuiltTable,
-    probe: &SignedRows,
+    probe: &[(Tuple, i64)],
     probe_keys: &[usize],
     build_is_left: bool,
     meter: &mut WorkMeter,
@@ -115,10 +114,12 @@ pub fn probe_table(
 }
 
 /// Cross product, multiplying multiplicities. Used only when a view
-/// definition genuinely has no equi-join between two source groups.
+/// definition genuinely has no equi-join between two source groups. Like
+/// [`probe_table`] it emits in `left` order, so contiguous slices of `left`
+/// concatenate back to the whole product.
 pub fn cross_join(
-    left: &SignedRows,
-    right: &SignedRows,
+    left: &[(Tuple, i64)],
+    right: &[(Tuple, i64)],
     meter: &mut WorkMeter,
 ) -> RelResult<SignedRows> {
     let mut out = Vec::with_capacity(left.len() * right.len());
@@ -301,5 +302,49 @@ mod tests {
         let rt = build_table(&r(), &[0], &mut m4);
         let via_flip = probe_table(&r(), &rt, &big_left, &[0], false, &mut m4).unwrap();
         assert_eq!(direct_flip, via_flip);
+    }
+
+    #[test]
+    fn chunking_the_probe_side_is_invisible_order_included() {
+        // One table over the whole build side; the probe side cut into
+        // contiguous chunks, each probed on its own meter. Concatenated in
+        // chunk order the outputs equal one call byte for byte, and the
+        // meters sum to its meter — for both orientations and the cross join.
+        let rows = |n: i64| -> SignedRows {
+            (0..n)
+                .map(|i| {
+                    let m = if i % 5 == 0 { -1 } else { 1 + i % 3 };
+                    (tup![Value::Int(i % 7), Value::str(format!("r{i}"))], m)
+                })
+                .collect()
+        };
+        let (build, probe) = (rows(40), rows(60));
+        let table = build_table(&build, &[0], &mut WorkMeter::new());
+        // `op` over the whole probe side versus over its chunks.
+        fn check(
+            what: &str,
+            probe: &[(Tuple, i64)],
+            op: impl Fn(&[(Tuple, i64)], &mut WorkMeter) -> SignedRows,
+        ) {
+            for chunks in [1, 2, 3, probe.len()] {
+                let mut whole = WorkMeter::new();
+                let direct = op(probe, &mut whole);
+                let (mut via, mut parts) = (Vec::new(), WorkMeter::new());
+                for c in probe.chunks(probe.len().div_ceil(chunks)) {
+                    let mut own = WorkMeter::new();
+                    via.extend(op(c, &mut own));
+                    parts.absorb(&own);
+                }
+                assert_eq!(direct, via, "{what}, {chunks} chunks");
+                assert_eq!(whole, parts, "{what}, {chunks} chunks");
+            }
+        }
+        check("build left", &probe, |c, m| {
+            probe_table(&build, &table, c, &[0], true, m).unwrap()
+        });
+        check("build right", &probe, |c, m| {
+            probe_table(&build, &table, c, &[0], false, m).unwrap()
+        });
+        check("cross join", &probe, |c, m| cross_join(c, &l(), m).unwrap());
     }
 }

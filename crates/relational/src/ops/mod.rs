@@ -15,7 +15,7 @@ pub use aggregate::{
     group_rows, group_rows_chunked, merge_groups, Acc, AggFunc, AggSpec, GroupAcc,
 };
 pub use join::{build_table, cross_join, hash_join, probe_table, BuiltTable};
-pub use partition::{build_partitioned, part_of, probe_partitioned, PartitionedTable, Partitioner};
+pub use partition::{part_of, Partitioner};
 
 use crate::delta::DeltaRelation;
 use crate::error::RelResult;

@@ -4,7 +4,16 @@ use crate::delta::DeltaRelation;
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+
+/// The largest multiplicity a table stores: every scan hands counts on as
+/// signed `i64` multiplicities.
+const MAX_MULTIPLICITY: u64 = i64::MAX as u64;
+
+fn overflow(relation: &str) -> RelError {
+    RelError::Overflow(format!("multiplicity of a row of {relation}"))
+}
 
 /// A bag (multiset) of tuples with a fixed schema.
 ///
@@ -56,7 +65,9 @@ impl Table {
         self.rows.len()
     }
 
-    /// Inserts `count` copies of `tuple`.
+    /// Inserts `count` copies of `tuple`. [`RelError::Overflow`] — with the
+    /// table untouched — when the tuple's multiplicity would pass `i64::MAX`
+    /// or the table's length `u64::MAX`.
     pub fn insert_n(&mut self, tuple: Tuple, count: u64) -> RelResult<()> {
         if count == 0 {
             return Ok(());
@@ -66,8 +77,17 @@ impl Table {
                 detail: format!("tuple {tuple:?} does not fit table {}", self.name),
             });
         }
-        *self.rows.entry(tuple).or_insert(0) += count;
-        self.len += count;
+        let len = (self.len.checked_add(count)).ok_or_else(|| overflow(&self.name))?;
+        let grown = |held: u64| held.checked_add(count).filter(|&m| m <= MAX_MULTIPLICITY);
+        match self.rows.entry(tuple) {
+            Entry::Occupied(mut o) => {
+                *o.get_mut() = grown(*o.get()).ok_or_else(|| overflow(&self.name))?;
+            }
+            Entry::Vacant(v) => {
+                v.insert(grown(0).ok_or_else(|| overflow(&self.name))?);
+            }
+        }
+        self.len = len;
         Ok(())
     }
 
@@ -115,28 +135,44 @@ impl Table {
 
     /// Applies a signed delta: inserts plus tuples, deletes minus tuples.
     ///
-    /// This is the paper's `Inst` primitive. Errors (without partial effects
-    /// rolled back — callers treat the error as fatal) if a deletion would
-    /// remove more copies than are stored.
+    /// This is the paper's `Inst` primitive. Errors, leaving the table
+    /// untouched, if a deletion would remove more copies than are stored
+    /// ([`RelError::NegativeMultiplicity`]) or an insertion would take a
+    /// multiplicity past `i64::MAX` or the length past `u64::MAX`
+    /// ([`RelError::Overflow`]).
     pub fn install(&mut self, delta: &DeltaRelation) -> RelResult<()> {
         if *delta.schema() != self.schema {
             return Err(RelError::SchemaMismatch {
                 detail: format!("delta schema does not match table {}", self.name),
             });
         }
-        // Validate deletions up front so errors leave the table untouched.
+        // Validate up front so errors leave the table untouched.
+        let mut len = Some(self.len);
         for (t, m) in delta.iter() {
-            if m < 0 && self.multiplicity(t) < (-m) as u64 {
+            if m < 0 && self.multiplicity(t) < m.unsigned_abs() {
                 return Err(RelError::NegativeMultiplicity {
                     relation: self.name.clone(),
                 });
+            }
+            if m > 0 {
+                len = len.and_then(|l| l.checked_add(m as u64));
+            }
+        }
+        let len = len.ok_or_else(|| overflow(&self.name))?;
+        // A row is held at most `self.len` times, so only a table that can
+        // grow past `i64::MAX` rows needs each plus row looked up.
+        if len > MAX_MULTIPLICITY {
+            for (t, m) in delta.iter().filter(|&(_, m)| m > 0) {
+                if self.multiplicity(t) + m as u64 > MAX_MULTIPLICITY {
+                    return Err(overflow(&self.name));
+                }
             }
         }
         for (t, m) in delta.iter() {
             if m > 0 {
                 self.insert_n(t.clone(), m as u64)?;
             } else if m < 0 {
-                self.delete_n(t, (-m) as u64)?;
+                self.delete_n(t, m.unsigned_abs())?;
             }
         }
         Ok(())
@@ -232,6 +268,45 @@ mod tests {
         // Nothing was applied.
         assert_eq!(tab.len(), 1);
         assert_eq!(tab.multiplicity(&tup![Value::Int(7)]), 0);
+    }
+
+    #[test]
+    fn an_install_past_i64_max_is_refused_and_changes_nothing() {
+        // Held i64::MAX times, the row would reach 2·i64::MAX and every scan
+        // would read it back as a negative multiplicity.
+        let mut tab = t();
+        tab.insert_n(tup![Value::Int(1)], i64::MAX as u64).unwrap();
+        let mut d = DeltaRelation::new(tab.schema().clone());
+        d.add(tup![Value::Int(2)], 1);
+        d.add(tup![Value::Int(1)], i64::MAX);
+        assert!(matches!(tab.install(&d), Err(RelError::Overflow(_))));
+        assert_eq!(tab.len(), i64::MAX as u64);
+        assert_eq!(tab.multiplicity(&tup![Value::Int(2)]), 0);
+        assert_eq!(
+            crate::ops::scan_table(&tab, &mut Default::default())[0].1,
+            i64::MAX
+        );
+        // insert_n refuses the same row, and a fresh row past i64::MAX.
+        let err = tab.insert_n(tup![Value::Int(1)], 1);
+        assert!(matches!(err, Err(RelError::Overflow(_))));
+        let err = t().insert_n(tup![Value::Int(3)], i64::MAX as u64 + 1);
+        assert!(matches!(err, Err(RelError::Overflow(_))));
+        // The length has a bound of its own.
+        tab.insert_n(tup![Value::Int(4)], i64::MAX as u64).unwrap();
+        let err = tab.insert_n(tup![Value::Int(5)], 2);
+        assert!(matches!(err, Err(RelError::Overflow(_))));
+        assert_eq!(tab.multiplicity(&tup![Value::Int(5)]), 0);
+    }
+
+    #[test]
+    fn an_i64_min_deletion_is_a_typed_error_not_a_panic() {
+        let mut tab = t();
+        tab.insert_n(tup![Value::Int(1)], 3).unwrap();
+        let mut d = DeltaRelation::new(tab.schema().clone());
+        d.add(tup![Value::Int(1)], i64::MIN);
+        let err = tab.install(&d);
+        assert!(matches!(err, Err(RelError::NegativeMultiplicity { .. })));
+        assert_eq!(tab.multiplicity(&tup![Value::Int(1)]), 3);
     }
 
     #[test]

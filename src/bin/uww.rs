@@ -47,9 +47,10 @@
 //! directory fsync (before any record lands).
 //!
 //! Each `Comp` evaluates its maintenance terms through a shared operand
-//! cache. `--partitions N` hash-partitions each term's build and
-//! probe sides by join key and runs the chunks on a work-stealing pool;
-//! results and work meters stay byte-identical at every partition count. `--strategy-sharing`
+//! cache. `--partitions N` cuts each term's probe, filter, cross-join and
+//! grouping inputs into `N` contiguous slices that run on a work-stealing
+//! pool against one build table per operand; results and work meters stay
+//! byte-identical at every partition count. `--strategy-sharing`
 //! lifts the cache to strategy scope:
 //! operand materializations and hash-join build tables survive across
 //! `Comp` boundaries until an expression modifies the operand. In every

@@ -1,13 +1,14 @@
 //! Differential property tests for partition-parallel term execution.
 //!
 //! Over random warehouses × random valid strategies, the partitioned
-//! executor (hash-partitioned builds/probes and chunked aggregation on the
-//! work-stealing pool) must be **fully byte-identical** to the sequential
-//! shared engine: final state, WAL journal, and the complete `WorkMeter` —
-//! physical counters included — at every partition count and under
-//! strategy-scope sharing. Unlike the
-//! sharing sweeps (which only pin the *logical* meter), partitioning is
-//! pure plumbing: it changes where rows are probed, never what is charged.
+//! executor (one build table per operand, with every filter, probe, cross
+//! join and grouping input cut into contiguous slices on the work-stealing
+//! pool) must be **fully byte-identical** to the sequential shared engine:
+//! final state, WAL journal, and the complete `WorkMeter` — physical
+//! counters included — at every partition count and under strategy-scope
+//! sharing. Unlike the sharing sweeps (which only pin the *logical* meter),
+//! partitioning is pure plumbing: it changes which thread probes a row,
+//! never what is built, emitted or charged.
 //!
 //! Seeded like the other sweeps: `UWW_PART_SEED` shifts the whole sweep to
 //! a different deterministic slice, and `UWW_PARTS` (comma-separated, e.g.
@@ -66,8 +67,8 @@ const COLS: &[(&str, ValueType)] = &[
 /// Same shape as the `term_sharing` sweep — three bases, a guaranteed
 /// three-way join whose dual-stage `Comp` expands to seven terms — plus a
 /// *cross-join* view (two sources, no equijoin), so every sweep exercises
-/// the empty-key fallback path alongside the co-partitioned joins. Every
-/// base gets a random deletion+insertion batch.
+/// the empty-key path alongside the keyed joins. Every base gets a random
+/// deletion+insertion batch.
 fn random_warehouse(seed: u64) -> (Warehouse, BTreeMap<String, DeltaRelation>) {
     let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(0x9A27));
     let schema = Schema::of(COLS);
@@ -113,8 +114,7 @@ fn random_warehouse(seed: u64) -> (Warehouse, BTreeMap<String, DeltaRelation>) {
     });
 
     // The empty-key degenerate: no equijoin connects the sources, so every
-    // term takes the cross-join path (contiguous chunks, no co-partition).
-    // The filters keep the output small.
+    // term takes the cross-join path. The filters keep the output small.
     builder = builder.view(ViewDef {
         name: "X2".into(),
         sources: vec![
@@ -257,8 +257,8 @@ fn run_mode(
 /// Full-meter equality, expression by expression — the partition engine's
 /// headline invariant. `scan`-level sharing tests only pin the logical
 /// meter; here even `physical_rows_touched` and the hash-table counters
-/// must match, because partitioning charges one build per table and sums
-/// per-chunk probes back to the sequential totals.
+/// must match, because every table is built once over its whole operand
+/// and per-slice probes sum back to the sequential totals.
 fn assert_meters_identical(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
     assert_eq!(a.per_expr.len(), b.per_expr.len(), "{what}: expr count");
     for (x, y) in a.per_expr.iter().zip(b.per_expr.iter()) {
@@ -302,10 +302,10 @@ fn partitioned_execution_is_byte_identical_to_sequential() {
                 assert_meters_identical(&reference.report, &run.report, &what);
             }
 
-            // Partitioning composes with strategy-scope sharing: the strategy cache must
-            // never serve a table across partition-count boundaries, so the
-            // partitioned sharing run equals the sequential sharing run on
-            // the full meter (which differs from the unshared reference
+            // Partitioning composes with strategy-scope sharing: a stored
+            // table indexes its whole operand at any partition count, so
+            // the partitioned sharing run equals the sequential sharing run
+            // on the full meter (which differs from the unshared reference
             // only in physical counters).
             let shared_seq = run_mode(
                 &w,
