@@ -10,6 +10,7 @@ use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType, DECIMAL_ONE};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A scalar expression over one row.
@@ -142,6 +143,16 @@ impl BoundExpr {
             BoundExpr::Sub(a, b) => arith(a.eval(row)?, b.eval(row)?, ArithOp::Sub),
             BoundExpr::Mul(a, b) => arith(a.eval(row)?, b.eval(row)?, ArithOp::Mul),
         }
+    }
+
+    /// [`BoundExpr::eval`], borrowing a column or literal instead of
+    /// cloning it.
+    fn eval_ref<'a>(&'a self, row: &'a Tuple) -> RelResult<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::Col(i) => Cow::Borrowed(row.get(*i)),
+            BoundExpr::Lit(v) => Cow::Borrowed(v),
+            computed => Cow::Owned(computed.eval(row)?),
+        })
     }
 }
 
@@ -348,8 +359,8 @@ impl BoundPredicate {
     pub fn eval(&self, row: &Tuple) -> RelResult<bool> {
         Ok(match self {
             BoundPredicate::Cmp(op, a, b) => {
-                let va = a.eval(row)?;
-                let vb = b.eval(row)?;
+                let va = a.eval_ref(row)?;
+                let vb = b.eval_ref(row)?;
                 if va.value_type() != vb.value_type() {
                     return Err(RelError::TypeMismatch {
                         context: format!("compare {va:?} {op} {vb:?}"),

@@ -1,17 +1,18 @@
 //! Join operators on signed row batches.
 
+use super::keyhash::key_hash;
 use super::SignedRows;
 use crate::error::{RelError, RelResult};
 use crate::meter::WorkMeter;
 use crate::tuple::Tuple;
-use std::collections::HashMap;
 
 /// Hash equi-join.
 ///
 /// Joins `left` and `right` on `left[left_keys[i]] == right[right_keys[i]]`
 /// for all `i`, concatenating matching tuples (left columns first) and
 /// multiplying their signed multiplicities ([`RelError::Overflow`] when a
-/// product leaves `i64`). Builds the hash table on the smaller batch.
+/// product leaves `i64`). Builds the hash table on the smaller batch. Key
+/// lists of different lengths are a [`RelError::SchemaMismatch`].
 pub fn hash_join(
     left: &[(Tuple, i64)],
     left_keys: &[usize],
@@ -19,7 +20,7 @@ pub fn hash_join(
     right_keys: &[usize],
     meter: &mut WorkMeter,
 ) -> RelResult<SignedRows> {
-    assert_eq!(left_keys.len(), right_keys.len(), "join key arity mismatch");
+    check_key_arity(left_keys.len(), right_keys.len())?;
     if left_keys.is_empty() {
         return cross_join(left, right, meter);
     }
@@ -40,29 +41,79 @@ fn joined_multiplicity(a: i64, b: i64) -> RelResult<i64> {
         .ok_or_else(|| RelError::Overflow("join multiplicity".to_string()))
 }
 
-/// A hash-join build table decoupled from the batch it indexes: key
-/// projection → indices into the build batch, in batch order. Because it
-/// holds indices rather than row references it has no lifetime tie and can
-/// be interned (e.g. in an `Arc`) and probed many times, from any number of
-/// threads at once — the shared-operand term engine reuses one table across
-/// every term that joins the same operand on the same key columns, and
-/// probes it with contiguous slices of the probe side in parallel.
+/// Two join sides must name the same number of key columns.
+fn check_key_arity(a: usize, b: usize) -> RelResult<()> {
+    if a == b {
+        return Ok(());
+    }
+    Err(RelError::SchemaMismatch {
+        detail: format!("join key arity mismatch: {a} key columns against {b}"),
+    })
+}
+
+/// The end of a chain in [`BuiltTable`]'s `heads` and `next`.
+const NIL: usize = usize::MAX;
+
+/// A hash-join build table decoupled from the batch it indexes: chains of
+/// indices into the build batch, one chain per bucket, each in batch order.
+/// Because it holds indices rather than row references it has no lifetime
+/// tie and can be interned (e.g. in an `Arc`) and probed many times, from
+/// any number of threads at once — the shared-operand term engine reuses
+/// one table across every term that joins the same operand on the same key
+/// columns, and probes it with contiguous slices of the probe side in
+/// parallel.
+///
+/// The layout is flat: one key hash and one `next` link per build row, and
+/// a power-of-two `heads` array with at least two buckets per row, indexed
+/// by a hash's top bits. A probe hashes its key columns in place, walks one
+/// chain and compares key columns only on an equal hash; neither side ever
+/// materializes a key tuple.
 #[derive(Debug)]
 pub struct BuiltTable {
-    index: HashMap<Tuple, Vec<usize>>,
+    /// Key columns of the build rows.
+    keys: Vec<usize>,
+    /// `key_hash` of each build row.
+    hashes: Vec<u64>,
+    /// The first row of each bucket's chain, or [`NIL`].
+    heads: Vec<usize>,
+    /// The row after each row in its bucket's chain, or [`NIL`].
+    next: Vec<usize>,
 }
 
 impl BuiltTable {
     fn index(rows: &[(Tuple, i64)], keys: &[usize]) -> BuiltTable {
-        let mut index: HashMap<Tuple, Vec<usize>> = HashMap::with_capacity(rows.len());
-        for (i, (t, _)) in rows.iter().enumerate() {
-            index.entry(t.project(keys)).or_default().push(i);
+        let hashes: Vec<u64> = rows.iter().map(|(t, _)| key_hash(t, keys)).collect();
+        let mut heads = vec![NIL; (2 * rows.len()).next_power_of_two().max(2)];
+        let mut next = vec![NIL; rows.len()];
+        let shift = bucket_shift(heads.len());
+        // Back to front: each row goes on the head of its chain, so every
+        // chain lists its rows in batch order.
+        for (i, &h) in hashes.iter().enumerate().rev() {
+            let b = (h >> shift) as usize;
+            next[i] = heads[b];
+            heads[b] = i;
         }
-        BuiltTable { index }
+        BuiltTable {
+            keys: keys.to_vec(),
+            hashes,
+            heads,
+            next,
+        }
+    }
+
+    /// The first build row whose hash lands in `h`'s bucket, or [`NIL`].
+    fn chain(&self, h: u64) -> usize {
+        self.heads[(h >> bucket_shift(self.heads.len())) as usize]
     }
 }
 
-/// Indexes `rows` by their projection onto `keys`. Charges one
+/// The right shift that turns a hash into an index into `buckets` (a power
+/// of two, at least 2) buckets: its top bits, where the hash mixes best.
+fn bucket_shift(buckets: usize) -> u32 {
+    u64::BITS - buckets.trailing_zeros()
+}
+
+/// Indexes `rows` by their values at `keys`. Charges one
 /// [`WorkMeter::hash_build`] over the input size — a physical pass the
 /// paper's logical metric does not model separately.
 ///
@@ -87,6 +138,8 @@ pub fn build_table(rows: &[(Tuple, i64)], keys: &[usize], meter: &mut WorkMeter)
 /// equivalent [`hash_join`] call. Output follows probe order, so probing
 /// contiguous slices of `probe` and concatenating the results in slice order
 /// reproduces one call over the whole batch exactly, meter included.
+/// `probe_keys` must name as many columns as the table was built on
+/// ([`RelError::SchemaMismatch`] otherwise).
 pub fn probe_table(
     build: &[(Tuple, i64)],
     table: &BuiltTable,
@@ -95,11 +148,23 @@ pub fn probe_table(
     build_is_left: bool,
     meter: &mut WorkMeter,
 ) -> RelResult<SignedRows> {
+    check_key_arity(probe_keys.len(), table.keys.len())?;
+    debug_assert_eq!(
+        build.len(),
+        table.hashes.len(),
+        "table built over another batch"
+    );
     let mut out = Vec::new();
     for (t, m) in probe {
-        if let Some(matches) = table.index.get(&t.project(probe_keys)) {
-            for &bi in matches {
-                let (bt, bm) = &build[bi];
+        let h = key_hash(t, probe_keys);
+        let mut bi = table.chain(h);
+        while bi != NIL {
+            let (bt, bm) = &build[bi];
+            let same_key = || {
+                let mut pairs = table.keys.iter().zip(probe_keys);
+                pairs.all(|(&bk, &pk)| bt.get(bk) == t.get(pk))
+            };
+            if table.hashes[bi] == h && same_key() {
                 let row = if build_is_left {
                     bt.concat(t)
                 } else {
@@ -107,6 +172,7 @@ pub fn probe_table(
                 };
                 out.push((row, joined_multiplicity(*m, *bm)?));
             }
+            bi = table.next[bi];
         }
     }
     meter.emit(out.len() as u64);
@@ -277,6 +343,36 @@ mod tests {
         let one = vec![(tup![Value::Int(1)], -1)];
         let out = hash_join(&big, &[0], &one, &[0], &mut m).unwrap();
         assert_eq!(out[0].1, -i64::MAX);
+    }
+
+    #[test]
+    fn hash_join_key_arity_mismatch_is_a_typed_error() {
+        // Including one empty side, which must not pass for a cross join.
+        let mut m = WorkMeter::new();
+        for (lk, rk) in [(&[0][..], &[0, 1][..]), (&[], &[0])] {
+            let out = hash_join(&l(), lk, &r(), rk, &mut m);
+            assert!(
+                matches!(out, Err(RelError::SchemaMismatch { .. })),
+                "{out:?}"
+            );
+        }
+        assert_eq!(m, WorkMeter::new());
+    }
+
+    #[test]
+    fn probe_key_arity_mismatch_is_a_typed_error() {
+        // Keyed on two columns; probe keys of one or none would otherwise
+        // compare a prefix of the key, or nothing, and mis-match.
+        let table = build_table(&r(), &[0, 1], &mut WorkMeter::new());
+        let mut m = WorkMeter::new();
+        for probe_keys in [&[0][..], &[]] {
+            let out = probe_table(&r(), &table, &l(), probe_keys, false, &mut m);
+            assert!(
+                matches!(out, Err(RelError::SchemaMismatch { .. })),
+                "{out:?}"
+            );
+        }
+        assert_eq!(m, WorkMeter::new());
     }
 
     #[test]

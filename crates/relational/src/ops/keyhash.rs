@@ -1,0 +1,79 @@
+//! The join-key hash: a small multiply-rotate hash fed a row's key values
+//! where they lie, with no projected key tuple in between.
+//!
+//! It is deterministic (no per-process seed), so a build table's layout is
+//! a pure function of its rows. Join keys come from the warehouse's own
+//! tables, not from clients, so `std`'s collision-resistant SipHash buys
+//! nothing here and costs most of a probe.
+
+use crate::tuple::Tuple;
+use crate::value::Value;
+
+/// The odd multiplier of Fibonacci hashing (2^64 / φ).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One word into the running hash. The product carries every input bit into
+/// the high bits, which is where [`super::join`] takes its bucket index.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(MUL)
+}
+
+/// The hash of `row`'s values at `cols`, in that order. Equal values hash
+/// equally; each type mixes in its own tag, so `Int(k)`, `Decimal(k)` and
+/// `Date(k)` hash apart. An empty column list hashes to `0`.
+pub(super) fn key_hash(row: &Tuple, cols: &[usize]) -> u64 {
+    let mut h = 0;
+    for &c in cols {
+        h = match row.get(c) {
+            Value::Int(v) => mix(mix(h, 1), *v as u64),
+            Value::Decimal(v) => mix(mix(h, 2), *v as u64),
+            Value::Date(v) => mix(mix(h, 3), *v as u64),
+            Value::Str(s) => {
+                // The length goes in first, so zero padding is unambiguous.
+                let mut h = mix(mix(h, 4), s.len() as u64);
+                for chunk in s.as_bytes().chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    h = mix(h, u64::from_le_bytes(word));
+                }
+                h
+            }
+        };
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tup;
+
+    #[test]
+    fn equal_values_hash_equally_at_any_position() {
+        let a = tup![Value::Int(7), Value::str("ab"), Value::Date(3)];
+        let b = tup![Value::Date(3), Value::Int(7), Value::str("ab")];
+        assert_eq!(key_hash(&a, &[0, 1, 2]), key_hash(&b, &[1, 2, 0]));
+        assert_eq!(key_hash(&a, &[]), 0);
+    }
+
+    #[test]
+    fn types_lengths_and_column_splits_hash_apart() {
+        let t = tup![
+            Value::Int(5),
+            Value::Decimal(5),
+            Value::Date(5),
+            Value::str("abcdefgh"),
+            Value::str("abcdefgh\0"),
+            Value::str("ab"),
+            Value::str("c"),
+            Value::str("a"),
+            Value::str("bc"),
+        ];
+        let h = |cols: &[usize]| key_hash(&t, cols);
+        assert_ne!(h(&[0]), h(&[1]));
+        assert_ne!(h(&[0]), h(&[2]));
+        assert_ne!(h(&[1]), h(&[2]));
+        assert_ne!(h(&[3]), h(&[4]));
+        assert_ne!(h(&[5, 6]), h(&[7, 8]));
+    }
+}

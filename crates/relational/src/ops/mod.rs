@@ -9,6 +9,7 @@
 
 mod aggregate;
 mod join;
+mod keyhash;
 mod partition;
 
 pub use aggregate::{

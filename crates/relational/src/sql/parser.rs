@@ -496,12 +496,21 @@ fn qualify_pred(p: Predicate, sources: &[ViewSource]) -> Result<Predicate, Strin
     })
 }
 
+/// A `YYYY-MM-DD` literal naming a real Gregorian day in years 1–9999.
 fn parse_date(s: &str) -> Option<Value> {
     let mut parts = s.split('-');
     let y: i32 = parts.next()?.parse().ok()?;
     let m: u32 = parts.next()?.parse().ok()?;
     let d: u32 = parts.next()?.parse().ok()?;
-    if parts.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+    let leap = y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
+    let month_len = match m {
+        2 if leap => 29,
+        2 => 28,
+        4 | 6 | 9 | 11 => 30,
+        1..=12 => 31,
+        _ => return None,
+    };
+    if parts.next().is_some() || !(1..=9999).contains(&y) || !(1..=month_len).contains(&d) {
         return None;
     }
     Some(Value::Date(ymd_to_days(y, m, d)))
@@ -629,6 +638,29 @@ mod tests {
         assert!(parse_view_def("V", "SELECT k FROM R WHERE k = 1 stuff").is_err());
         // Bad date.
         assert!(parse_view_def("V", "SELECT k FROM R WHERE d < DATE '1995-13-01'").is_err());
+    }
+
+    #[test]
+    fn date_literals_name_real_days_in_years_1_to_9999() {
+        let parse =
+            |lit: &str| parse_view_def("V", &format!("SELECT k FROM R WHERE d < DATE '{lit}'"));
+        for bad in [
+            "1995-02-31",
+            "1995-04-31",
+            "9999999-01-01",
+            "1900-02-29",
+            "0-01-01",
+        ] {
+            match parse(bad) {
+                Err(RelError::SchemaMismatch { detail }) => {
+                    assert!(detail.contains("bad date literal"), "{bad}: {detail}")
+                }
+                other => panic!("{bad} parsed: {other:?}"),
+            }
+        }
+        let def = parse("2000-02-29").unwrap();
+        let lit = ScalarExpr::Lit(crate::value::date(2000, 2, 29));
+        assert!(matches!(&def.filters[0], Predicate::Cmp(CmpOp::Lt, _, l) if *l == lit));
     }
 
     #[test]

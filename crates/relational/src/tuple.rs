@@ -37,15 +37,21 @@ impl Tuple {
 
     /// Projects the tuple onto the given column indices.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
+        Tuple {
+            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
+        }
     }
 
     /// Concatenates two tuples.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
+        Tuple {
+            values: self
+                .values
+                .iter()
+                .chain(other.values.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Checks that this tuple's arity and value types match `schema`.

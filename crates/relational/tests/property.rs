@@ -51,8 +51,120 @@ fn feasible_delta(t: &Table, entries: &[(i64, i64, i64)]) -> DeltaRelation {
     d
 }
 
+/// Join-side rows: a type tag (Int, Decimal or Date), that value's payload
+/// and a string key, each from a domain of about four, then a payload and a
+/// signed multiplicity.
+fn arb_join_rows() -> impl Strategy<Value = Vec<(u8, i64, usize, i64, i64)>> {
+    prop::collection::vec((0..3u8, 0..4i64, 0..4usize, 0..10i64, -3..4i64), 0..24)
+}
+
+/// The typed key of a join row: equal payloads under different tags must
+/// never match.
+fn typed_key(tag: u8, payload: i64) -> Value {
+    match tag {
+        0 => Value::Int(payload),
+        1 => Value::Decimal(payload),
+        _ => Value::Date(payload as i32),
+    }
+}
+
+/// String keys shorter than, exactly and longer than one 8-byte word.
+const STR_KEYS: [&str; 4] = ["", "a", "abcdefgh", "abcdefghi"];
+
+/// Left rows are `(typed, str, x)`; right rows `(x, str, typed)`, so the two
+/// sides name equal keys at different positions.
+fn join_side(rows: &[(u8, i64, usize, i64, i64)], left: bool) -> SignedRows {
+    rows.iter()
+        .map(|&(tag, payload, s, x, m)| {
+            let (k, s, x) = (
+                typed_key(tag, payload),
+                Value::str(STR_KEYS[s]),
+                Value::Int(x),
+            );
+            let t = if left { vec![k, s, x] } else { vec![x, s, k] };
+            (Tuple::new(t), m)
+        })
+        .collect()
+}
+
+/// The join by definition: every probe row against every build row, emitting
+/// in probe order, then build order.
+fn nested_loop(
+    build: &[(Tuple, i64)],
+    build_keys: &[usize],
+    probe: &[(Tuple, i64)],
+    probe_keys: &[usize],
+    build_is_left: bool,
+) -> SignedRows {
+    let mut out = Vec::new();
+    for (pt, pm) in probe {
+        for (bt, bm) in build {
+            if build_keys
+                .iter()
+                .zip(probe_keys)
+                .all(|(&b, &p)| bt.get(b) == pt.get(p))
+            {
+                let row = if build_is_left {
+                    bt.concat(pt)
+                } else {
+                    pt.concat(bt)
+                };
+                out.push((row, pm * bm));
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The hash-join kernel is the nested-loop join, byte for byte and meter
+    /// for meter: `probe_table` over either side's build table, and
+    /// `hash_join`, whichever side it builds on — over no key, the typed
+    /// key, the string key, or both.
+    #[test]
+    fn join_kernel_equals_nested_loop(
+        left in arb_join_rows(),
+        right in arb_join_rows(),
+        keys in 0..4usize,
+    ) {
+        let (l, r) = (join_side(&left, true), join_side(&right, false));
+        let key_choices: [(&[usize], &[usize]); 4] =
+            [(&[], &[]), (&[0], &[2]), (&[1], &[1]), (&[0, 1], &[2, 1])];
+        let (lk, rk) = key_choices[keys];
+        // A build charges a keyed build, or a plain pass over no key.
+        let built = |n: usize, emitted: usize| {
+            let mut m = WorkMeter::new();
+            if lk.is_empty() { m.touch(n as u64) } else { m.hash_build(n as u64) }
+            m.emit(emitted as u64);
+            m
+        };
+        for build_is_left in [true, false] {
+            let (build, bk, probe, pk) =
+                if build_is_left { (&l, lk, &r, rk) } else { (&r, rk, &l, lk) };
+            let mut m = WorkMeter::new();
+            let table = ops::build_table(build, bk, &mut m);
+            let out = ops::probe_table(build, &table, probe, pk, build_is_left, &mut m).unwrap();
+            prop_assert_eq!(&out, &nested_loop(build, bk, probe, pk, build_is_left));
+            prop_assert_eq!(m, built(build.len(), out.len()));
+        }
+        // hash_join builds on the smaller side; over no key it is the cross
+        // product in left order, which is the nested loop probing with left.
+        let mut m = WorkMeter::new();
+        let out = ops::hash_join(&l, lk, &r, rk, &mut m).unwrap();
+        let mut expected = WorkMeter::new();
+        expected.emit(out.len() as u64);
+        if lk.is_empty() || l.len() > r.len() {
+            prop_assert_eq!(&out, &nested_loop(&r, rk, &l, lk, false));
+        } else {
+            prop_assert_eq!(&out, &nested_loop(&l, lk, &r, rk, true));
+        }
+        if !lk.is_empty() {
+            expected.hash_build(l.len().min(r.len()) as u64);
+        }
+        prop_assert_eq!(m, expected);
+    }
 
     /// Installing a merged delta equals installing the parts in sequence.
     #[test]
