@@ -38,11 +38,6 @@ pub struct ExecOptions {
     /// `hash_tables_cross_reused`, and `operand_reads_cached` move.
     /// Sequential windows only: [`Warehouse::execute_staged`] refuses it.
     pub strategy_sharing: bool,
-    /// Planner-predicted linear work per expression, in execution (manifest)
-    /// order — attached to expression spans when tracing is enabled so
-    /// traces and the timeline report show predicted vs measured work
-    /// side by side (default: none). Never affects execution.
-    pub predicted_work: Option<Vec<f64>>,
     /// Partition-parallel execution within each term: every filter, probe,
     /// cross join and grouping input cut into contiguous slices that run on
     /// a work-stealing pool against one shared build table (default: one
@@ -58,7 +53,6 @@ impl Default for ExecOptions {
             validate: true,
             wal: None,
             strategy_sharing: false,
-            predicted_work: None,
             partition: PartitionOptions::default(),
         }
     }
@@ -504,18 +498,14 @@ impl Warehouse {
         })
     }
 
-    /// Opens `item`'s expression span under `parent`, with its static
-    /// attributes and the planner's prediction for it.
-    fn expr_span(&self, parent: u64, item: &Item<'_>, opts: &ExecOptions) -> obs::Span {
-        let &(idx, _, expr) = item;
+    /// Opens the expression span of `expr` under `parent`, with its static
+    /// attributes.
+    fn expr_span(&self, parent: u64, expr: &UpdateExpr) -> obs::Span {
         let g = self.vdag();
         let mut span = obs::span_under_dyn(obs::SpanKind::Expression, parent, || {
             expr.display(g).to_string()
         });
         expr_attrs(&mut span, g, expr);
-        if let Some(p) = opts.predicted_work.as_ref().and_then(|p| p.get(idx)) {
-            span.attr_f64(obs::keys::PREDICTED_WORK, *p);
-        }
         span
     }
 
@@ -530,7 +520,7 @@ impl Warehouse {
         // A lone Comp's span covers its journal records and merge too; a
         // fanned-out Comp's span lives on its worker thread.
         let mut solo = match batch {
-            [one] => Some(self.expr_span(parent, one, run.opts)),
+            [one] => Some(self.expr_span(parent, one.2)),
             _ => None,
         };
         let t0 = Instant::now();
@@ -562,7 +552,7 @@ impl Warehouse {
                     .iter()
                     .map(|item| {
                         scope.spawn(move || {
-                            let mut span = this.expr_span(parent, item, opts);
+                            let mut span = this.expr_span(parent, item.2);
                             let out = fragment_of(item, &mut OperandStore::empty(), None);
                             if let Ok((_, work, ..)) = &out {
                                 meter_attrs(&mut span, work);
@@ -622,7 +612,7 @@ impl Warehouse {
     fn run_inst(&mut self, item: &Item<'_>, run: &mut Run<'_>) -> CoreResult<()> {
         let &(idx, _, expr) = item;
         let view = expr.subject();
-        let mut span = self.expr_span(obs::current_span_id(), item, run.opts);
+        let mut span = self.expr_span(obs::current_span_id(), expr);
         let start_meter = *self.meter();
         let t0 = Instant::now();
         run.journal(RecordBody::InstStart(idx))?;

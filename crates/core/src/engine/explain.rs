@@ -2,8 +2,10 @@
 //!
 //! For each `Comp(W, Y)` this renders the maintenance terms — which operands
 //! play the delta role, which stored extents get scanned, and the join order
-//! the engine runs, sized by the filtered row counts it was chosen by — plus
-//! the model-predicted work. Nothing here plans a join: the terms are what
+//! the engine runs, sized by the filtered row counts it was chosen by — and
+//! every expression's model-predicted work beside the linear work the scratch
+//! run measured (the paper's §4 metric against §7's measurement, in one
+//! unit). Nothing here plans a join: the terms are what
 //! [`plan_strategy_sharing`] saw the window runner execute on a scratch
 //! clone, so each `Comp` is explained against the state the preceding
 //! expressions leave. The paper's WHA writes update scripts by hand;
@@ -28,6 +30,9 @@ pub struct ExprPlan {
     pub terms: Vec<TermProfile>,
     /// Model-predicted work given the installs preceding this expression.
     pub predicted_work: f64,
+    /// Linear work (rows scanned + installed) the scratch run measured for
+    /// this expression: what executing the strategy next reports for it.
+    pub measured_work: u64,
 }
 
 impl Warehouse {
@@ -37,8 +42,9 @@ impl Warehouse {
         let described = plan_strategy_sharing(self, strategy, SharingScope::Comp)?;
         let exprs = strategy.exprs.iter().zip(described.profile.exprs);
         Ok(exprs
+            .zip(&described.report.per_expr)
             .zip(model.per_expression_work(strategy))
-            .map(|((e, ran), predicted_work)| {
+            .map(|(((e, ran), measured), predicted_work)| {
                 // The runner reports the terms it evaluated; the rest of the
                 // `Comp`'s terms were skipped.
                 let mut ran = ran.terms.into_iter().peekable();
@@ -58,6 +64,7 @@ impl Warehouse {
                     expr: e.clone(),
                     terms: terms.collect(),
                     predicted_work,
+                    measured_work: measured.work.linear_work(),
                 }
             })
             .collect())
@@ -71,9 +78,10 @@ pub fn render_explain(warehouse: &Warehouse, plans: &[ExprPlan]) -> String {
     for p in plans {
         let _ = writeln!(
             out,
-            "{:<30} predicted work {:.0}",
+            "{:<30} predicted work {:.0}, measured work {}",
             p.expr.display(g).to_string(),
-            p.predicted_work
+            p.predicted_work,
+            p.measured_work
         );
         for t in &p.terms {
             let _ = writeln!(
@@ -225,9 +233,11 @@ mod tests {
             .unwrap();
         assert!(comp_s.terms[0].skipped());
         assert_eq!(comp_s.predicted_work, 0.0);
+        assert_eq!(comp_s.measured_work, 0);
 
         let text = render_explain(&w, &explained);
         assert!(text.contains("Comp(V, {R})"));
+        assert!(text.contains("measured work"));
         assert!(text.contains("[skipped: empty delta]"));
         assert!(text.contains("⋈"));
     }
@@ -253,7 +263,13 @@ mod tests {
         let explained = w.explain(&strat, &model).unwrap();
         // Inst(R) work = |ΔR| = 1.
         assert_eq!(explained[1].predicted_work, 1.0);
+        assert_eq!(explained[1].measured_work, 1);
         // Final inst(V): delta estimated by the heuristic; non-negative.
         assert!(explained[4].predicted_work >= 0.0);
+        // Measured work is what executing the strategy reports.
+        let ran = w.clone().execute(&strat).unwrap();
+        let measured: Vec<u64> = explained.iter().map(|p| p.measured_work).collect();
+        let executed: Vec<u64> = ran.per_expr.iter().map(|e| e.work.linear_work()).collect();
+        assert_eq!(measured, executed);
     }
 }

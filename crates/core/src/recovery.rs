@@ -176,10 +176,7 @@ pub fn recover_with(
             let g = w.vdag();
             obs::span_dyn(obs::SpanKind::Replay, || expr.display(g).to_string())
         };
-        if span.is_recording() {
-            crate::engine::exec::expr_attrs(&mut span, w.vdag(), expr);
-            span.attr_u64(obs::keys::REPLAYED, 1);
-        }
+        crate::engine::exec::expr_attrs(&mut span, w.vdag(), expr);
         let t0 = std::time::Instant::now();
         let start_meter = *w.meter();
         match &d.body {

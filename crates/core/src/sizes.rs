@@ -37,11 +37,6 @@ pub struct SizeCatalog {
 }
 
 impl SizeCatalog {
-    /// Builds from explicit per-view sizes (tests, synthetic scenarios).
-    pub fn from_infos(infos: Vec<SizeInfo>) -> Self {
-        SizeCatalog { infos }
-    }
-
     /// The size triple of `v`.
     pub fn info(&self, v: ViewId) -> SizeInfo {
         self.infos.get(v.0).copied().unwrap_or_default()

@@ -60,7 +60,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use uww_relational::{delta_from_str, delta_to_string, digest64, DeltaRelation};
+use uww_relational::{delta_from_str, delta_to_string, digest64};
 use uww_vdag::{UpdateExpr, Vdag};
 
 use crate::engine::{PendingDelta, SummaryDelta};
@@ -427,11 +427,6 @@ pub fn decode_pending(s: &str) -> CoreResult<PendingDelta> {
 /// Content digest of a ΔV fragment (digest of its encoding).
 pub fn pending_digest(p: &PendingDelta) -> u64 {
     digest64(&encode_pending(p))
-}
-
-/// Content digest of an installed delta's rows.
-pub fn delta_digest_of(d: &DeltaRelation) -> u64 {
-    digest64(&delta_to_string(d))
 }
 
 // ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ pub struct TraceStats {
 }
 
 /// Parses `text` as a Chrome trace and checks the shape every consumer
-/// (Perfetto, the timeline, the golden tests) relies on: a `traceEvents`
+/// (Perfetto, `uww diff`, the golden tests) relies on: a `traceEvents`
 /// array whose members carry a one-char `ph`, and for `X` events a nonempty
 /// `name`, numeric nonnegative `ts`/`dur`, and numeric `pid`/`tid`.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
@@ -158,87 +158,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Per-expression counters extracted from a Chrome trace — the runtime side
-/// of the sharing-conformance check (`uww analyze --sharing
-/// --verify-against`). One entry per expression span, in timeline order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExprCounters {
-    /// Target view name (`keys::VIEW`).
-    pub view: String,
-    /// `"comp"` or `"inst"` (`keys::EXPR_KIND`).
-    pub kind: String,
-    /// Measured `hash_tables_built` for the expression.
-    pub hash_builds: u64,
-    /// Measured `hash_tables_reused` for the expression.
-    pub hash_reuses: u64,
-    /// Measured `hash_tables_cross_reused` (strategy-scope cache hits).
-    /// Zero when the trace predates the counter.
-    pub cross_reuses: u64,
-    /// Measured `operand_reads_cached` (strategy-scope raw-read hits).
-    /// Zero when the trace predates the counter.
-    pub cached_reads: u64,
-}
-
-/// Extracts the expression-level hash-table counters from a Chrome trace
-/// produced by `uww run --trace-out`: every complete event whose category
-/// is `expression`, ordered by start timestamp (sequential execution closes
-/// expression spans in strategy order, so this is execution order).
-pub fn expression_counters(text: &str) -> Result<Vec<ExprCounters>, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing traceEvents array")?;
-    let mut out: Vec<(f64, ExprCounters)> = Vec::new();
-    for (i, ev) in events.iter().enumerate() {
-        if ev.get("ph").and_then(JsonValue::as_str) != Some("X")
-            || ev.get("cat").and_then(JsonValue::as_str) != Some("expression")
-        {
-            continue;
-        }
-        let args = ev
-            .get("args")
-            .ok_or_else(|| format!("event {i}: no args"))?;
-        let text_of = |key: &str| -> Result<String, String> {
-            args.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("event {i}: expression span lacks {key}"))
-        };
-        let count_of = |key: &str| -> Result<u64, String> {
-            args.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("event {i}: expression span lacks {key}"))
-        };
-        let ts = ev
-            .get("ts")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("event {i}: bad ts"))?;
-        out.push((
-            ts,
-            ExprCounters {
-                view: text_of(crate::span::keys::VIEW)?,
-                kind: text_of(crate::span::keys::EXPR_KIND)?,
-                hash_builds: count_of(crate::span::keys::HASH_BUILDS)?,
-                hash_reuses: count_of(crate::span::keys::HASH_REUSES)?,
-                // Optional so traces recorded before the strategy-scope
-                // cache existed still parse.
-                cross_reuses: args
-                    .get(crate::span::keys::HASH_CROSS_REUSES)
-                    .and_then(JsonValue::as_f64)
-                    .map_or(0, |n| n as u64),
-                cached_reads: args
-                    .get(crate::span::keys::CACHED_READS)
-                    .and_then(JsonValue::as_f64)
-                    .map_or(0, |n| n as u64),
-            },
-        ));
-    }
-    out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(out.into_iter().map(|(_, c)| c).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +174,7 @@ mod tests {
             end_us: 10 * id + 5,
             attrs: vec![
                 ("rows".to_string(), AttrValue::U64(7)),
-                ("predicted_work".to_string(), AttrValue::F64(1.5)),
+                ("staleness".to_string(), AttrValue::F64(1.5)),
                 ("view".to_string(), AttrValue::Str("Q3 \"x\"".to_string())),
             ],
         }

@@ -134,6 +134,21 @@ pub struct LedgerRecord {
     pub wal_dir: Option<String>,
 }
 
+/// The largest counter a ledger line may carry: every integer up to 2^53
+/// survives the round trip through a JSON number exactly.
+const MAX_COUNTER: f64 = 9_007_199_254_740_992.0;
+
+/// Reads `key` of `doc` as a counter: a non-negative integer of at most
+/// 2^53. Anything else — missing, fractional, negative, huge — is an error
+/// naming `what`.
+fn counter(doc: &JsonValue, key: &str, what: &str) -> Result<u64, String> {
+    match doc.get(key).and_then(JsonValue::as_f64) {
+        Some(n) if n.fract() == 0.0 && (0.0..=MAX_COUNTER).contains(&n) => Ok(n as u64),
+        Some(n) => Err(format!("{what} {key} is {n}, not an integer in [0, 2^53]")),
+        None => Err(format!("{what} lacks numeric {key}")),
+    }
+}
+
 fn num(x: f64) -> String {
     if x.is_finite() {
         x.to_string()
@@ -224,25 +239,14 @@ impl LedgerRecord {
     /// Parses one JSONL line back into a record.
     pub fn parse_line(line: &str) -> Result<LedgerRecord, String> {
         let doc = json::parse(line).map_err(|e| e.to_string())?;
-        let u = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("ledger record lacks numeric {key}"))
-        };
+        let u = |key: &str| counter(&doc, key, "ledger record");
         let f = |key: &str| -> Result<f64, String> {
             doc.get(key)
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("ledger record lacks numeric {key}"))
         };
         let meter_doc = doc.get("meter").ok_or("ledger record lacks meter")?;
-        let mu = |key: &str| -> Result<u64, String> {
-            meter_doc
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("ledger meter lacks {key}"))
-        };
+        let mu = |key: &str| counter(meter_doc, key, "ledger meter");
         let meter = LedgerMeter {
             operand_rows_scanned: mu("scanned")?,
             rows_installed: mu("installed")?,
@@ -270,12 +274,7 @@ impl LedgerRecord {
                     .map(str::to_string)
                     .ok_or_else(|| format!("per_expr[{i}] lacks {key}"))
             };
-            let eu = |key: &str| -> Result<u64, String> {
-                e.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| format!("per_expr[{i}] lacks {key}"))
-            };
+            let eu = |key: &str| counter(e, key, &format!("per_expr[{i}]"));
             per_expr.push(LedgerExpr {
                 expr: es("expr")?,
                 kind: es("kind")?,
@@ -388,7 +387,7 @@ pub struct LedgerSummary {
 /// line, strictly increasing window indices, monotone virtual time,
 /// nonempty batches, finite staleness, meter arithmetic
 /// (`linear_work == measured_work`), and per-expression sums matching the
-/// window meter.
+/// window meter. A sum past `u64::MAX` is an error, not a wrap.
 pub fn validate_ledger(text: &str) -> Result<LedgerSummary, String> {
     let records = read_ledger(text)?;
     if records.is_empty() {
@@ -438,9 +437,15 @@ pub fn validate_ledger(text: &str) -> Result<LedgerSummary, String> {
                 r.measured_work
             )));
         }
-        let scanned: u64 = r.per_expr.iter().map(|e| e.scanned).sum();
-        let installed: u64 = r.per_expr.iter().map(|e| e.installed).sum();
-        if scanned != r.meter.operand_rows_scanned || installed != r.meter.rows_installed {
+        let total = |field: fn(&LedgerExpr) -> u64| {
+            r.per_expr
+                .iter()
+                .try_fold(0u64, |acc, e| acc.checked_add(field(e)))
+                .ok_or_else(|| ctx("per-expression meters overflow"))
+        };
+        if total(|e| e.scanned)? != r.meter.operand_rows_scanned
+            || total(|e| e.installed)? != r.meter.rows_installed
+        {
             return Err(ctx("per-expression meters do not sum to the window meter"));
         }
         if !(0.0..=1.0).contains(&r.cache_hit_rate) {
@@ -449,11 +454,15 @@ pub fn validate_ledger(text: &str) -> Result<LedgerSummary, String> {
         if r.meter.hash_tables_cross_reused > r.meter.hash_tables_reused {
             return Err(ctx("cross-reuses exceed total reuses"));
         }
+        let add = |acc: u64, x: u64, what: &str| {
+            acc.checked_add(x)
+                .ok_or_else(|| ctx(&format!("total {what} overflows")))
+        };
         sum.windows.1 = r.window;
-        sum.events += r.events;
+        sum.events = add(sum.events, r.events, "events")?;
         sum.predicted_work += r.predicted_work;
-        sum.measured_work += r.measured_work;
-        sum.wall_us += r.wall_us;
+        sum.measured_work = add(sum.measured_work, r.measured_work, "measured_work")?;
+        sum.wall_us = add(sum.wall_us, r.wall_us, "wall_us")?;
         weighted_staleness += r.staleness * r.events as f64;
         prev = Some(r);
     }
@@ -653,6 +662,42 @@ mod tests {
         // version is the only thing wrong with it.
         let stamped = v2.replacen("\"v\":2", &format!("\"v\":{LEDGER_VERSION}"), 1);
         validate_ledger(&stamped).unwrap();
+    }
+
+    /// Each counter a hand-edited line breaks is refused by name, not
+    /// truncated into a plausible record.
+    #[test]
+    fn counters_that_are_not_u64_are_refused_by_key() {
+        let line = sample(0).to_json_line();
+        for (from, to, key) in [
+            ("\"window\":0", "\"window\":-1", "window"),
+            ("\"events\":20", "\"events\":2.5", "events"),
+            ("\"wall_us\":130,", "\"wall_us\":1e300,", "wall_us"),
+        ] {
+            assert!(line.contains(from), "{from}");
+            let err = validate_ledger(&line.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(&format!("ledger record {key} is ")), "{err}");
+        }
+        let err = LedgerRecord::parse_line(&line.replacen("\"scanned\":200", "\"scanned\":-3", 1))
+            .unwrap_err();
+        assert!(err.contains("ledger meter scanned is -3"), "{err}");
+    }
+
+    /// Totals past `u64::MAX` are an error: 2048 windows of 2^53 µs each.
+    #[test]
+    fn summed_counters_that_overflow_are_an_error() {
+        let text: String = (0..2048)
+            .map(|w| {
+                let mut r = sample(w);
+                r.wall_us = 1 << 53;
+                r.to_json_line() + "\n"
+            })
+            .collect();
+        let err = validate_ledger(&text).unwrap_err();
+        assert!(
+            err.contains("window 2047: total wall_us overflows"),
+            "{err}"
+        );
     }
 
     #[test]

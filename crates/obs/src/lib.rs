@@ -4,7 +4,7 @@
 //! update window; this crate makes that visible. It provides a
 //! dependency-free, lock-cheap hierarchical span engine
 //! (`run → expression → term → operator`, plus WAL-record, recovery-replay
-//! and serve-request spans), two exporters, and a text timeline report:
+//! and serve-request spans), two exporters, and a per-window ledger:
 //!
 //! * [`span`] — the engine itself: a process-global subscriber guarded by a
 //!   single relaxed atomic, a thread-local current-span stack for parenting,
@@ -16,9 +16,6 @@
 //!   overlap is visible, and a validator used by the golden tests and CI.
 //! * [`prom`] — a Prometheus text-format registry (counters, gauges,
 //!   histograms) plus a minimal scrape parser for round-trip tests.
-//! * [`timeline`] — the "update-window timeline": per-expression bars over
-//!   the window, each `Comp` annotated with planner-predicted vs measured
-//!   work (the paper's §4 metric, made falsifiable).
 //! * [`json`] — a minimal JSON parser (the workspace is offline; no serde)
 //!   backing the Chrome-trace validator.
 //! * [`ledger`] — the window-health flight recorder: one versioned JSONL
@@ -38,7 +35,9 @@
 //! Spans carry wall-clock intervals *and* the executor's logical/physical
 //! `WorkMeter` deltas as generic attributes — this crate knows nothing about
 //! the meter type itself, only `u64`/`f64`/string attribute values, so it
-//! sits below every other crate in the workspace.
+//! sits below every other crate in the workspace. Spans carry measured
+//! meters only; the planner's per-expression estimate beside them is
+//! `uww explain`'s output and, per continuous window, the ledger's.
 
 pub mod chrome;
 pub mod critical;
@@ -48,7 +47,6 @@ pub mod json;
 pub mod ledger;
 pub mod prom;
 pub mod span;
-pub mod timeline;
 
 pub use span::{
     current_span_id, enabled, install, keys, span, span_dyn, span_under, span_under_dyn,

@@ -78,14 +78,12 @@ pub enum AttrValue {
 }
 
 /// Well-known attribute keys, shared between the instrumentation sites in
-/// `uww-core`/`uww-serve` and the exporters/timeline in this crate.
+/// `uww-core`/`uww-serve` and the readers in this crate.
 pub mod keys {
     /// `"comp"` or `"inst"` on expression spans.
     pub const EXPR_KIND: &str = "expr_kind";
     /// Target view name of an expression.
     pub const VIEW: &str = "view";
-    /// Planner-predicted linear work for the expression (`CostModel`).
-    pub const PREDICTED_WORK: &str = "predicted_work";
     /// Measured linear work (operand rows scanned + rows installed).
     pub const MEASURED_WORK: &str = "measured_work";
     /// Meter delta: operand rows scanned (logical).
@@ -107,8 +105,6 @@ pub mod keys {
     pub const HASH_CROSS_REUSES: &str = "hash_cross_reuses";
     /// Meter delta: raw operand reads served from the strategy-scope cache.
     pub const CACHED_READS: &str = "cached_reads";
-    /// `1` on expression spans reconstructed from the WAL during recovery.
-    pub const REPLAYED: &str = "replayed";
     /// WAL record sequence number.
     pub const SEQ: &str = "seq";
     /// WAL record length in bytes.
@@ -130,7 +126,7 @@ pub mod keys {
     /// Events still queued when a window was cut.
     pub const QUEUE_DEPTH: &str = "queue_depth";
     /// Slice index on a per-partition operator span (partition-parallel
-    /// term execution); the timeline uses these to attribute skew.
+    /// term execution); the critical path keys on it.
     pub const PARTITION: &str = "partition";
 }
 

@@ -320,7 +320,12 @@ impl<S: DeltaSource> IngestScheduler<S> {
                 WindowPlanner::Shared => min_work_shared(w, &model)?.strategy,
             };
             let predicted = model.strategy_work(&strategy);
-            let per_expr = model.per_expression_work(&strategy);
+            // The per-expression split is only ever read by the ledger.
+            let per_expr = self
+                .cfg
+                .ledger
+                .is_some()
+                .then(|| model.per_expression_work(&strategy));
             let processing = (predicted / rate).ceil() as u64;
             let done = cut
                 .checked_add(processing)
@@ -346,7 +351,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
             let opts = ExecOptions {
                 wal: wal_cfg,
                 strategy_sharing: true,
-                predicted_work: Some(per_expr.clone()),
                 partition: self.cfg.partition,
                 ..ExecOptions::default()
             };
@@ -358,7 +362,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
                 span.attr_u64(obs::keys::EVENTS, events.len() as u64);
                 span.attr_u64(obs::keys::QUEUE_DEPTH, events.len() as u64);
                 span.attr_f64(obs::keys::STALENESS, staleness);
-                span.attr_f64(obs::keys::PREDICTED_WORK, predicted);
             }
 
             let carry_in = (carry.tables(), carry.raws());
@@ -405,10 +408,10 @@ impl<S: DeltaSource> IngestScheduler<S> {
                     // window's WAL commit (execute_carried returned Ok), so
                     // a crash always leaves WAL ⊇ ledger — never a ledger
                     // line for work the journal cannot replay.
-                    if let Some(path) = self.cfg.ledger.clone() {
-                        let rec = ledger_record(w, &self.cfg, &report, &per_expr, spans_before);
+                    if let (Some(path), Some(per_expr)) = (&self.cfg.ledger, &per_expr) {
+                        let rec = ledger_record(w, &self.cfg, &report, per_expr, spans_before);
                         obs::ledger::append_record(
-                            &path,
+                            path,
                             &rec,
                             matches!(self.cfg.fsync, FsyncPolicy::Always),
                         )

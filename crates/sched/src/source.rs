@@ -269,11 +269,6 @@ impl ReplaySource {
             events: events_from_str(s)?,
         })
     }
-
-    /// Wraps an already-materialized event list (must be in arrival order).
-    pub fn from_events(events: Vec<DeltaEvent>) -> ReplaySource {
-        ReplaySource { events }
-    }
 }
 
 impl DeltaSource for ReplaySource {

@@ -9,11 +9,11 @@
 //!              [--wal DIR] [--fsync always|never]
 //!              [--fault crash:K|torn:K|dup:K|dirsync]
 //!              [--partitions N] [--strategy-sharing]
-//!              [--trace-out FILE] [--timeline]
+//!              [--trace-out FILE]
 //! uww recover  DIR
 //! uww analyze  [--scenario ...] [--scale F] [--frac F] [--planner ...]
 //!              [--strategy "Comp(V,{A});..."] [--stages "...|..."] [--json]
-//!              [--sharing] [--strategy-sharing] [--verify-against TRACE.json]
+//!              [--sharing] [--strategy-sharing]
 //! uww script   [--scenario ...] [--scale F] [--frac F]
 //! uww dot      [--scenario ...] [--scale F] [--graph vdag|eg]
 //! uww olap     [--scenario ...] [--scale F] [--frac F] [--isolation strict|low]
@@ -62,18 +62,18 @@
 //!
 //! `run --trace-out FILE` records the run's span tree (run → expression →
 //! term → operator) and writes it as Chrome trace-event JSON, loadable in
-//! Perfetto or `chrome://tracing`; `--timeline` prints the per-expression
-//! update-window timeline with planner-predicted vs measured work.
-//! `serve --metrics` prints each regime's final Prometheus scrape (the
-//! server's `METRICS` response). See `docs/OBSERVABILITY.md`.
+//! Perfetto or `chrome://tracing`. `serve --metrics` prints each regime's
+//! final Prometheus scrape (the server's `METRICS` response). See
+//! `docs/OBSERVABILITY.md`.
+//!
+//! `explain` runs the window on a scratch clone and prints, per expression,
+//! the planner's predicted work beside the linear work the run measured,
+//! and each `Comp`'s maintenance terms with their join orders.
 //!
 //! `analyze --sharing` adds the sharing-opportunity pass (`UWW011`–`UWW013`)
 //! over the window's offline description: the strategy run on a scratch
 //! clone, every keyed operand use recorded. `analyze --stages` always
-//! includes the interference pass (`UWW014`). `--verify-against TRACE.json`
-//! compares a `run --trace-out` trace against the description's meter and
-//! fails on any divergence — use the same scenario/scale/frac/planner flags
-//! for both commands. See `docs/ANALYSIS.md`.
+//! includes the interference pass (`UWW014`). See `docs/ANALYSIS.md`.
 
 use std::process::ExitCode;
 use uww::core::{
@@ -86,7 +86,7 @@ use uww::sched::{
     events_to_string, resume_after_crash, DeltaSource, IngestOutcome, IngestScheduler, Policy,
     ReplaySource, SchedConfig, SeededSource, SeededSourceConfig, SlaConfig, WindowPlanner,
 };
-use uww::vdag::{construct_eg, Strategy, UpdateExpr, Vdag};
+use uww::vdag::{construct_eg, Strategy};
 
 struct Args {
     scenario: String,
@@ -109,10 +109,8 @@ struct Args {
     strategy_sharing: bool,
     objective: String,
     trace_out: Option<String>,
-    timeline: bool,
     metrics: bool,
     sharing: bool,
-    verify_against: Option<String>,
     policy: String,
     window: u64,
     sla: f64,
@@ -155,10 +153,8 @@ impl Default for Args {
             strategy_sharing: false,
             objective: "linear".into(),
             trace_out: None,
-            timeline: false,
             metrics: false,
             sharing: false,
-            verify_against: None,
             policy: "fixed".into(),
             window: 16,
             sla: 24.0,
@@ -195,7 +191,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     .push((name.trim().to_string(), query.to_string()));
             }
             "--json" => args.json = true,
-            "--timeline" => args.timeline = true,
             "--metrics" => args.metrics = true,
             "--trace-out" => {
                 let v = it
@@ -268,12 +263,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                 args.objective = v.clone();
             }
             "--sharing" => args.sharing = true,
-            "--verify-against" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "missing value for --verify-against".to_string())?;
-                args.verify_against = Some(v.clone());
-            }
             "--partitions" => {
                 let v = it
                     .next()
@@ -303,8 +292,22 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     .clone();
                 match a.as_str() {
                     "--scenario" => args.scenario = v,
-                    "--scale" => args.scale = v.parse().map_err(|_| format!("bad --scale {v}"))?,
-                    "--frac" => args.frac = v.parse().map_err(|_| format!("bad --frac {v}"))?,
+                    "--scale" => {
+                        args.scale = v
+                            .parse()
+                            .ok()
+                            .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                            .ok_or_else(|| {
+                                format!("bad --scale {v} (must be finite and positive)")
+                            })?
+                    }
+                    "--frac" => {
+                        args.frac = v
+                            .parse()
+                            .ok()
+                            .filter(|f: &f64| (0.0..=1.0).contains(f))
+                            .ok_or_else(|| format!("bad --frac {v} (must be in [0, 1])"))?
+                    }
                     "--planner" => args.planner = v,
                     "--graph" => args.graph = v,
                     "--isolation" => args.isolation = v,
@@ -503,16 +506,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let mut sc = build_scenario(args)?;
     load_changes(&mut sc, args)?;
     let (strategy, label) = pick_strategy(&sc, args)?;
-    // Planner-predicted per-expression work (the paper's §4 linear metric),
-    // attached to expression spans so the trace and timeline can show
-    // predicted vs measured attribution side by side.
-    let predicted = {
-        let sizes = SizeCatalog::estimate(&sc.warehouse).map_err(|e| e.to_string())?;
-        CostModel::new(sc.warehouse.vdag(), &sizes).per_expression_work(&strategy)
-    };
     let mut opts = ExecOptions {
         strategy_sharing: args.strategy_sharing,
-        predicted_work: Some(predicted),
         partition: PartitionOptions::with_partitions(args.partitions),
         ..ExecOptions::default()
     };
@@ -529,46 +524,27 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         opts.wal = Some(cfg);
     }
-    let tracing = args.trace_out.is_some() || args.timeline;
-    let buf = if tracing {
+    let buf = args.trace_out.as_ref().map(|_| {
         let b = std::sync::Arc::new(uww::obs::TraceBuffer::new(uww::obs::DEFAULT_CAPACITY));
         uww::obs::install(std::sync::Arc::clone(&b));
-        Some(b)
-    } else {
-        None
-    };
+        b
+    });
     let run_result = sc.run_with(&strategy, opts);
-    if tracing {
+    if buf.is_some() {
         uww::obs::uninstall();
     }
     let report = run_result.map_err(|e| e.to_string())?;
-    if let Some(buf) = buf {
-        let records = buf.take_records();
-        if let Some(path) = &args.trace_out {
-            let trace = uww::obs::chrome::chrome_trace(&records);
-            let stats = uww::obs::chrome::validate_chrome_trace(&trace)
-                .map_err(|e| format!("internal error: invalid chrome trace: {e}"))?;
-            std::fs::write(path, &trace).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!(
-                "trace: {} span(s) on {} lane(s) ({} dropped) -> {path}",
-                stats.complete_events,
-                stats.lanes,
-                buf.dropped(),
-            );
-        }
-        if args.timeline {
-            if buf.dropped() > 0 {
-                eprintln!(
-                    "WARN: {} span(s) dropped by the bounded trace ring (capacity {}); \
-                     the timeline is incomplete — also exported as \
-                     uww_obs_spans_dropped_total",
-                    buf.dropped(),
-                    uww::obs::DEFAULT_CAPACITY,
-                );
-            }
-            let rows = uww::obs::timeline::expression_rows(&records);
-            print!("{}", uww::obs::timeline::render_timeline(&rows, 64));
-        }
+    if let (Some(buf), Some(path)) = (buf, &args.trace_out) {
+        let trace = uww::obs::chrome::chrome_trace(&buf.take_records());
+        let stats = uww::obs::chrome::validate_chrome_trace(&trace)
+            .map_err(|e| format!("internal error: invalid chrome trace: {e}"))?;
+        std::fs::write(path, &trace).map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!(
+            "trace: {} span(s) on {} lane(s) ({} dropped) -> {path}",
+            stats.complete_events,
+            stats.lanes,
+            buf.dropped(),
+        );
     }
     if args.json {
         println!("{}", report.to_json(sc.warehouse.vdag()));
@@ -668,95 +644,10 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Outcome of comparing a traced run against the offline description.
-struct Conformance {
-    expressions: usize,
-    divergences: Vec<String>,
-}
-
-/// Compares a traced run's per-expression hash counters against the
-/// description's meter, position by position. Both come from the one window
-/// runner, so exact equality is required: a divergence means the trace was
-/// recorded on other data, another strategy or scope — or that a partitioned
-/// run's counters depend on its partition count.
-fn check_conformance(
-    g: &Vdag,
-    described: &uww::core::ExecutionReport,
-    measured: &[uww::obs::chrome::ExprCounters],
-) -> Conformance {
-    let mut div = Vec::new();
-    let exprs = &described.per_expr;
-    if exprs.len() != measured.len() {
-        div.push(format!(
-            "expression count: {} described vs {} traced",
-            exprs.len(),
-            measured.len()
-        ));
-    }
-    for (i, (e, m)) in exprs.iter().zip(measured).enumerate() {
-        let (kind, view) = match &e.expr {
-            UpdateExpr::Comp { view, .. } => ("comp", g.name(*view)),
-            UpdateExpr::Inst(view) => ("inst", g.name(*view)),
-        };
-        if view != m.view || kind != m.kind {
-            div.push(format!(
-                "expr {i}: described {kind} of {view} vs traced {} of {}",
-                m.kind, m.view
-            ));
-            continue;
-        }
-        for (what, described, traced) in [
-            ("hash builds", e.work.hash_tables_built, m.hash_builds),
-            ("hash reuses", e.work.hash_tables_reused, m.hash_reuses),
-            (
-                "cross-expression reuses",
-                e.work.hash_tables_cross_reused,
-                m.cross_reuses,
-            ),
-            (
-                "cached raw reads",
-                e.work.operand_reads_cached,
-                m.cached_reads,
-            ),
-        ] {
-            if described != traced {
-                div.push(format!(
-                    "expr {i} ({kind} {view}): {described} described {what} vs {traced} traced"
-                ));
-            }
-        }
-    }
-    Conformance {
-        expressions: measured.len(),
-        divergences: div,
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn conformance_json(c: &Conformance) -> String {
-    let divs: Vec<String> = c
-        .divergences
-        .iter()
-        .map(|d| format!("\"{}\"", json_escape(d)))
-        .collect();
-    format!(
-        "{{\"expressions\":{},\"ok\":{},\"divergences\":[{}]}}",
-        c.expressions,
-        c.divergences.is_empty(),
-        divs.join(",")
-    )
-}
-
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    // --verify-against implies the sharing pass (it checks its meter); both
-    // need the change batch loaded so the description sees the same deltas
-    // the traced run saw.
-    let sharing = args.sharing || args.verify_against.is_some();
+    // The sharing pass describes the window, so it needs the change batch.
     let mut sc = build_scenario(args)?;
-    if sharing {
+    if args.sharing {
         load_changes(&mut sc, args)?;
     }
     let (mut report, label, strategy) = {
@@ -784,9 +675,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         }
     };
     let mut described = None;
-    if sharing {
-        // Describe at the scope the traced run used: a `--strategy-sharing`
-        // run's cross counters only conform to a strategy-scope description.
+    if args.sharing {
+        // Describe at the scope a `run` with the same flags uses.
         let scope = if args.strategy_sharing {
             SharingScope::Strategy
         } else {
@@ -798,23 +688,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         report = report.merge(uww::analysis::analyze_sharing(g, &strategy, &d.profile));
         described = Some(d);
     }
-    let conformance = match (&args.verify_against, &described) {
-        (Some(path), Some(p)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-            let measured = uww::obs::chrome::expression_counters(&text)?;
-            Some(check_conformance(sc.warehouse.vdag(), &p.report, &measured))
-        }
-        _ => None,
-    };
     if args.json {
-        match &conformance {
-            Some(c) => println!(
-                "{{\"report\":{},\"conformance\":{}}}",
-                report.to_json(),
-                conformance_json(c)
-            ),
-            None => println!("{}", report.to_json()),
-        }
+        println!("{}", report.to_json());
     } else {
         println!("analyzing {label}:");
         print!("{}", report.render_text());
@@ -833,32 +708,12 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
                 );
             }
         }
-        if let Some(c) = &conformance {
-            if c.divergences.is_empty() {
-                println!(
-                    "conformance: traced run matches the description over {} expression(s)",
-                    c.expressions
-                );
-            } else {
-                for d in &c.divergences {
-                    println!("conformance divergence: {d}");
-                }
-            }
-        }
     }
     if report.has_errors() {
         return Err(format!(
             "{} error(s): the strategy would produce incorrect view extents",
             report.error_count()
         ));
-    }
-    if let Some(c) = &conformance {
-        if !c.divergences.is_empty() {
-            return Err(format!(
-                "conformance: {} divergence(s) between the description and the traced run",
-                c.divergences.len()
-            ));
-        }
     }
     Ok(())
 }
@@ -1552,8 +1407,7 @@ const USAGE: &str =
 [--wal DIR] [--fsync always|never] [--fault crash:K|torn:K|dup:K|dirsync] \
 [--partitions N] [--strategy-sharing] \
 [--objective linear|shared] \
-[--trace-out FILE] [--timeline] [--metrics] \
-[--sharing] [--verify-against TRACE.json]\n\
+[--trace-out FILE] [--metrics] [--sharing]\n\
        uww ingest [--scenario ...] [--scale F] [--policy fixed|greedy] [--window N] \
 [--sla F] [--rate MILLI] [--service-rate F] [--horizon N] [--seed N] [--no-carry] \
 [--objective linear|shared] [--partitions N] \

@@ -5,7 +5,6 @@
 //! loads change batches, and provides the baseline strategies the
 //! experiments compare against.
 
-use std::collections::BTreeMap;
 use uww_core::{CoreError, CoreResult, Warehouse};
 use uww_relational::ViewDef;
 use uww_tpcd::{ChangeBatch, ChangeSpec, TpcdConfig, TpcdGenerator};
@@ -123,13 +122,6 @@ impl TpcdScenario {
         Ok(report)
     }
 
-    /// Like [`TpcdScenario::run`], but without the (expensive) from-scratch
-    /// verification — for benchmarking.
-    pub fn run_unchecked(&self, strategy: &Strategy) -> CoreResult<uww_core::ExecutionReport> {
-        let mut w = self.warehouse.clone();
-        w.execute(strategy)
-    }
-
     /// Expands an enumerated *view strategy* for `view` (whose `Inst`
     /// expressions cover only the view and its sources) into a full VDAG
     /// strategy by appending `Inst` for every remaining view. For the
@@ -245,46 +237,6 @@ pub fn q5_scenario(scale: f64) -> CoreResult<TpcdScenario> {
         .build()
 }
 
-/// Per-strategy measurement row used by reports and experiments.
-#[derive(Clone, Debug)]
-pub struct StrategyMeasurement {
-    /// Label for the strategy (e.g. "MinWorkSingle", "dual-stage").
-    pub label: String,
-    /// Measured operand rows scanned + rows installed (the linear metric's
-    /// real-execution counterpart).
-    pub measured_work: u64,
-    /// Wall-clock update window.
-    pub wall: std::time::Duration,
-    /// The model-predicted work, when a model was consulted.
-    pub predicted_work: Option<f64>,
-}
-
-/// Measures a set of labelled strategies against one scenario, cloning the
-/// warehouse per run so every strategy sees identical state.
-pub fn measure_all(
-    scenario: &TpcdScenario,
-    strategies: &[(String, Strategy)],
-) -> CoreResult<Vec<StrategyMeasurement>> {
-    let mut out = Vec::with_capacity(strategies.len());
-    for (label, s) in strategies {
-        let report = scenario.run(s)?;
-        out.push(StrategyMeasurement {
-            label: label.clone(),
-            measured_work: report.linear_work(),
-            wall: report.wall(),
-            predicted_work: None,
-        });
-    }
-    Ok(out)
-}
-
-/// Deltas-by-name map helper (for hand-built change batches in tests).
-pub fn changes_map(
-    entries: impl IntoIterator<Item = (String, uww_relational::DeltaRelation)>,
-) -> BTreeMap<String, uww_relational::DeltaRelation> {
-    entries.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,24 +303,5 @@ mod tests {
         let s = sc.rnscol_strategy().unwrap();
         assert!(s.is_one_way());
         uww_vdag::check_vdag_strategy(sc.warehouse.vdag(), &s).unwrap();
-    }
-
-    #[test]
-    fn measure_all_produces_a_row_per_strategy() {
-        let mut sc = q3_scenario(0.0003).unwrap();
-        sc.load_col_changes(0.05).unwrap();
-        let strategies = vec![
-            ("dual".to_string(), sc.dual_stage_strategy()),
-            ("rnscol".to_string(), sc.rnscol_strategy().unwrap()),
-        ];
-        let rows = measure_all(&sc, &strategies).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.measured_work > 0));
-    }
-
-    #[test]
-    fn changes_map_collects() {
-        let m = changes_map(std::iter::empty());
-        assert!(m.is_empty());
     }
 }

@@ -207,12 +207,40 @@ fn sql_flag_adds_a_custom_view() {
 
 #[test]
 fn explain_shows_term_plans() {
-    let o = uww(&[&["explain", "--scenario", "q3", "--frac", "0.1"], SMALL].concat());
+    let flags = [&["--scenario", "q3", "--frac", "0.1"], SMALL].concat();
+    let o = uww(&[&["explain"], &flags[..]].concat());
     assert!(o.status.success(), "{}", stderr(&o));
     let s = stdout(&o);
     assert!(s.contains("term Δ{LINEITEM}"));
     assert!(s.contains("⋈"));
     assert!(s.contains("predicted work"));
+
+    // Every expression row's measured figure is the linear work a run with
+    // the same flags reports for that expression.
+    let rows: Vec<(&str, u64)> = s
+        .lines()
+        .filter(|l| !l.starts_with("--") && !l.starts_with(' '))
+        .map(|l| {
+            let (expr, rest) = l.split_once("predicted work").unwrap();
+            let measured = rest.split_once("measured work ").expect(l).1;
+            (expr.trim(), measured.trim().parse().expect(l))
+        })
+        .collect();
+    let run = uww(&[&["run", "--json"], &flags[..]].concat());
+    assert!(run.status.success(), "{}", stderr(&run));
+    let doc = uww::obs::json::parse(&stdout(&run)).unwrap();
+    let ran = doc.get("per_expr").unwrap().as_array().unwrap();
+    assert_eq!(rows.len(), ran.len(), "{s}");
+    for ((expr, measured), e) in rows.iter().zip(ran) {
+        assert_eq!(*expr, e.get("expr").unwrap().as_str().unwrap());
+        let work = e.get("work").unwrap();
+        let count = |k: &str| work.get(k).unwrap().as_f64().unwrap() as u64;
+        assert_eq!(
+            *measured,
+            count("operand_rows_scanned") + count("rows_installed"),
+            "{expr}"
+        );
+    }
 }
 
 #[test]
@@ -240,18 +268,37 @@ fn bad_input_fails_with_usage() {
         assert!(!o.status.success(), "{bad:?} unexpectedly succeeded");
         assert!(stderr(&o).contains("usage:"), "{bad:?}");
     }
+    // A scale or deletion fraction that describes no warehouse is refused
+    // before any work starts.
+    for (flag, value) in [
+        ("--scale", "-1"),
+        ("--scale", "0"),
+        ("--scale", "nan"),
+        ("--frac", "1.5"),
+        ("--frac", "nan"),
+        ("--frac", "-0.5"),
+    ] {
+        let o = uww(&["plan", "--scenario", "q3", flag, value]);
+        assert!(!o.status.success(), "{flag} {value} unexpectedly accepted");
+        let e = stderr(&o);
+        assert!(e.contains(&format!("bad {flag} {value} (")), "{e}");
+        assert!(e.contains("usage:"), "{e}");
+        assert!(stdout(&o).is_empty(), "work started: {}", stdout(&o));
+    }
 }
 
 #[test]
 fn removed_flags_are_unknown() {
-    // The per-term and term-threaded modes, the pinned (non-stealing) pool
-    // and the recalibration loop are gone; their flags must not be silently
-    // accepted.
+    // The per-term and term-threaded modes, the pinned (non-stealing) pool,
+    // the recalibration loop, the trace timeline and the trace conformance
+    // check are gone; their flags must not be silently accepted.
     for flag in [
         &["--term-threads", "2"][..],
         &["--no-term-sharing"][..],
         &["--no-steal"][..],
         &["--recalibrate"][..],
+        &["--timeline"][..],
+        &["--verify-against", "trace.json"][..],
     ] {
         for cmd in ["run", "ingest"] {
             let o = uww(&[&[cmd, "--scenario", "q3"], SMALL, flag].concat());
@@ -260,6 +307,21 @@ fn removed_flags_are_unknown() {
             assert!(stderr(&o).contains(&expected), "{}", stderr(&o));
         }
     }
+}
+
+#[test]
+fn strategy_sharing_reports_its_counters() {
+    let flags = [&["--scenario", "q3", "--strategy-sharing"], SMALL].concat();
+    let run = uww(&[&["run"], &flags[..]].concat());
+    assert!(run.status.success(), "{}", stderr(&run));
+    assert!(stdout(&run).contains("strategy cache:"), "{}", stdout(&run));
+    let analyze = uww(&[&["analyze", "--sharing"], &flags[..]].concat());
+    assert!(analyze.status.success(), "{}", stderr(&analyze));
+    assert!(
+        stdout(&analyze).contains("strategy scope:"),
+        "{}",
+        stdout(&analyze)
+    );
 }
 
 const INGEST: &[&str] = &["ingest", "--scenario", "q3", "--horizon", "12"];

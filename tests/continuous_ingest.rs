@@ -19,8 +19,8 @@
 use std::path::PathBuf;
 
 use uww::core::{
-    plan_strategy_sharing_carried, CoreError, CostModel, ExecOptions, FaultPlan, FsyncPolicy,
-    SizeCatalog, WalLog, Warehouse, WindowCarry,
+    plan_strategy_sharing_carried, CoreError, ExecOptions, FaultPlan, FsyncPolicy, WalLog,
+    Warehouse, WindowCarry,
 };
 use uww::relational::catalog_to_string;
 use uww::sched::{
@@ -118,12 +118,9 @@ fn replay_one_shot(out: &IngestOutcome, root: &std::path::Path) -> String {
     let mut w = fixture();
     for wr in &out.windows {
         w.load_changes(wr.batch.clone()).expect("load batch");
-        let sizes = SizeCatalog::estimate(&w).expect("sizes");
-        let model = CostModel::new(w.vdag(), &sizes);
         let opts = ExecOptions {
             wal: Some(window_wal_config(root, wr.index, FsyncPolicy::Never)),
             strategy_sharing: true,
-            predicted_work: Some(model.per_expression_work(&wr.strategy)),
             ..ExecOptions::default()
         };
         w.execute_carried(&wr.strategy, opts, WindowCarry::empty())

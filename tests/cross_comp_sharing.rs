@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::process::{Command, Output};
 
 use uww::core::{
     all_one_way_vdag_strategies, plan_strategy_sharing, ExecOptions, ExecutionReport, FsyncPolicy,
@@ -364,75 +363,4 @@ fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
         cached_read_ever,
         "strategy cache never served a cached raw operand read across the sweep"
     );
-}
-
-// ---------------------------------------------------------------------------
-// CLI round-trip: `run --strategy-sharing --trace-out` then
-// `analyze --sharing --strategy-sharing --verify-against`
-// ---------------------------------------------------------------------------
-
-fn uww(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_uww"))
-        .args(args)
-        .output()
-        .expect("launch uww binary")
-}
-
-/// The CLI conformance path: a traced `--strategy-sharing` run must verify
-/// exactly against the strategy-scope description, and the run must
-/// actually exercise the cache.
-#[test]
-fn cli_traced_strategy_sharing_run_verifies_against_the_description() {
-    let dir = wal_dir("cli");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("trace.json");
-    let trace_arg = trace.to_str().unwrap();
-
-    let run = uww(&[
-        "run",
-        "--scenario",
-        "fig4",
-        "--scale",
-        "0.001",
-        "--strategy-sharing",
-        "--trace-out",
-        trace_arg,
-    ]);
-    let run_out = String::from_utf8_lossy(&run.stdout).into_owned();
-    assert!(
-        run.status.success(),
-        "{}",
-        String::from_utf8_lossy(&run.stderr)
-    );
-    assert!(
-        run_out.contains("strategy cache:"),
-        "run must report strategy-cache service:\n{run_out}"
-    );
-
-    let analyze = uww(&[
-        "analyze",
-        "--scenario",
-        "fig4",
-        "--scale",
-        "0.001",
-        "--sharing",
-        "--strategy-sharing",
-        "--verify-against",
-        trace_arg,
-    ]);
-    let analyze_out = String::from_utf8_lossy(&analyze.stdout).into_owned();
-    assert!(
-        analyze.status.success(),
-        "{}",
-        String::from_utf8_lossy(&analyze.stderr)
-    );
-    assert!(
-        analyze_out.contains("matches the description"),
-        "conformance must hold:\n{analyze_out}"
-    );
-    assert!(
-        analyze_out.contains("strategy scope:"),
-        "analyze must report the strategy-scope counters:\n{analyze_out}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

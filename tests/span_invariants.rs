@@ -1,8 +1,9 @@
 //! Property tests for the span engine: over random warehouses × random
 //! valid strategies, the recorded span tree must be structurally sound —
 //! every child nested inside its parent's interval, term spans summing to
-//! no more than their expression span — and tracing must be observationally
-//! free: a run with no subscriber installed produces byte-identical state,
+//! no more than their expression span, every expression span's meter
+//! attributes equal to the report's meter for that expression at one and
+//! at two partitions — and tracing must be observationally free: a run with no subscriber installed produces byte-identical state,
 //! byte-identical WAL bytes, an identical logical `WorkMeter`, and records
 //! zero spans.
 //!
@@ -13,8 +14,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use uww::core::{all_one_way_vdag_strategies, ExecOptions, FsyncPolicy, WalConfig, Warehouse};
-use uww::obs::{SpanKind, SpanRecord, TraceBuffer};
+use uww::core::{
+    all_one_way_vdag_strategies, ExecOptions, FsyncPolicy, PartitionOptions, WalConfig, Warehouse,
+};
+use uww::obs::{keys, SpanKind, SpanRecord, TraceBuffer};
 use uww::relational::{
     catalog_to_string, DeltaRelation, EquiJoin, OutputColumn, Predicate, Schema, Table, Tuple,
     Value, ValueType, ViewDef, ViewOutput, ViewSource, WorkMeter,
@@ -162,22 +165,27 @@ struct RunOutcome {
     wal_bytes: Vec<u8>,
     logical: Vec<WorkMeter>,
     total: WorkMeter,
+    /// The full meter of each expression, in execution order.
+    per_expr: Vec<WorkMeter>,
 }
 
-/// One sequential journaled run; when `trace` is set the run happens under
-/// an installed subscriber and the recorded spans come back too.
+/// One sequential journaled run over `partitions` slices per term input;
+/// when `trace` is set the run happens under an installed subscriber and
+/// the recorded spans come back too.
 fn run_once(
     w: &Warehouse,
     changes: &BTreeMap<String, DeltaRelation>,
     strategy: &Strategy,
     tag: &str,
     trace: bool,
+    partitions: usize,
 ) -> (RunOutcome, Vec<SpanRecord>) {
     let mut clone = w.clone();
     clone.load_changes(changes.clone()).unwrap();
     let dir = wal_dir(tag);
     let opts = ExecOptions {
         wal: Some(WalConfig::new(&dir).with_fsync(FsyncPolicy::Never)),
+        partition: PartitionOptions::with_partitions(partitions),
         ..ExecOptions::default()
     };
     let buf = Arc::new(TraceBuffer::new(1 << 16));
@@ -199,9 +207,29 @@ fn run_once(
             wal_bytes,
             logical: report.per_expr.iter().map(|e| e.work.logical()).collect(),
             total: report.total_work().logical(),
+            per_expr: report.per_expr.iter().map(|e| e.work).collect(),
         },
         records,
     )
+}
+
+/// A meter as the `(key, value)` pairs an expression span should carry.
+fn meter_attrs(m: &WorkMeter) -> Vec<(&'static str, Option<u64>)> {
+    [
+        (keys::MEASURED_WORK, m.linear_work()),
+        (keys::ROWS_SCANNED, m.operand_rows_scanned),
+        (keys::ROWS_INSTALLED, m.rows_installed),
+        (keys::ROWS_EMITTED, m.rows_emitted),
+        (keys::TERMS, m.terms_evaluated),
+        (keys::PHYSICAL_ROWS, m.physical_rows_touched),
+        (keys::HASH_BUILDS, m.hash_tables_built),
+        (keys::HASH_REUSES, m.hash_tables_reused),
+        (keys::HASH_CROSS_REUSES, m.hash_tables_cross_reused),
+        (keys::CACHED_READS, m.operand_reads_cached),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k, Some(v)))
+    .collect()
 }
 
 /// Child intervals nest exactly inside their parents (the engine reads the
@@ -243,9 +271,11 @@ fn span_tree_invariants_hold_over_random_runs() {
         let seed = base.wrapping_mul(257).wrapping_add(round);
         let (w, changes) = random_warehouse(seed);
         let mut rng = SplitMix64::new(seed ^ 0x5157_AB42);
-        for (si, strategy) in random_strategies(&w, &mut rng, 2).iter().enumerate() {
-            let (_out, records) =
-                run_once(&w, &changes, strategy, &format!("tree-{round}-{si}"), true);
+        let strategies = random_strategies(&w, &mut rng, 2);
+        for ((si, strategy), parts) in strategies.iter().enumerate().flat_map(|s| [(s, 1), (s, 2)])
+        {
+            let tag = format!("tree-{round}-{si}-p{parts}");
+            let (out, records) = run_once(&w, &changes, strategy, &tag, true, parts);
             assert!(!records.is_empty());
             assert_tree_sound(&records);
 
@@ -253,10 +283,13 @@ fn span_tree_invariants_hold_over_random_runs() {
             let runs: Vec<&SpanRecord> =
                 records.iter().filter(|r| r.kind == SpanKind::Run).collect();
             assert_eq!(runs.len(), 1, "expected exactly one run span");
-            let exprs: Vec<&SpanRecord> = records
+            // Span ids are handed out in creation order, and a sequential
+            // window opens its expression spans in execution order.
+            let mut exprs: Vec<&SpanRecord> = records
                 .iter()
                 .filter(|r| r.kind == SpanKind::Expression)
                 .collect();
+            exprs.sort_by_key(|r| r.id);
             assert_eq!(
                 exprs.len(),
                 strategy.len(),
@@ -282,11 +315,14 @@ fn span_tree_invariants_hold_over_random_runs() {
                 }
             }
 
-            // Every expression span carries the measured-work attribution.
-            for e in &exprs {
-                assert!(
-                    e.attr_u64(uww::obs::keys::MEASURED_WORK).is_some(),
-                    "expression span {:?} lacks measured work",
+            // Every expression span carries exactly the meter the report
+            // holds for that expression.
+            for (e, m) in exprs.iter().zip(&out.per_expr) {
+                let want = meter_attrs(m);
+                let got: Vec<_> = want.iter().map(|&(k, _)| (k, e.attr_u64(k))).collect();
+                assert_eq!(
+                    got, want,
+                    "expression span {:?} at P={parts} disagrees with its report meter",
                     e.name
                 );
             }
@@ -305,8 +341,8 @@ fn disabled_tracing_is_byte_identical_and_records_nothing() {
         let mut rng = SplitMix64::new(seed ^ 0x0FF0_57AB);
         for (si, strategy) in random_strategies(&w, &mut rng, 1).iter().enumerate() {
             let tag = |mode: &str| format!("eq-{round}-{si}-{mode}");
-            let (plain, no_spans) = run_once(&w, &changes, strategy, &tag("plain"), false);
-            let (traced, spans) = run_once(&w, &changes, strategy, &tag("traced"), true);
+            let (plain, no_spans) = run_once(&w, &changes, strategy, &tag("plain"), false, 1);
+            let (traced, spans) = run_once(&w, &changes, strategy, &tag("traced"), true, 1);
 
             // With no subscriber installed, instrumentation is a single
             // relaxed atomic load: nothing is recorded anywhere.

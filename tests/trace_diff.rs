@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use uww::core::{ExecOptions, PartitionOptions, SizeCatalog, Warehouse};
+use uww::core::{ExecOptions, PartitionOptions, Warehouse};
 use uww::obs::{self, diff::DiffConfig, TraceBuffer};
 use uww::relational::{
     catalog_to_string, DeltaRelation, EquiJoin, OutputColumn, Schema, Table, Tuple, Value,
@@ -91,8 +91,6 @@ fn dual_stage(w: &Warehouse) -> Strategy {
 fn traced_run(partitions: usize) -> (String, String) {
     let (w, changes) = fixture();
     let strategy = dual_stage(&w);
-    let sizes = SizeCatalog::estimate(&w).unwrap();
-    let predicted = uww::core::CostModel::new(w.vdag(), &sizes).per_expression_work(&strategy);
 
     let mut clone = w.clone();
     clone.load_changes(changes).unwrap();
@@ -101,7 +99,6 @@ fn traced_run(partitions: usize) -> (String, String) {
     let result = clone.execute_with(
         &strategy,
         ExecOptions {
-            predicted_work: Some(predicted),
             strategy_sharing: true,
             partition: PartitionOptions::with_partitions(partitions),
             ..ExecOptions::default()

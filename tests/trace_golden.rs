@@ -1,13 +1,13 @@
 //! Golden tests for the exporters: a freshly recorded trace must parse as
 //! JSON and satisfy the Chrome trace-event shape contract (well-formed
-//! `ph`/`ts`/`dur`, expression spans covered by the run span, `Comp` spans
-//! carrying predicted *and* measured work), and a live server's `METRICS`
+//! `ph`/`ts`/`dur`, expression spans covered by the run span and carrying
+//! measured work), and a live server's `METRICS`
 //! response must round-trip through the minimal Prometheus text parser.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use uww::core::{CostModel, ExecOptions, SizeCatalog, Warehouse};
+use uww::core::Warehouse;
 use uww::obs::{self, keys, TraceBuffer};
 use uww::relational::{
     tup, Catalog, DeltaRelation, EquiJoin, OutputColumn, Schema, Table, Tuple, Value, ValueType,
@@ -88,20 +88,12 @@ fn chrome_trace_is_well_formed_and_attributes_work() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (w, changes) = tiny_warehouse();
     let strategy = dual_stage(&w);
-    let sizes = SizeCatalog::estimate(&w).unwrap();
-    let predicted = CostModel::new(w.vdag(), &sizes).per_expression_work(&strategy);
 
     let mut clone = w.clone();
     clone.load_changes(changes).unwrap();
     let buf = Arc::new(TraceBuffer::new(1 << 16));
     obs::install(Arc::clone(&buf));
-    let result = clone.execute_with(
-        &strategy,
-        ExecOptions {
-            predicted_work: Some(predicted.clone()),
-            ..ExecOptions::default()
-        },
-    );
+    let result = clone.execute(&strategy);
     obs::uninstall();
     let report = result.unwrap();
 
@@ -136,8 +128,7 @@ fn chrome_trace_is_well_formed_and_attributes_work() {
     }
     let (run_start, run_end) = run_span.expect("trace must contain the run span");
 
-    // Expression spans cover the run, and every Comp carries predicted AND
-    // measured work attribution.
+    // Expression spans cover the run, and every one carries measured work.
     let mut comps = 0usize;
     let mut exprs = 0usize;
     for ev in events {
@@ -155,10 +146,6 @@ fn chrome_trace_is_well_formed_and_attributes_work() {
         assert!(args.get(keys::MEASURED_WORK).unwrap().as_f64().is_some());
         if args.get(keys::EXPR_KIND).unwrap().as_str() == Some("comp") {
             comps += 1;
-            assert!(
-                args.get(keys::PREDICTED_WORK).unwrap().as_f64().is_some(),
-                "comp span lacks predicted work"
-            );
         }
     }
     assert_eq!(exprs, strategy.len());
