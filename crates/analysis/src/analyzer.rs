@@ -634,22 +634,6 @@ pub fn analyze_parallel(g: &Vdag, stages: &[Vec<UpdateExpr>]) -> Report {
     base.merge(Report::new(Vec::new(), races))
 }
 
-/// The crash-recovery gate: analyzes the concatenation of an
-/// already-executed prefix with a proposed resume suffix.
-///
-/// Recovery replays the prefix from the WAL verbatim, so the only question
-/// is whether *prefix ⧺ suffix* forms a correct strategy — e.g. a suffix
-/// that re-propagates a view the prefix already installed trips `UWW006`
-/// (read-after-install, C3), and one that drops a required install trips
-/// `UWW002` (dead-delta, C2). Diagnostics whose span falls inside the
-/// prefix indicate the journaled plan itself was never valid; either way
-/// the resume must be refused.
-pub fn analyze_resume(g: &Vdag, executed: &[UpdateExpr], suffix: &[UpdateExpr]) -> Report {
-    let mut all = executed.to_vec();
-    all.extend(suffix.iter().cloned());
-    analyze(g, &Strategy::from_exprs(all))
-}
-
 /// Lints cost inputs: `UWW005` for non-finite or negative entries (labels
 /// are free-form, typically `"Comp(V, {..})"` or a view name).
 pub fn analyze_costs(items: &[(String, f64)]) -> Report {
@@ -711,34 +695,6 @@ mod tests {
             let r = analyze(&g, &s);
             assert!(r.is_clean(), "unexpected diagnostics:\n{}", r.render_text());
         }
-    }
-
-    #[test]
-    fn resume_gate_accepts_every_split_of_a_correct_strategy() {
-        let g = figure3_vdag();
-        let s = good_strategy(&g);
-        for k in 0..=s.len() {
-            let r = analyze_resume(&g, &s.exprs[..k], &s.exprs[k..]);
-            assert!(
-                !r.has_errors(),
-                "split at {k} refused:\n{}",
-                r.render_text()
-            );
-        }
-    }
-
-    #[test]
-    fn resume_gate_refuses_suffix_invalidated_by_the_prefix() {
-        let g = figure3_vdag();
-        let s = good_strategy(&g);
-        // The executed prefix ends with Inst(V2) (index 0..2); a suffix that
-        // re-propagates ΔV2 reads V2 after its install — C3 / UWW006.
-        let executed = &s.exprs[..2];
-        let mut suffix = s.exprs[2..].to_vec();
-        suffix.insert(0, UpdateExpr::comp1(id(&g, "V4"), id(&g, "V2")));
-        let r = analyze_resume(&g, executed, &suffix);
-        assert!(r.has_errors());
-        assert!(r.diagnostics.iter().any(|d| d.rule.id() == "UWW006"));
     }
 
     #[test]

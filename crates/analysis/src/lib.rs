@@ -47,9 +47,7 @@ mod interference;
 mod parse;
 mod sharing;
 
-pub use analyzer::{
-    analyze, analyze_costs, analyze_parallel, analyze_resume, analyze_view, depends,
-};
+pub use analyzer::{analyze, analyze_costs, analyze_parallel, analyze_view, depends};
 pub use diag::{Diagnostic, Report, Rule, Severity};
 pub use interference::{analyze_interference, reads, writes, Loc};
 pub use parse::{parse_expr, parse_stages, parse_strategy};

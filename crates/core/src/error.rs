@@ -18,8 +18,8 @@ pub enum CoreError {
     /// A planner precondition failed.
     Planner(String),
     /// The static strategy analyzer refused the strategy (the staged
-    /// executor's race check, or recovery's resume gate); the full lint
-    /// report with `UWW###` rule ids is attached.
+    /// executor's race check); the full lint report with `UWW###` rule ids
+    /// is attached.
     Analysis(Box<Report>),
     /// An install-WAL I/O or format problem (missing files, bad manifest,
     /// mismatched warehouse fingerprint).

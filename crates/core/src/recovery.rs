@@ -14,11 +14,9 @@
 //!    remaining manifest expressions, or an explicit override) is
 //!    re-verified against the partially-installed state: the concatenation
 //!    of executed prefix and suffix must satisfy C1–C8
-//!    ([`uww_vdag::check_vdag_strategy`]) and lint clean under the static
-//!    analyzer ([`uww_analysis::analyze_resume`]). A suffix invalidated by
-//!    the partial install — say, one that re-propagates a view the prefix
-//!    already installed — is refused with the C-rule or `UWW###`
-//!    diagnostic.
+//!    ([`uww_vdag::check_vdag_strategy`]). A suffix invalidated by the
+//!    partial install — say, one that re-propagates a view the prefix
+//!    already installed — is refused with the violated C-rule.
 //! 4. **Resume** — the suffix executes fresh through the same window runner
 //!    as every other entry point, journaling onto the same log (torn tail
 //!    truncated first), and the run commits.
@@ -156,13 +154,9 @@ pub fn recover_with(
         Some(s) => s.to_vec(),
         None => default_suffix.clone(),
     };
-    let mut full = prefix.clone();
+    let mut full = prefix;
     full.extend(suffix.iter().cloned());
     check_vdag_strategy(w.vdag(), &Strategy::from_exprs(full))?;
-    let gate = uww_analysis::analyze_resume(w.vdag(), &prefix, &suffix);
-    if gate.has_errors() {
-        return Err(CoreError::Analysis(Box::new(gate)));
-    }
 
     // Replay the completed prefix.
     let mut run_span = obs::span(obs::SpanKind::Run, "recover");

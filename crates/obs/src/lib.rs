@@ -23,9 +23,6 @@
 //!   predicted-vs-measured work, cut policy, carry counters), appended
 //!   crash-consistently after the window's WAL commit, with a
 //!   [`validate_ledger`](ledger::validate_ledger) consistency checker.
-//! * [`drift`] — online cost-model drift detection: a per-window relative
-//!   error EWMA over predicted-vs-measured work with a
-//!   sustained-mis-calibration flag.
 //! * [`critical`] — partition critical-path derivation keyed by task
 //!   identity (stable under work stealing).
 //! * [`diff`] — the trace-to-trace regression localizer behind
@@ -42,7 +39,6 @@
 pub mod chrome;
 pub mod critical;
 pub mod diff;
-pub mod drift;
 pub mod json;
 pub mod ledger;
 pub mod prom;

@@ -258,6 +258,7 @@ pub fn events_from_str(s: &str) -> Result<Vec<DeltaEvent>, String> {
 }
 
 /// A replayable file/text source: a fixed event list parsed up front.
+#[derive(Clone)]
 pub struct ReplaySource {
     events: Vec<DeltaEvent>,
 }

@@ -105,24 +105,6 @@ impl Client {
         }
     }
 
-    /// Sends `STATS` and returns the raw `key=value` payload.
-    pub fn stats(&mut self) -> io::Result<String> {
-        let line = self.round_trip("STATS")?;
-        line.strip_prefix("STATS ")
-            .map(str::to_string)
-            .ok_or_else(|| protocol_error(&line))
-    }
-
-    /// Sends `HEALTH` and returns the raw `key=value` payload: window
-    /// counts, SLA attainment, staleness burn rate, drift flags,
-    /// queue depth and backpressure rejects.
-    pub fn health(&mut self) -> io::Result<String> {
-        let line = self.round_trip("HEALTH")?;
-        line.strip_prefix("HEALTH ")
-            .map(str::to_string)
-            .ok_or_else(|| protocol_error(&line))
-    }
-
     /// Sends `METRICS` and returns the full Prometheus text scrape,
     /// including its terminating `# EOF` line.
     pub fn metrics(&mut self) -> io::Result<String> {

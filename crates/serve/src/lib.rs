@@ -26,36 +26,28 @@
 //! QUERY <view>      -> OK <view> <rows> <digest:16-hex> <epoch>
 //! SNAPSHOT          -> EPOCH <epoch>, then VIEW <name> <rows> <digest> per
 //!                      view (name order), then END
-//! STATS             -> STATS queries=<n> rows=<n> errors=<n> mean_us=<n>
-//!                      p50_us=<n> p95_us=<n> p99_us=<n> max_us=<n>
-//!                      lock_wait_us=<n> epoch=<n> n_query=<n>
-//!                      n_snapshot=<n> n_stats=<n> n_metrics=<n> n_quit=<n>
-//!                      since_epoch_us=<n>
-//! METRICS           -> the same metrics in Prometheus text format
+//! METRICS           -> the server's metrics in Prometheus text format
 //!                      (multi-line), terminated by a "# EOF" line
 //! INGEST <view> <count> <value>...
 //!                   -> OK <view> <count>; hands one base-view delta row
 //!                      (wire-encoded values, signed multiplicity) to the
 //!                      server's [`IngestSink`] — ERR when no sink is
 //!                      configured
-//! HEALTH            -> HEALTH windows=<n> events=<n> staleness_mean=<f>
-//!                      sla_target=<f> sla_attainment=<f> staleness_burn=<f>
-//!                      drift_work=<0|1> work_residual=<f> queue_depth=<n>
-//!                      ingest_rejects=<n> errors=<n> epoch=<n>
 //! QUIT              -> BYE (connection closes)
 //! anything else     -> ERR <message>
 //! ```
 //!
-//! `STATS` is the cheap single-line view; `since_epoch_us` (µs since server
-//! start) lets a scraper turn its counters into rates. `METRICS` serves the
-//! full Prometheus scrape — per-verb request counters
+//! A request line longer than 64 KiB is answered
+//! `ERR request line too long` and the connection closes.
+//!
+//! `METRICS` is the one observation verb, rendered by
+//! [`Metrics::render_prometheus`]: per-verb request counters
 //! (`uww_serve_requests_total{verb=…}`), a query-latency histogram
 //! (bucket bounds configurable via [`ServerConfig::latency_buckets`]),
-//! catalog epoch / uptime gauges, maintenance-window gauges, and the
-//! `uww_model_*` cost-model drift family — rendered by
-//! [`Metrics::render_prometheus`]. `HEALTH` is the one-line operator
-//! summary of the same window-health state, rendered by
-//! [`Metrics::render_health`].
+//! catalog epoch / uptime gauges and, once a maintenance loop reports
+//! windows, the `uww_maint_*` window gauges with the `uww_model_*`
+//! service-rate and SLA-attainment gauges. In-process callers read exact
+//! latency percentiles from [`Server::metrics`] and [`Server::shutdown`].
 //!
 //! `QUERY` digests the view's whole extent (FNV-1a, the same
 //! [`table_digest`](uww_relational::table_digest) the WAL uses), so a

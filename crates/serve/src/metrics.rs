@@ -39,14 +39,10 @@ pub enum Verb {
     Query,
     /// `SNAPSHOT`.
     Snapshot,
-    /// `STATS`.
-    Stats,
     /// `METRICS`.
     Metrics,
     /// `INGEST <view> <count> <value>...`.
     Ingest,
-    /// `HEALTH`.
-    Health,
     /// `QUIT`.
     Quit,
 }
@@ -57,10 +53,8 @@ impl Verb {
         match self {
             Verb::Query => "query",
             Verb::Snapshot => "snapshot",
-            Verb::Stats => "stats",
             Verb::Metrics => "metrics",
             Verb::Ingest => "ingest",
-            Verb::Health => "health",
             Verb::Quit => "quit",
         }
     }
@@ -100,10 +94,6 @@ pub struct WindowObservation {
     pub sla_target: f64,
     /// Effective service rate μ.
     pub service_rate: f64,
-    /// Drift detector: smoothed predicted-vs-measured work residual.
-    pub work_residual: f64,
-    /// Drift flag: the work residual is in sustained mis-calibration.
-    pub drift_work: bool,
 }
 
 /// Maintenance-side accumulators, folded in once per window (so a plain
@@ -125,8 +115,6 @@ struct MaintState {
     sla_target: f64,
     sla_met_windows: u64,
     last_service_rate: f64,
-    work_residual: f64,
-    drift_work: bool,
 }
 
 /// Shared live counters, updated by every worker thread.
@@ -140,10 +128,8 @@ pub struct Metrics {
     latencies_us: Mutex<Vec<u64>>,
     n_query: AtomicU64,
     n_snapshot: AtomicU64,
-    n_stats: AtomicU64,
     n_metrics: AtomicU64,
     n_ingest: AtomicU64,
-    n_health: AtomicU64,
     n_quit: AtomicU64,
     ingested_rows: AtomicU64,
     ingest_rejects: AtomicU64,
@@ -162,10 +148,8 @@ impl Default for Metrics {
             latencies_us: Mutex::new(Vec::new()),
             n_query: AtomicU64::new(0),
             n_snapshot: AtomicU64::new(0),
-            n_stats: AtomicU64::new(0),
             n_metrics: AtomicU64::new(0),
             n_ingest: AtomicU64::new(0),
-            n_health: AtomicU64::new(0),
             n_quit: AtomicU64::new(0),
             ingested_rows: AtomicU64::new(0),
             ingest_rejects: AtomicU64::new(0),
@@ -201,10 +185,8 @@ impl Metrics {
         let counter = match verb {
             Verb::Query => &self.n_query,
             Verb::Snapshot => &self.n_snapshot,
-            Verb::Stats => &self.n_stats,
             Verb::Metrics => &self.n_metrics,
             Verb::Ingest => &self.n_ingest,
-            Verb::Health => &self.n_health,
             Verb::Quit => &self.n_quit,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -217,7 +199,7 @@ impl Metrics {
     }
 
     /// Records one `INGEST` rejected by queue backpressure (the bounded
-    /// ingest queue was full). Monotone; surfaced on `HEALTH` and as
+    /// ingest queue was full). Monotone; surfaced as
     /// `uww_serve_ingest_rejects_total`.
     pub fn record_ingest_reject(&self) {
         self.ingest_rejects.fetch_add(1, Ordering::Relaxed);
@@ -244,8 +226,6 @@ impl Metrics {
             m.sla_met_windows += 1;
         }
         m.last_service_rate = o.service_rate;
-        m.work_residual = o.work_residual;
-        m.drift_work = o.drift_work;
     }
 
     /// Records one answered `QUERY`.
@@ -290,58 +270,13 @@ impl Metrics {
             max_us: lats.last().copied().unwrap_or(0),
             n_query: self.n_query.load(Ordering::Relaxed),
             n_snapshot: self.n_snapshot.load(Ordering::Relaxed),
-            n_stats: self.n_stats.load(Ordering::Relaxed),
             n_metrics: self.n_metrics.load(Ordering::Relaxed),
             n_ingest: self.n_ingest.load(Ordering::Relaxed),
-            n_health: self.n_health.load(Ordering::Relaxed),
             n_quit: self.n_quit.load(Ordering::Relaxed),
             ingested_rows: self.ingested_rows.load(Ordering::Relaxed),
             ingest_rejects: self.ingest_rejects.load(Ordering::Relaxed),
             uptime_us: self.started.elapsed().as_micros() as u64,
         }
-    }
-
-    /// The single-line `HEALTH` reply body: SLA attainment, staleness burn
-    /// rate (event-weighted mean staleness over the SLA target — <1 means
-    /// headroom, >1 means the SLA is being missed on average), the
-    /// cost-model drift flag and residual, and backpressure state. `key=value`
-    /// pairs, space-separated, so it round-trips through
-    /// `Client::round_trip` like `STATS` does.
-    pub fn render_health(&self, epoch: u64) -> String {
-        let snap = self.snapshot();
-        let m = *self.maint.lock().unwrap_or_else(|e| e.into_inner());
-        let mean_staleness = if m.events > 0 {
-            m.staleness_weighted / m.events as f64
-        } else {
-            0.0
-        };
-        let burn = if m.sla_target > 0.0 {
-            mean_staleness / m.sla_target
-        } else {
-            0.0
-        };
-        let attainment = if m.windows > 0 {
-            m.sla_met_windows as f64 / m.windows as f64
-        } else {
-            1.0
-        };
-        format!(
-            "windows={} events={} staleness_mean={:.3} sla_target={:.3} sla_attainment={:.3} \
-             staleness_burn={:.3} drift_work={} work_residual={:.4} \
-             queue_depth={} ingest_rejects={} errors={} epoch={}",
-            m.windows,
-            m.events,
-            mean_staleness,
-            m.sla_target,
-            attainment,
-            burn,
-            u64::from(m.drift_work),
-            m.work_residual,
-            m.last_queue_depth,
-            snap.ingest_rejects,
-            snap.errors,
-            epoch
-        )
     }
 
     /// The Prometheus text-format scrape served to `METRICS`, ending with
@@ -387,10 +322,8 @@ impl Metrics {
             for (verb, n) in [
                 (Verb::Query, snap.n_query),
                 (Verb::Snapshot, snap.n_snapshot),
-                (Verb::Stats, snap.n_stats),
                 (Verb::Metrics, snap.n_metrics),
                 (Verb::Ingest, snap.n_ingest),
-                (Verb::Health, snap.n_health),
                 (Verb::Quit, snap.n_quit),
             ] {
                 fam.labeled(&[("verb", verb.as_str())], n as f64);
@@ -499,16 +432,6 @@ impl Metrics {
                 maint.last_service_rate,
             );
             reg.gauge(
-                "uww_model_work_residual",
-                "Smoothed relative error of predicted vs measured window work",
-                maint.work_residual,
-            );
-            reg.gauge(
-                "uww_model_drift_work",
-                "1 when the work-prediction residual is in sustained drift",
-                f64::from(u8::from(maint.drift_work)),
-            );
-            reg.gauge(
                 "uww_model_sla_attainment",
                 "Fraction of windows whose mean staleness met the SLA target",
                 if maint.windows > 0 {
@@ -550,14 +473,10 @@ pub struct MetricsSnapshot {
     pub n_query: u64,
     /// `SNAPSHOT` requests received.
     pub n_snapshot: u64,
-    /// `STATS` requests received.
-    pub n_stats: u64,
     /// `METRICS` requests received.
     pub n_metrics: u64,
     /// `INGEST` requests received.
     pub n_ingest: u64,
-    /// `HEALTH` requests received.
-    pub n_health: u64,
     /// `QUIT` requests received.
     pub n_quit: u64,
     /// Delta rows accepted over `INGEST` (absolute multiplicities).
@@ -565,41 +484,8 @@ pub struct MetricsSnapshot {
     /// `INGEST` requests rejected by queue backpressure.
     pub ingest_rejects: u64,
     /// Microseconds since the server's metrics epoch (its start), so a
-    /// scraper of `STATS` can turn the counters into rates.
+    /// caller can turn the counters into rates.
     pub uptime_us: u64,
-}
-
-impl MetricsSnapshot {
-    /// The wire rendering appended after `STATS ` (and reused by the CLI
-    /// report): `key=value` pairs, space-separated.
-    pub fn render(&self, epoch: u64) -> String {
-        format!(
-            "queries={} rows={} errors={} mean_us={} p50_us={} p95_us={} p99_us={} max_us={} \
-             lock_wait_us={} epoch={} n_query={} n_snapshot={} n_stats={} n_metrics={} \
-             n_ingest={} n_health={} n_quit={} ingested_rows={} ingest_rejects={} \
-             since_epoch_us={}",
-            self.queries,
-            self.rows_returned,
-            self.errors,
-            self.mean_us,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us,
-            self.lock_wait_us,
-            epoch,
-            self.n_query,
-            self.n_snapshot,
-            self.n_stats,
-            self.n_metrics,
-            self.n_ingest,
-            self.n_health,
-            self.n_quit,
-            self.ingested_rows,
-            self.ingest_rejects,
-            self.uptime_us
-        )
-    }
 }
 
 #[cfg(test)]
@@ -632,28 +518,20 @@ mod tests {
         assert_eq!(s.mean_us, 200);
         assert_eq!(s.p50_us, 100);
         assert_eq!(s.max_us, 300);
-        let line = s.render(3);
-        assert!(line.contains("queries=2"));
-        assert!(line.contains("epoch=3"));
     }
 
     #[test]
-    fn per_verb_counters_and_uptime_render() {
+    fn per_verb_counters_accumulate() {
         let m = Metrics::new();
         m.record_request(Verb::Query);
         m.record_request(Verb::Query);
-        m.record_request(Verb::Stats);
         m.record_request(Verb::Metrics);
         m.record_request(Verb::Quit);
         let s = m.snapshot();
         assert_eq!(
-            (s.n_query, s.n_snapshot, s.n_stats, s.n_metrics, s.n_quit),
-            (2, 0, 1, 1, 1)
+            (s.n_query, s.n_snapshot, s.n_metrics, s.n_ingest, s.n_quit),
+            (2, 0, 1, 0, 1)
         );
-        let line = s.render(0);
-        assert!(line.contains("n_query=2"), "{line}");
-        assert!(line.contains("n_snapshot=0"), "{line}");
-        assert!(line.contains("since_epoch_us="), "{line}");
     }
 
     #[test]
@@ -685,6 +563,7 @@ mod tests {
             Some(1.0)
         );
         assert_eq!(scrape.value("uww_serve_catalog_epoch", &[]), Some(5.0));
+        assert!(scrape.value("uww_serve_uptime_seconds", &[]).is_some());
         // No maintenance windows observed yet: the maint block is absent.
         assert_eq!(scrape.value("uww_maint_windows_total", &[]), None);
     }
@@ -760,9 +639,6 @@ mod tests {
             scrape.value("uww_serve_requests_total", &[("verb", "ingest")]),
             Some(1.0)
         );
-        let line = m.snapshot().render(2);
-        assert!(line.contains("n_ingest=1"), "{line}");
-        assert!(line.contains("ingested_rows=3"), "{line}");
     }
 
     #[test]
@@ -776,15 +652,11 @@ mod tests {
             measured_work: 500,
             sla_target: 24.0,
             service_rate: 200.0,
-            work_residual: 0.25,
-            drift_work: true,
             ..Default::default()
         });
         let text = m.render_prometheus(1);
         let scrape = uww_obs::prom::parse_text(&text).unwrap();
         assert_eq!(scrape.value("uww_model_service_rate", &[]), Some(200.0));
-        assert_eq!(scrape.value("uww_model_work_residual", &[]), Some(0.25));
-        assert_eq!(scrape.value("uww_model_drift_work", &[]), Some(1.0));
         assert_eq!(scrape.value("uww_model_sla_attainment", &[]), Some(1.0));
         // The spans-dropped counter renders even with no subscriber.
         assert_eq!(scrape.value("uww_obs_spans_dropped_total", &[]), Some(0.0));
@@ -795,38 +667,32 @@ mod tests {
     }
 
     #[test]
-    fn health_line_reports_attainment_drift_and_rejects() {
+    fn sla_attainment_and_rejects_reach_the_scrape() {
         let m = Metrics::new();
-        m.record_request(Verb::Health);
         m.record_ingest_reject();
         m.record_ingest_reject();
-        m.observe_window(&WindowObservation {
-            window_ticks: 8,
-            events: 4,
-            staleness: 6.0,
-            sla_target: 24.0,
-            ..Default::default()
-        });
-        m.observe_window(&WindowObservation {
-            window_ticks: 8,
-            events: 4,
-            staleness: 30.0,
-            sla_target: 24.0,
-            drift_work: true,
-            ..Default::default()
-        });
-        let line = m.render_health(7);
-        assert!(line.contains("windows=2"), "{line}");
-        assert!(line.contains("sla_attainment=0.500"), "{line}");
-        assert!(line.contains("drift_work=1"), "{line}");
-        assert!(line.contains("ingest_rejects=2"), "{line}");
-        assert!(line.contains("epoch=7"), "{line}");
-        // Burn rate: event-weighted mean staleness 18 over target 24.
-        assert!(line.contains("staleness_burn=0.750"), "{line}");
-        assert_eq!(m.snapshot().n_health, 1);
-        let stats = m.snapshot().render(7);
-        assert!(stats.contains("n_health=1"), "{stats}");
-        assert!(stats.contains("ingest_rejects=2"), "{stats}");
+        // The second window misses the 24-tick SLA.
+        for staleness in [6.0, 30.0] {
+            m.observe_window(&WindowObservation {
+                window_ticks: 8,
+                events: 4,
+                staleness,
+                sla_target: 24.0,
+                ..Default::default()
+            });
+        }
+        let scrape = uww_obs::prom::parse_text(&m.render_prometheus(7)).unwrap();
+        assert_eq!(scrape.value("uww_maint_windows_total", &[]), Some(2.0));
+        assert_eq!(scrape.value("uww_model_sla_attainment", &[]), Some(0.5));
+        assert_eq!(
+            scrape.value("uww_maint_staleness_mean_ticks", &[]),
+            Some(18.0)
+        );
+        assert_eq!(
+            scrape.value("uww_serve_ingest_rejects_total", &[]),
+            Some(2.0)
+        );
+        assert_eq!(scrape.value("uww_serve_catalog_epoch", &[]), Some(7.0));
     }
 
     #[test]

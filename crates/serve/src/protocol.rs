@@ -9,10 +9,8 @@ pub enum Request {
     Query(String),
     /// `SNAPSHOT`: list every view of one pinned catalog version.
     Snapshot,
-    /// `STATS`: the server's metrics so far, as one `key=value` line.
-    Stats,
-    /// `METRICS`: the same metrics in Prometheus text format, multi-line,
-    /// terminated by `# EOF`.
+    /// `METRICS`: the server's metrics so far in Prometheus text format,
+    /// multi-line, terminated by `# EOF`.
     Metrics,
     /// `INGEST <view> <count> <value>...`: hand one base-view delta row to
     /// the server's ingest sink. Values use the snapshot wire encoding
@@ -27,10 +25,6 @@ pub enum Request {
         /// The row, one value per column in schema order.
         values: Vec<Value>,
     },
-    /// `HEALTH`: one-line window-health summary — SLA attainment,
-    /// staleness burn rate, cost-model drift flags, queue depth and
-    /// backpressure rejects.
-    Health,
     /// `QUIT`: close the connection.
     Quit,
 }
@@ -54,9 +48,7 @@ impl Request {
             ("QUERY", Some(view)) => Ok(Request::Query(view.to_string())),
             ("QUERY", None) => Err("QUERY needs a view name".to_string()),
             ("SNAPSHOT", None) => Ok(Request::Snapshot),
-            ("STATS", None) => Ok(Request::Stats),
             ("METRICS", None) => Ok(Request::Metrics),
-            ("HEALTH", None) => Ok(Request::Health),
             ("QUIT", None) => Ok(Request::Quit),
             ("", None) => Err("empty request".to_string()),
             (v, _) => Err(format!("unknown or malformed request: {v}")),
@@ -105,11 +97,8 @@ mod tests {
         );
         assert_eq!(Request::parse("query V1"), Ok(Request::Query("V1".into())));
         assert_eq!(Request::parse("SNAPSHOT"), Ok(Request::Snapshot));
-        assert_eq!(Request::parse("stats"), Ok(Request::Stats));
         assert_eq!(Request::parse("METRICS"), Ok(Request::Metrics));
         assert_eq!(Request::parse("metrics"), Ok(Request::Metrics));
-        assert_eq!(Request::parse("HEALTH"), Ok(Request::Health));
-        assert_eq!(Request::parse("health"), Ok(Request::Health));
         assert_eq!(Request::parse("QUIT"), Ok(Request::Quit));
     }
 
@@ -140,7 +129,8 @@ mod tests {
         assert!(Request::parse("QUERY A B").is_err());
         assert!(Request::parse("SNAPSHOT now").is_err());
         assert!(Request::parse("METRICS verbose").is_err());
-        assert!(Request::parse("HEALTH now").is_err());
+        assert!(Request::parse("STATS").is_err());
+        assert!(Request::parse("HEALTH").is_err());
         assert!(Request::parse("DROP TABLE").is_err());
         // INGEST: missing pieces, zero count, malformed values.
         assert!(Request::parse("INGEST").is_err());

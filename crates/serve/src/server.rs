@@ -3,7 +3,7 @@
 use crate::metrics::{Metrics, MetricsSnapshot, Verb, WindowObservation};
 use crate::protocol::Request;
 use crate::Isolation;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -15,6 +15,13 @@ use uww_relational::{table_digest, Value, VersionedCatalog};
 
 /// How often blocked threads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(20);
+
+/// The longest request line the server reads, newline included. The
+/// longest real request is an `INGEST` row of a few hundred bytes; a peer
+/// that streams past this without a newline is answered
+/// `ERR request line too long` and disconnected, so it cannot grow the
+/// line buffer without limit.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Where `INGEST` rows go. The server never applies deltas itself — the
 /// sink (typically a handle on the ingest scheduler's queue) owns them, and
@@ -213,22 +220,33 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             let _ = writeln!(writer, "BYE draining");
             return;
         }
-        match reader.read_line(&mut line) {
+        // `line` never reaches the cap without a newline (that closes the
+        // connection below), so the room left is at least one byte.
+        let room = (MAX_REQUEST_BYTES - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => return,
+            Ok(_) if line.len() >= MAX_REQUEST_BYTES && line.last() != Some(&b'\n') => {
+                shared.metrics.record_error();
+                let _ = writeln!(writer, "ERR request line too long");
+                return;
+            }
             Ok(_) => {
-                let done = handle_request(line.trim_end(), &mut writer, shared).is_err();
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    return;
+                };
+                let done = handle_request(text.trim_end(), &mut writer, shared).is_err();
                 line.clear();
                 if done {
                     return;
                 }
             }
-            // Timeout while idle (possibly mid-line: read_line keeps the
+            // Timeout while idle (possibly mid-line: read_until keeps the
             // partial data in `line`, so the retry resumes where it left
             // off). Loop to re-check the shutdown flag.
             Err(e)
@@ -248,10 +266,8 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> Result
     let verb = match &parsed {
         Ok(Request::Query(_)) => Some(Verb::Query),
         Ok(Request::Snapshot) => Some(Verb::Snapshot),
-        Ok(Request::Stats) => Some(Verb::Stats),
         Ok(Request::Metrics) => Some(Verb::Metrics),
         Ok(Request::Ingest { .. }) => Some(Verb::Ingest),
-        Ok(Request::Health) => Some(Verb::Health),
         Ok(Request::Quit) => Some(Verb::Quit),
         Err(_) => None,
     };
@@ -319,14 +335,6 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> Result
             out.push_str("\nEND");
             out
         }
-        Ok(Request::Stats) => format!(
-            "STATS {}",
-            shared.metrics.snapshot().render(shared.catalog.epoch())
-        ),
-        Ok(Request::Health) => format!(
-            "HEALTH {}",
-            shared.metrics.render_health(shared.catalog.epoch())
-        ),
         // Multi-line Prometheus text scrape; its rendered body already ends
         // with the `# EOF\n` terminator clients read until.
         Ok(Request::Metrics) => {
@@ -348,7 +356,7 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> Result
                 Err(e) => {
                     shared.metrics.record_error();
                     // A full ingest queue is backpressure, not a malformed
-                    // request — count it separately so HEALTH can expose
+                    // request — count it separately so the scrape exposes
                     // the reject rate (the sink's contract is the
                     // `IngestQueue::push` error text).
                     if e.contains("queue full") {
@@ -407,8 +415,12 @@ mod tests {
         (server, catalog)
     }
 
+    fn scrape(c: &mut Client) -> obs::prom::ParsedScrape {
+        obs::prom::parse_text(&c.metrics().unwrap()).unwrap()
+    }
+
     #[test]
-    fn query_snapshot_stats_round_trip() {
+    fn query_snapshot_round_trip() {
         let (server, catalog) = start(Isolation::Mvcc);
         let mut c = Client::connect(server.local_addr()).unwrap();
 
@@ -425,9 +437,9 @@ mod tests {
         assert!(c.raw("QUERY missing").unwrap().starts_with("ERR "));
         assert!(c.raw("EXPLAIN V").unwrap().starts_with("ERR "));
 
-        let stats = c.stats().unwrap();
-        assert!(stats.contains("queries=1"), "{stats}");
-        assert!(stats.contains("errors=2"), "{stats}");
+        let s = scrape(&mut c);
+        assert_eq!(s.value("uww_serve_queries_total", &[]), Some(1.0));
+        assert_eq!(s.value("uww_serve_errors_total", &[]), Some(2.0));
 
         c.quit().unwrap();
         let final_metrics = server.shutdown();
@@ -457,13 +469,51 @@ mod tests {
             scrape.value("uww_serve_query_latency_count", &[]),
             Some(1.0)
         );
-        // The one-line STATS view carries the same per-verb counters.
-        let stats = c.stats().unwrap();
-        assert!(stats.contains("n_query=1"), "{stats}");
-        assert!(stats.contains("n_metrics=1"), "{stats}");
-        assert!(stats.contains("since_epoch_us="), "{stats}");
+        assert!(scrape.value("uww_serve_uptime_seconds", &[]).is_some());
         c.quit().unwrap();
         server.shutdown();
+    }
+
+    #[test]
+    fn retired_verbs_are_unknown() {
+        let (server, _catalog) = start(Isolation::Mvcc);
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        for verb in ["STATS", "HEALTH"] {
+            assert_eq!(
+                c.raw(verb).unwrap(),
+                format!("ERR unknown or malformed request: {verb}")
+            );
+        }
+        c.quit().unwrap();
+        assert_eq!(server.shutdown().errors, 2);
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused() {
+        let (server, _catalog) = start(Isolation::Mvcc);
+        let mut flood = TcpStream::connect(server.local_addr()).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // The server stops reading at the cap and closes, so the tail of
+        // this write may fail; only the reply matters.
+        let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+        let mut reader = BufReader::new(flood);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ERR request line too long\n");
+        // Then the connection ends: EOF, or a reset when unread bytes were
+        // still queued at the server as it closed.
+        let mut rest = String::new();
+        match reader.read_line(&mut rest) {
+            Ok(n) => assert_eq!(n, 0, "{rest}"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+        }
+        // Other connections are still served.
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(c.query("V").unwrap().rows, 5);
+        c.quit().unwrap();
+        assert_eq!(server.shutdown().errors, 1);
     }
 
     /// Records everything it accepts; refuses view `"missing"`.
@@ -518,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn health_round_trips_and_counts_rejects() {
+    fn observed_windows_reach_the_scrape() {
         let (server, _catalog) = start(Isolation::Mvcc);
         server.observe_window(&WindowObservation {
             window_ticks: 8,
@@ -528,13 +578,13 @@ mod tests {
             ..Default::default()
         });
         let mut c = Client::connect(server.local_addr()).unwrap();
-        let h = c.health().unwrap();
-        assert!(h.contains("windows=1"), "{h}");
-        assert!(h.contains("sla_attainment=1.000"), "{h}");
-        assert!(h.contains("ingest_rejects=0"), "{h}");
+        let s = scrape(&mut c);
+        assert_eq!(s.value("uww_maint_windows_total", &[]), Some(1.0));
+        assert_eq!(s.value("uww_model_sla_attainment", &[]), Some(1.0));
+        assert_eq!(s.value("uww_serve_ingest_rejects_total", &[]), Some(0.0));
         c.quit().unwrap();
         let m = server.shutdown();
-        assert_eq!(m.n_health, 1);
+        assert_eq!(m.n_metrics, 1);
     }
 
     /// Always reports a full queue, mimicking `IngestQueue::push`.
@@ -547,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_rejects_surface_on_health() {
+    fn backpressure_rejects_surface_on_the_scrape() {
         let server = Server::start(
             catalog(5),
             ServerConfig {
@@ -561,13 +611,12 @@ mod tests {
         for _ in 0..3 {
             assert!(c.raw("INGEST V 1 i:1").unwrap().starts_with("ERR "));
         }
-        let h = c.health().unwrap();
-        assert!(h.contains("ingest_rejects=3"), "{h}");
+        let rejects = |s: obs::prom::ParsedScrape| s.value("uww_serve_ingest_rejects_total", &[]);
+        assert_eq!(rejects(scrape(&mut c)), Some(3.0));
         c.quit().unwrap();
         // A fresh connection sees the same monotone counter.
         let mut c2 = Client::connect(server.local_addr()).unwrap();
-        let h2 = c2.health().unwrap();
-        assert!(h2.contains("ingest_rejects=3"), "{h2}");
+        assert_eq!(rejects(scrape(&mut c2)), Some(3.0));
         c2.quit().unwrap();
         let m = server.shutdown();
         assert_eq!(m.ingest_rejects, 3);

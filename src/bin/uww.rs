@@ -1162,14 +1162,8 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let source = ReplaySource::parse(&text)?;
-            let again = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            run_ingest_schedule(
-                &mut w,
-                &cfg,
-                source,
-                move || ReplaySource::parse(&again).expect("replay file parsed once already"),
-                args.json,
-            )?
+            let resume = source.clone();
+            run_ingest_schedule(&mut w, &cfg, source, move || resume, args.json)?
         }
         None => {
             let source = SeededSource::new(&sc.warehouse, source_cfg);
@@ -1327,8 +1321,7 @@ fn cmd_diff(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `uww report LEDGER`: validate a window-health ledger, summarize it, and
-/// replay the drift detector over its predicted-vs-measured series.
+/// `uww report LEDGER`: validate a window-health ledger and summarize it.
 fn cmd_report(args: &Args) -> Result<(), String> {
     let path = args
         .dir
@@ -1336,21 +1329,10 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         .ok_or_else(|| "report needs a ledger file: uww report LEDGER".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let summary = uww::obs::ledger::validate_ledger(&text).map_err(|e| format!("{path}: {e}"))?;
-    let records = uww::obs::ledger::read_ledger(&text)?;
-    let mut drift = uww::obs::drift::DriftTracker::default();
-    for r in &records {
-        drift.observe(&uww::obs::drift::DriftObservation {
-            predicted_work: r.predicted_work,
-            measured_work: r.measured_work as f64,
-            events: r.events,
-        });
-    }
-    let drifting = drift.flags().work;
     if args.json {
         println!(
             "{{\"records\":{},\"windows\":[{},{}],\"events\":{},\"predicted_work\":{},\
-             \"measured_work\":{},\"mean_staleness\":{},\"wall_us\":{},\
-             \"work_residual\":{},\"drift_work\":{}}}",
+             \"measured_work\":{},\"mean_staleness\":{},\"wall_us\":{}}}",
             summary.records,
             summary.windows.0,
             summary.windows.1,
@@ -1359,11 +1341,10 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             summary.measured_work,
             summary.mean_staleness,
             summary.wall_us,
-            drift.work_residual(),
-            drifting,
         );
         return Ok(());
     }
+    let records = uww::obs::ledger::read_ledger(&text)?;
     println!(
         "ledger {path}: {} record(s), windows {}..{}, {} event(s)",
         summary.records, summary.windows.0, summary.windows.1, summary.events,
@@ -1371,11 +1352,6 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     println!(
         "work: predicted {:.1}, measured {}, mean staleness {:.2} ticks, wall {}us",
         summary.predicted_work, summary.measured_work, summary.mean_staleness, summary.wall_us
-    );
-    println!(
-        "drift: work residual {:+.4}{}",
-        drift.work_residual(),
-        if drifting { " [DRIFTING]" } else { "" },
     );
     println!(
         "{:>4} {:>6} {:>7} {:>12} {:>12} {:>10} {:>8} {:>9}",

@@ -9,8 +9,10 @@
 //! this one harness.
 
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uww_core::{CoreError, CoreResult, ExecOptions, ExecutionReport, InstallPublisher, Warehouse};
 use uww_relational::{Tuple, Value, VersionedCatalog};
@@ -105,40 +107,7 @@ pub fn run_live(
     )
     .map_err(|e| CoreError::Warehouse(format!("cannot start query server: {e}")))?;
     let addr = server.local_addr();
-
-    // Readers target the summary tables (what warehouse users query); bare
-    // VDAGs fall back to every view.
-    let g = w.vdag();
-    let mut targets: Vec<String> = g
-        .derived_views()
-        .into_iter()
-        .map(|v| g.name(v).to_string())
-        .collect();
-    if targets.is_empty() {
-        targets = g.view_ids().map(|v| g.name(v).to_string()).collect();
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..cfg.readers.max(1))
-        .map(|i| {
-            let stop = Arc::clone(&stop);
-            let targets = targets.clone();
-            std::thread::spawn(move || -> Result<u64, String> {
-                let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-                let mut n: u64 = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    let view = &targets[(i + n as usize) % targets.len()];
-                    let reply = client.query(view).map_err(|e| e.to_string())?;
-                    if reply.view != *view {
-                        return Err(format!("asked for {view}, got {}", reply.view));
-                    }
-                    n += 1;
-                }
-                client.quit().map_err(|e| e.to_string())?;
-                Ok(n)
-            })
-        })
-        .collect();
+    let readers = Readers::start(&w, addr, cfg.readers.max(1));
 
     // Let the readers observe the pre-update state, then open the window.
     std::thread::sleep(Duration::from_millis(20));
@@ -147,26 +116,9 @@ pub fn run_live(
     let window = t0.elapsed();
     // And let them observe the post-update state before stopping.
     std::thread::sleep(Duration::from_millis(20));
-    stop.store(true, Ordering::Relaxed);
 
-    let mut queries_per_reader = Vec::with_capacity(readers.len());
-    let mut reader_errors = Vec::new();
-    for r in readers {
-        match r.join() {
-            Ok(Ok(n)) => queries_per_reader.push(n),
-            Ok(Err(e)) => reader_errors.push(e),
-            Err(_) => reader_errors.push("reader thread panicked".to_string()),
-        }
-    }
-    // Final Prometheus scrape over the server's own protocol (so the scrape
-    // path itself is exercised), then drain.
-    let prometheus = Client::connect(addr)
-        .and_then(|mut c| {
-            let body = c.metrics()?;
-            c.quit()?;
-            Ok(body)
-        })
-        .map_err(|e| CoreError::Warehouse(format!("final METRICS scrape failed: {e}")))?;
+    let (queries_per_reader, reader_errors) = readers.finish();
+    let prometheus = final_scrape(addr)?;
     let metrics = server.shutdown();
     let report = exec_result?;
     if !reader_errors.is_empty() {
@@ -181,7 +133,92 @@ pub fn run_live(
             "live run produced wrong state for views {diffs:?}"
         )));
     }
-    // Published state must equal the engine's final state, view for view.
+    check_published(&versioned, &w)?;
+
+    Ok(LiveRunOutcome {
+        metrics,
+        report,
+        window,
+        epochs: versioned.epoch(),
+        queries_per_reader,
+        prometheus,
+    })
+}
+
+/// Closed-loop reader threads, one connection each, issuing `QUERY`
+/// round-robin over the summary tables (what warehouse users query; bare
+/// VDAGs fall back to every view) until told to stop.
+struct Readers {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<Result<u64, String>>>,
+}
+
+impl Readers {
+    fn start(w: &Warehouse, addr: SocketAddr, n: usize) -> Readers {
+        let g = w.vdag();
+        let mut targets: Vec<String> = g
+            .derived_views()
+            .into_iter()
+            .map(|v| g.name(v).to_string())
+            .collect();
+        if targets.is_empty() {
+            targets = g.view_ids().map(|v| g.name(v).to_string()).collect();
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = (0..n)
+            .map(|i| {
+                let stop = Arc::clone(&stop);
+                let targets = targets.clone();
+                std::thread::spawn(move || -> Result<u64, String> {
+                    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+                    let mut n: u64 = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        let view = &targets[(i + n as usize) % targets.len()];
+                        let reply = client.query(view).map_err(|e| e.to_string())?;
+                        if reply.view != *view {
+                            return Err(format!("asked for {view}, got {}", reply.view));
+                        }
+                        n += 1;
+                    }
+                    client.quit().map_err(|e| e.to_string())?;
+                    Ok(n)
+                })
+            })
+            .collect();
+        Readers { stop, threads }
+    }
+
+    /// Stops and joins every reader: queries answered per reader, and every
+    /// reader's failure.
+    fn finish(self) -> (Vec<u64>, Vec<String>) {
+        self.stop.store(true, Ordering::Relaxed);
+        let mut queries_per_reader = Vec::with_capacity(self.threads.len());
+        let mut reader_errors = Vec::new();
+        for r in self.threads {
+            match r.join() {
+                Ok(Ok(n)) => queries_per_reader.push(n),
+                Ok(Err(e)) => reader_errors.push(e),
+                Err(_) => reader_errors.push("reader thread panicked".to_string()),
+            }
+        }
+        (queries_per_reader, reader_errors)
+    }
+}
+
+/// The final Prometheus scrape, over the server's own protocol so the
+/// scrape path itself is exercised.
+fn final_scrape(addr: SocketAddr) -> CoreResult<String> {
+    Client::connect(addr)
+        .and_then(|mut c| {
+            let body = c.metrics()?;
+            c.quit()?;
+            Ok(body)
+        })
+        .map_err(|e| CoreError::Warehouse(format!("final METRICS scrape failed: {e}")))
+}
+
+/// Published state must equal the engine's final state, view for view.
+fn check_published(versioned: &VersionedCatalog, w: &Warehouse) -> CoreResult<()> {
     let snap = versioned.snapshot();
     for table in w.state().iter() {
         let published = snap.get(table.name())?;
@@ -192,15 +229,7 @@ pub fn run_live(
             )));
         }
     }
-
-    Ok(LiveRunOutcome {
-        metrics,
-        report,
-        window,
-        epochs: versioned.epoch(),
-        queries_per_reader,
-        prometheus,
-    })
+    Ok(())
 }
 
 /// The serve-side [`IngestSink`] over a scheduler's [`IngestQueue`]:
@@ -253,15 +282,8 @@ impl IngestSink for QueueSink {
 
 /// Maps one completed window to the serve scrape's observation struct.
 /// `queue_depth` is the live wire-queue depth at publish time — events that
-/// arrived during processing and will join the next cut. The drift tracker
-/// must already have folded this window in; its residual and flag ride
-/// along so `METRICS`/`HEALTH` expose the cost-model health.
-fn observation_of(
-    wr: &WindowReport,
-    queue: &IngestQueue,
-    sla_target: f64,
-    drift: &uww_obs::drift::DriftTracker,
-) -> WindowObservation {
+/// arrived during processing and will join the next cut.
+fn observation_of(wr: &WindowReport, queue: &IngestQueue, sla_target: f64) -> WindowObservation {
     WindowObservation {
         window_ticks: wr.window_ticks,
         events: wr.events,
@@ -275,8 +297,6 @@ fn observation_of(
         carried_raw_hits: wr.conformance.measured_carried_raw_hits,
         sla_target,
         service_rate: wr.service_rate,
-        work_residual: drift.work_residual(),
-        drift_work: drift.flags().work,
     }
 }
 
@@ -375,67 +395,17 @@ pub fn run_continuous(
             .map_err(|e| CoreError::Warehouse(format!("ingest client quit failed: {e}")))?;
     }
 
-    let g = w.vdag();
-    let mut targets: Vec<String> = g
-        .derived_views()
-        .into_iter()
-        .map(|v| g.name(v).to_string())
-        .collect();
-    if targets.is_empty() {
-        targets = g.view_ids().map(|v| g.name(v).to_string()).collect();
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..cfg.readers)
-        .map(|i| {
-            let stop = Arc::clone(&stop);
-            let targets = targets.clone();
-            std::thread::spawn(move || -> Result<u64, String> {
-                let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-                let mut n: u64 = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    let view = &targets[(i + n as usize) % targets.len()];
-                    let reply = client.query(view).map_err(|e| e.to_string())?;
-                    if reply.view != *view {
-                        return Err(format!("asked for {view}, got {}", reply.view));
-                    }
-                    n += 1;
-                }
-                client.quit().map_err(|e| e.to_string())?;
-                Ok(n)
-            })
-        })
-        .collect();
+    let readers = Readers::start(&w, addr, cfg.readers);
 
     let source = ChainSource(SeededSource::new(&w, cfg.source), queue.source());
     let mut sched = IngestScheduler::new(cfg.sched.clone(), source);
     let sla_target = cfg.sched.sla.target_staleness;
-    let mut drift = uww_obs::drift::DriftTracker::default();
     let run_result = sched.run_with_observer(&mut w, &mut |wr| {
-        drift.observe(&uww_obs::drift::DriftObservation {
-            predicted_work: wr.predicted_work,
-            measured_work: wr.measured_work as f64,
-            events: wr.events,
-        });
-        server.observe_window(&observation_of(wr, &queue, sla_target, &drift));
+        server.observe_window(&observation_of(wr, &queue, sla_target));
     });
 
-    stop.store(true, Ordering::Relaxed);
-    let mut queries_per_reader = Vec::with_capacity(readers.len());
-    let mut reader_errors = Vec::new();
-    for r in readers {
-        match r.join() {
-            Ok(Ok(n)) => queries_per_reader.push(n),
-            Ok(Err(e)) => reader_errors.push(e),
-            Err(_) => reader_errors.push("reader thread panicked".to_string()),
-        }
-    }
-    let prometheus = Client::connect(addr)
-        .and_then(|mut c| {
-            let body = c.metrics()?;
-            c.quit()?;
-            Ok(body)
-        })
-        .map_err(|e| CoreError::Warehouse(format!("final METRICS scrape failed: {e}")))?;
+    let (queries_per_reader, reader_errors) = readers.finish();
+    let prometheus = final_scrape(addr)?;
     let metrics = server.shutdown();
     let ingest = run_result?;
     if !reader_errors.is_empty() {
@@ -443,18 +413,7 @@ pub fn run_continuous(
             "reader failures during continuous serving: {reader_errors:?}"
         )));
     }
-
-    // Published state must equal the engine's final state, view for view.
-    let snap = versioned.snapshot();
-    for table in w.state().iter() {
-        let published = snap.get(table.name())?;
-        if !published.same_contents(table) {
-            return Err(CoreError::Warehouse(format!(
-                "published extent of {} diverges from the engine's",
-                table.name()
-            )));
-        }
-    }
+    check_published(&versioned, &w)?;
 
     Ok(ContinuousRunOutcome {
         ingest,
@@ -629,19 +588,16 @@ mod tests {
         assert!(scrape
             .value("uww_maint_measured_work_total", &[])
             .is_some_and(|v| v > 0.0));
-        // The cost-model drift family rides the same scrape: the service
-        // rate and the residual gauge are present, and a short stationary
-        // run never raises the drift flag.
+        // The model gauges ride the same scrape.
         assert!(scrape
             .value("uww_model_service_rate", &[])
             .is_some_and(|v| v > 0.0));
-        assert!(scrape.value("uww_model_work_residual", &[]).is_some());
-        assert_eq!(scrape.value("uww_model_drift_work", &[]), Some(0.0));
+        assert!(scrape.value("uww_model_sla_attainment", &[]).is_some());
         assert_eq!(scrape.value("uww_obs_spans_dropped_total", &[]), Some(0.0));
     }
 
     #[test]
-    fn continuous_run_health_verb_reports_window_health() {
+    fn continuous_run_scrape_reports_window_health() {
         let sc = q3_scenario(0.0003).unwrap();
         let w = &sc.warehouse;
         let versioned = Arc::new(VersionedCatalog::from_catalog(w.state()));
@@ -655,45 +611,33 @@ mod tests {
             },
         )
         .unwrap();
-        // Before any window: HEALTH answers with zero windows and full
-        // attainment (nothing has missed an SLA yet).
+        let scrape = |c: &mut Client| uww_obs::prom::parse_text(&c.metrics().unwrap()).unwrap();
+        // Before any window the scrape has no maintenance block.
         let mut c = Client::connect(server.local_addr()).unwrap();
-        let h = c.health().unwrap();
-        assert!(h.contains("windows=0"), "{h}");
-        assert!(h.contains("sla_attainment=1.000"), "{h}");
-        // Observe two windows through the same path run_continuous uses.
-        let mut drift = uww_obs::drift::DriftTracker::default();
-        for (i, (pred, meas)) in [(100.0, 104u64), (120.0, 118u64)].iter().enumerate() {
-            let obs = uww_obs::drift::DriftObservation {
-                predicted_work: *pred,
-                measured_work: *meas as f64,
-                events: 4,
-            };
-            drift.observe(&obs);
+        let before = scrape(&mut c);
+        assert_eq!(before.value("uww_maint_windows_total", &[]), None);
+        assert_eq!(before.value("uww_model_sla_attainment", &[]), None);
+        // Observe two windows; the second misses the 24-tick SLA.
+        for staleness in [6.0, 40.0] {
             server.observe_window(&WindowObservation {
                 window_ticks: 8,
                 events: 4,
-                staleness: if i == 0 { 6.0 } else { 40.0 },
-                predicted_work: *pred,
-                measured_work: *meas,
+                staleness,
+                predicted_work: 100.0,
+                measured_work: 104,
                 sla_target: 24.0,
                 service_rate: 200.0,
-                work_residual: drift.work_residual(),
                 ..Default::default()
             });
         }
-        // Reconnect: the flags and counters are server state, not
-        // connection state.
-        let h = c.health().unwrap();
-        c.quit().unwrap();
+        // Reconnect: the counters are server state, not connection state.
         let mut c2 = Client::connect(server.local_addr()).unwrap();
-        let h2 = c2.health().unwrap();
-        c2.quit().unwrap();
-        for line in [&h, &h2] {
-            assert!(line.contains("windows=2"), "{line}");
-            assert!(line.contains("sla_attainment=0.500"), "{line}");
-            assert!(line.contains("drift_work=0"), "{line}");
+        for s in [scrape(&mut c), scrape(&mut c2)] {
+            assert_eq!(s.value("uww_maint_windows_total", &[]), Some(2.0));
+            assert_eq!(s.value("uww_model_sla_attainment", &[]), Some(0.5));
         }
+        c.quit().unwrap();
+        c2.quit().unwrap();
         server.shutdown();
     }
 }
