@@ -4,12 +4,14 @@
 //!
 //! 1. **Restore** — the warehouse state is replaced by `state.snap` (the
 //!    pre-run image) and the base-change batch reloads from `changes.snap`;
-//!    both are digest-verified against the manifest.
+//!    [`WalLog::open`] parses both once and checks their content digests
+//!    against the manifest.
 //! 2. **Replay** — completed expressions (those with a durable `CD`/`ID`
 //!    record, which must form a strict prefix of the manifest's canonical
 //!    order) are redone: a `Comp` merges its journaled ΔV fragment with
 //!    zero scan work, an `Inst` re-executes against the restored state and
-//!    is verified against the record's row count and post-install digest.
+//!    is verified against the record's row count and post-install digest
+//!    (the content digest the view's table keeps up to date).
 //! 3. **Gate** — before any fresh work runs, the *suffix* strategy (the
 //!    remaining manifest expressions, or an explicit override) is
 //!    re-verified against the partially-installed state: the concatenation
@@ -29,7 +31,6 @@
 use std::path::Path;
 
 use uww_obs as obs;
-use uww_relational::{catalog_from_str, deltas_from_str, table_digest};
 use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr};
 
 use crate::engine::exec::Item;
@@ -72,7 +73,7 @@ pub fn recover_with(
     dir: &Path,
     suffix: Option<&[UpdateExpr]>,
 ) -> CoreResult<RecoveryOutcome> {
-    let log = WalLog::open(dir)?;
+    let mut log = WalLog::open(dir)?;
     if log.manifest.vdag_fingerprint != w.vdag().fingerprint() {
         return Err(CoreError::Wal(format!(
             "VDAG fingerprint mismatch: log {:016x}, warehouse {:016x}",
@@ -135,9 +136,10 @@ pub fn recover_with(
         });
     }
 
-    // Restore the durable image and the change batch.
-    w.restore_state(catalog_from_str(&log.state_text)?)?;
-    w.load_changes(deltas_from_str(&log.changes_text)?)?;
+    // Restore the durable image and the change batch, parsed and verified
+    // once by `WalLog::open`.
+    w.restore_state(std::mem::take(&mut log.state))?;
+    w.load_changes(std::mem::take(&mut log.changes))?;
 
     // Gate the suffix before touching anything else: the concatenation of
     // the executed prefix and the planned suffix must be a correct strategy
@@ -196,7 +198,7 @@ pub fn recover_with(
             } => {
                 let installed = w.exec_inst(expr.subject())?;
                 let name = w.vdag().name(expr.subject()).to_string();
-                let actual = table_digest(w.table(&name)?);
+                let actual = w.table(&name)?.digest();
                 if installed != *delta_len || actual != *post_digest {
                     return Err(CoreError::WalCorrupt {
                         record: d.seq,

@@ -44,7 +44,8 @@ pub enum SpanKind {
     Term,
     /// One relational operator step inside a term (hash build, probe, …).
     Operator,
-    /// One record appended to the write-ahead log.
+    /// One record appended to the write-ahead log, or (`snapshot`) the
+    /// checkpoint that opens a log: snapshots, manifest and `BEGIN`.
     WalRecord,
     /// One expression replayed from the WAL during recovery.
     Replay,

@@ -45,8 +45,8 @@ pub use ops::{AggFunc, AggSpec, SignedRows};
 pub use schema::{Column, Schema};
 pub use snapshot::{
     catalog_digest, catalog_from_str, catalog_to_string, delta_digest, delta_from_str,
-    delta_to_string, deltas_from_str, deltas_to_string, digest64, table_digest, table_to_string,
-    value_from_wire, value_to_wire,
+    delta_to_string, deltas_digest, deltas_from_str, deltas_to_string, digest64, table_digest,
+    table_to_string, value_from_wire, value_to_wire, write_catalog, write_deltas,
 };
 pub use sql::parse_view_def;
 pub use table::Table;

@@ -18,29 +18,43 @@ fn mix(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(MUL)
 }
 
+/// One value into the running hash: its type tag, then its payload.
+fn mix_value(h: u64, value: &Value) -> u64 {
+    match value {
+        Value::Int(v) => mix(mix(h, 1), *v as u64),
+        Value::Decimal(v) => mix(mix(h, 2), *v as u64),
+        Value::Date(v) => mix(mix(h, 3), *v as u64),
+        Value::Str(s) => {
+            // The length goes in first, so zero padding is unambiguous.
+            let mut h = mix(mix(h, 4), s.len() as u64);
+            for chunk in s.as_bytes().chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                h = mix(h, u64::from_le_bytes(word));
+            }
+            h
+        }
+    }
+}
+
 /// The hash of `row`'s values at `cols`, in that order. Equal values hash
 /// equally; each type mixes in its own tag, so `Int(k)`, `Decimal(k)` and
 /// `Date(k)` hash apart. An empty column list hashes to `0`.
 pub(super) fn key_hash(row: &Tuple, cols: &[usize]) -> u64 {
-    let mut h = 0;
-    for &c in cols {
-        h = match row.get(c) {
-            Value::Int(v) => mix(mix(h, 1), *v as u64),
-            Value::Decimal(v) => mix(mix(h, 2), *v as u64),
-            Value::Date(v) => mix(mix(h, 3), *v as u64),
-            Value::Str(s) => {
-                // The length goes in first, so zero padding is unambiguous.
-                let mut h = mix(mix(h, 4), s.len() as u64);
-                for chunk in s.as_bytes().chunks(8) {
-                    let mut word = [0u8; 8];
-                    word[..chunk.len()].copy_from_slice(chunk);
-                    h = mix(h, u64::from_le_bytes(word));
-                }
-                h
-            }
-        };
-    }
-    h
+    cols.iter().fold(0, |h, &c| mix_value(h, row.get(c)))
+}
+
+/// The hash of a whole row, every column in order, for content digests
+/// that add up one hash per row. `mix` leaves its low bits depending on few
+/// input bits, which a sum would keep; MurmurHash3's `fmix64` finaliser
+/// spreads every input bit over the whole word first.
+pub(crate) fn row_hash(row: &Tuple) -> u64 {
+    let mut h = row.values().iter().fold(0, mix_value);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 #[cfg(test)]

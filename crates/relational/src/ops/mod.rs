@@ -9,7 +9,7 @@
 
 mod aggregate;
 mod join;
-mod keyhash;
+pub(crate) mod keyhash;
 mod partition;
 
 pub use aggregate::{

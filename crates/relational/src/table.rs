@@ -2,6 +2,7 @@
 
 use crate::delta::DeltaRelation;
 use crate::error::{RelError, RelResult};
+use crate::ops::keyhash::row_hash;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::hash_map::Entry;
@@ -21,12 +22,23 @@ fn overflow(relation: &str) -> RelError {
 /// distinct tuple with a positive multiplicity. `len` is the total number of
 /// rows (sum of multiplicities), which is the quantity `|V|` used by the
 /// linear work metric.
+///
+/// The table also keeps an order-independent content digest up to date
+/// ([`Table::digest`]), so a journal can name an extent in O(1) instead of
+/// re-reading it.
 #[derive(Clone, Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: HashMap<Tuple, u64>,
     len: u64,
+    digest: u64,
+}
+
+/// A row's share of a content digest: `count` copies of `tuple`. Shares add
+/// with wrapping arithmetic, so a signed count (cast) subtracts.
+pub(crate) fn digest_share(tuple: &Tuple, count: u64) -> u64 {
+    count.wrapping_mul(row_hash(tuple))
 }
 
 impl Table {
@@ -37,6 +49,7 @@ impl Table {
             schema,
             rows: HashMap::new(),
             len: 0,
+            digest: 0,
         }
     }
 
@@ -60,6 +73,14 @@ impl Table {
         self.len == 0
     }
 
+    /// The content digest: the wrapping sum, over the rows, of multiplicity
+    /// times a deterministic 64-bit hash of every column. Equal contents give
+    /// equal digests whatever the insertion order; [`Table::insert_n`] and
+    /// [`Table::delete_n`] keep it current in O(1) per call.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
     /// Number of distinct tuples.
     pub fn distinct_len(&self) -> usize {
         self.rows.len()
@@ -78,6 +99,7 @@ impl Table {
             });
         }
         let len = (self.len.checked_add(count)).ok_or_else(|| overflow(&self.name))?;
+        let share = digest_share(&tuple, count);
         let grown = |held: u64| held.checked_add(count).filter(|&m| m <= MAX_MULTIPLICITY);
         match self.rows.entry(tuple) {
             Entry::Occupied(mut o) => {
@@ -88,6 +110,7 @@ impl Table {
             }
         }
         self.len = len;
+        self.digest = self.digest.wrapping_add(share);
         Ok(())
     }
 
@@ -108,6 +131,7 @@ impl Table {
                     self.rows.remove(tuple);
                 }
                 self.len -= count;
+                self.digest = self.digest.wrapping_sub(digest_share(tuple, count));
                 Ok(())
             }
             _ => Err(RelError::NegativeMultiplicity {
@@ -181,7 +205,10 @@ impl Table {
     /// Structural equality: same schema and same multiset of rows.
     /// (`Table` deliberately does not implement `PartialEq`; names may differ.)
     pub fn same_contents(&self, other: &Table) -> bool {
-        self.schema == other.schema && self.len == other.len && self.rows == other.rows
+        self.schema == other.schema
+            && self.len == other.len
+            && self.digest == other.digest
+            && self.rows == other.rows
     }
 
     /// The delta that transforms `self` into `target`:

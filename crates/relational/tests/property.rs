@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use uww_relational::ops::{self, SignedRows};
 use uww_relational::{
-    DeltaRelation, Predicate, ScalarExpr, Schema, Table, Tuple, Value, ValueType, WorkMeter,
+    table_digest, DeltaRelation, Predicate, ScalarExpr, Schema, Table, Tuple, Value, ValueType,
+    WorkMeter,
 };
 
 fn schema() -> Schema {
@@ -114,6 +115,47 @@ fn nested_loop(
         }
     }
     out
+}
+
+/// A mixed-type row for the digest properties: strings of several lengths,
+/// one with a character the snapshot escapes.
+fn mixed_tuple(k: i64, s: usize) -> Tuple {
+    const STRS: [&str; 4] = ["", "a", "tab\there", "longer than one eight-byte word"];
+    Tuple::new(vec![Value::Int(k), Value::str(STRS[s % STRS.len()])])
+}
+
+fn mixed_schema() -> Schema {
+    Schema::of(&[("k", ValueType::Int), ("s", ValueType::Str)])
+}
+
+/// One step against a table: `0` inserts, `1` deletes (refused when too few
+/// copies are held), `2` installs a signed delta of the step and its two
+/// neighbours (refused when a row would go negative), `3` inserts or
+/// installs near `i64::MAX` copies (refused on overflow once a row or the
+/// length would pass it).
+fn digest_step(t: &mut Table, (op, k, s, m): (u8, i64, usize, i64)) -> bool {
+    let row = mixed_tuple(k, s);
+    match op {
+        0 => t.insert_n(row, m.unsigned_abs()).is_ok(),
+        1 => t.delete_n(&row, m.unsigned_abs()).is_ok(),
+        2 => {
+            let mut d = DeltaRelation::new(mixed_schema());
+            d.add(row, m);
+            d.add(mixed_tuple(k + 1, s + 1), -m);
+            d.add(mixed_tuple(k, s + 2), m.abs());
+            t.install(&d).is_ok()
+        }
+        _ if m % 2 == 0 => t.insert_n(row, i64::MAX as u64 - m.unsigned_abs()).is_ok(),
+        _ => {
+            let mut d = DeltaRelation::new(mixed_schema());
+            d.add(row, i64::MAX - m.abs());
+            t.install(&d).is_ok()
+        }
+    }
+}
+
+fn arb_digest_steps() -> impl Strategy<Value = Vec<(u8, i64, usize, i64)>> {
+    prop::collection::vec((0..4u8, 0..6i64, 0..4usize, -3..4i64), 0..40)
 }
 
 proptest! {
@@ -287,5 +329,47 @@ proptest! {
         let forward = delta.applied_to(&t).unwrap();
         let back = inverse.applied_to(&forward).unwrap();
         prop_assert!(back.same_contents(&t));
+    }
+
+    /// The digest a table keeps through `insert_n`, `delete_n` and `install`
+    /// — refused calls included — is the digest a walk over its rows
+    /// computes; a clone carries it; it does not depend on insertion order;
+    /// and a row more, a row fewer or a copy fewer changes it.
+    #[test]
+    fn kept_digest_is_the_walked_content_digest(steps in arb_digest_steps()) {
+        let mut t = Table::new("T", mixed_schema());
+        for step in steps {
+            let before = t.digest();
+            if !digest_step(&mut t, step) {
+                prop_assert_eq!(t.digest(), before, "a refused call moved the digest");
+            }
+            prop_assert_eq!(t.digest(), table_digest(&t));
+        }
+        prop_assert_eq!(t.clone().digest(), t.digest());
+
+        let mut rows: Vec<(Tuple, u64)> = t.iter().map(|(r, m)| (r.clone(), m)).collect();
+        rows.sort();
+        let mut reversed = Table::new("R", mixed_schema());
+        for (r, m) in rows.iter().rev() {
+            // Split each multiplicity over two calls, the larger half last.
+            reversed.insert_n(r.clone(), m / 2).unwrap();
+            reversed.insert_n(r.clone(), m - m / 2).unwrap();
+        }
+        prop_assert!(reversed.same_contents(&t));
+        prop_assert_eq!(reversed.digest(), t.digest());
+
+        if t.len() < u64::MAX {
+            let mut one_row_more = t.clone();
+            one_row_more.insert(mixed_tuple(-1, 0)).unwrap();
+            prop_assert_ne!(one_row_more.digest(), t.digest());
+        }
+        if let Some((r, m)) = rows.first() {
+            let mut one_row_less = t.clone();
+            one_row_less.delete_n(r, *m).unwrap();
+            prop_assert_ne!(one_row_less.digest(), t.digest());
+            let mut one_copy_less = t.clone();
+            one_copy_less.delete_n(r, 1).unwrap();
+            prop_assert_ne!(one_copy_less.digest(), t.digest());
+        }
     }
 }

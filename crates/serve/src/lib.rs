@@ -49,8 +49,9 @@
 //! service-rate and SLA-attainment gauges. In-process callers read exact
 //! latency percentiles from [`Server::metrics`] and [`Server::shutdown`].
 //!
-//! `QUERY` digests the view's whole extent (FNV-1a, the same
-//! [`table_digest`](uww_relational::table_digest) the WAL uses), so a
+//! `QUERY` digests the view's whole extent by walking every row
+//! ([`table_digest`](uww_relational::table_digest): the content digest a
+//! table keeps and the WAL journals), so a
 //! response commits the server to an exact extent — the concurrency tests
 //! assert every digest equals either the pre- or post-install extent, which
 //! is precisely the "no torn reads" guarantee.

@@ -15,8 +15,8 @@ use uww::core::{
     WalLog, Warehouse,
 };
 use uww::relational::{
-    catalog_to_string, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate,
-    ScalarExpr, Schema, Table, Tuple, Value, ValueType, ViewDef, ViewOutput, ViewSource,
+    catalog_to_string, digest64, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn,
+    Predicate, ScalarExpr, Schema, Table, Tuple, Value, ValueType, ViewDef, ViewOutput, ViewSource,
 };
 use uww::scenario::TpcdScenario;
 use uww::vdag::{check_vdag_strategy, SplitMix64, Strategy, UpdateExpr};
@@ -451,6 +451,91 @@ fn interior_corruption_is_refused_with_a_typed_error() {
     let mut recovered = w.clone();
     let err = recover(&mut recovered, &dir).expect_err("recover must refuse damage");
     assert!(matches!(err, CoreError::WalCorrupt { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cheap `ID` digest still catches a divergent redo: an `ID` record
+/// whose post-install digest was rewritten — with its record checksum
+/// recomputed, so the log itself reads clean — is refused when replaying
+/// that `Inst` yields a different extent.
+#[test]
+fn a_rewritten_inst_digest_is_refused_as_a_diverged_replay() {
+    let seed = seed_base().wrapping_mul(37).wrapping_add(17);
+    let (mut w, changes) = random_warehouse(seed);
+    w.load_changes(changes).unwrap();
+    let mut rng = SplitMix64::new(seed ^ 0x1D);
+    let strategy = random_strategies(&w, &mut rng, 1).remove(0);
+    let dir = wal_dir("id-digest");
+    run_journaled(&w, &strategy, &dir, FaultPlan::none(), 1).unwrap();
+
+    let log_path = dir.join("wal.log");
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.split(' ').nth(3) == Some("ID"))
+        .expect("the run journaled an Inst");
+    // `R <seq> <checksum> ID <idx> <rows> <post-digest>`: flip the digest's
+    // last bit and checksum the new body.
+    let mut fields = lines[at].splitn(4, ' ');
+    let seq = fields.nth(1).unwrap();
+    let (kept, digest) = fields.nth(1).unwrap().rsplit_once(' ').unwrap();
+    let body = format!(
+        "{kept} {:016x}",
+        u64::from_str_radix(digest, 16).unwrap() ^ 1
+    );
+    let record = format!("R {seq} {:016x} {body}", digest64(&body));
+    lines[at] = &record;
+    std::fs::write(&log_path, lines.join("\n") + "\n").unwrap();
+
+    assert!(
+        WalLog::open(&dir).is_ok(),
+        "the rewritten record must read clean"
+    );
+    let err = recover(&mut w.clone(), &dir).expect_err("a diverged replay must be refused");
+    assert!(
+        matches!(&err, CoreError::WalCorrupt { detail, .. }
+            if detail.starts_with("replay of Inst(") && detail.contains("diverged")),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `state.snap` is checked against the manifest's content digest when the
+/// log is opened: one row's multiplicity edited is refused before recovery
+/// restores anything.
+#[test]
+fn an_edited_state_snapshot_is_refused_before_anything_is_restored() {
+    let seed = seed_base().wrapping_mul(41).wrapping_add(19);
+    let (mut w, changes) = random_warehouse(seed);
+    w.load_changes(changes).unwrap();
+    let mut rng = SplitMix64::new(seed ^ 0x5A);
+    let strategy = random_strategies(&w, &mut rng, 1).remove(0);
+    let dir = wal_dir("state-snap");
+    let err = run_journaled(&w, &strategy, &dir, FaultPlan::crash_before(3), 1);
+    assert!(matches!(err, Err(CoreError::InjectedCrash { .. })));
+
+    let snap_path = dir.join("state.snap");
+    let snap = std::fs::read_to_string(&snap_path).unwrap();
+    let at = snap.find("\nROW ").expect("a stored row") + "\nROW ".len();
+    let (mult, rest) = snap[at..].split_once('\t').unwrap();
+    let edited = format!(
+        "{}{}\t{rest}",
+        &snap[..at],
+        mult.parse::<u64>().unwrap() + 1
+    );
+    std::fs::write(&snap_path, edited).unwrap();
+
+    let err = WalLog::open(&dir).expect_err("an edited snapshot must be refused");
+    assert!(matches!(err, CoreError::Wal(_)), "{err}");
+    let mut recovered = w.clone();
+    let err = recover(&mut recovered, &dir).expect_err("recover must refuse it too");
+    assert!(matches!(err, CoreError::Wal(_)), "{err}");
+    assert_eq!(
+        catalog_to_string(recovered.state()),
+        catalog_to_string(w.state()),
+        "nothing may be restored from a refused snapshot"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
