@@ -575,10 +575,12 @@ pub fn depends(g: &Vdag, earlier: &UpdateExpr, later: &UpdateExpr) -> bool {
 /// `Comp(V5, {V4})` misses the Δ`V4` its neighbour `Comp(V4, ·)` produces —
 /// even though the linearized sequence passes the dynamic checker.
 pub fn analyze_parallel(g: &Vdag, stages: &[Vec<UpdateExpr>]) -> Report {
-    let linear: Vec<UpdateExpr> = stages.iter().flatten().cloned().collect();
-    let base = analyze(g, &Strategy::from_exprs(linear.clone()));
+    let linear = Strategy::from_exprs(stages.iter().flatten().cloned().collect());
+    let Report {
+        exprs,
+        mut diagnostics,
+    } = analyze(g, &linear);
 
-    let mut races = Vec::new();
     let mut offset = 0usize;
     for (sn, stage) in stages.iter().enumerate() {
         for (a, ea) in stage.iter().enumerate() {
@@ -609,7 +611,7 @@ pub fn analyze_parallel(g: &Vdag, stages: &[Vec<UpdateExpr>]) -> Report {
                         safe_expr(g, first),
                     )
                 };
-                races.push(Diagnostic {
+                diagnostics.push(Diagnostic {
                     rule: Rule::StageRace,
                     severity: Severity::Error,
                     message,
@@ -631,7 +633,7 @@ pub fn analyze_parallel(g: &Vdag, stages: &[Vec<UpdateExpr>]) -> Report {
         }
         offset += stage.len();
     }
-    base.merge(Report::new(Vec::new(), races))
+    Report::new(exprs, diagnostics)
 }
 
 /// Lints cost inputs: `UWW005` for non-finite or negative entries (labels

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// The lint rules, each with a stable `UWW###` identifier.
+/// The lint rules, each with a stable `UWW###` identifier. `UWW011`–`UWW014`
+/// are retired and never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `UWW001`: two expressions that must stay ordered share a parallel
@@ -38,31 +39,11 @@ pub enum Rule {
     /// `Comp` on a base view, an empty over-set, or an over-set escaping
     /// the view's sources (conditions C1/C2/C7).
     MalformedExpr,
-    /// `UWW011` (advisory): a `Comp` uses the same `(operand, pushed-down
-    /// filter, key columns)` hash table in two or more of its maintenance
-    /// terms — the intra-`Comp` share the operand store serves, and a
-    /// per-term executor misses.
-    IntraCompShare,
-    /// `UWW012` (advisory): two `Comp`s of the strategy use an identical
-    /// operand hash table with no intervening modification of the operand —
-    /// the cross-`Comp` share a window-scope operand store serves and a
-    /// per-`Comp` one rebuilds.
-    CrossCompShare,
-    /// `UWW013` (advisory): two operand uses inside one `Comp` are equal
-    /// modulo a keying detail the runtime cache distinguishes — e.g. two
-    /// aliases of one view with identical role, filters, and key columns,
-    /// which the source-position cache key keeps apart.
-    CacheKeyMismatch,
-    /// `UWW014`: two expressions sharing a parallel stage touch a common
-    /// operand with at least one writer — read/write interference over
-    /// views, deltas, or operand-cache snapshots that makes the stage's
-    /// outcome schedule-dependent.
-    SharedOperandRace,
 }
 
 impl Rule {
     /// Every rule, in id order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 10] = [
         Rule::StageRace,
         Rule::DeadDelta,
         Rule::UncoveredSource,
@@ -73,13 +54,9 @@ impl Rule {
         Rule::LateComp,
         Rule::UncomputedDelta,
         Rule::MalformedExpr,
-        Rule::IntraCompShare,
-        Rule::CrossCompShare,
-        Rule::CacheKeyMismatch,
-        Rule::SharedOperandRace,
     ];
 
-    /// The stable identifier, `UWW001` through `UWW014`.
+    /// The stable identifier, `UWW001` through `UWW010`.
     pub fn id(self) -> &'static str {
         match self {
             Rule::StageRace => "UWW001",
@@ -92,10 +69,6 @@ impl Rule {
             Rule::LateComp => "UWW008",
             Rule::UncomputedDelta => "UWW009",
             Rule::MalformedExpr => "UWW010",
-            Rule::IntraCompShare => "UWW011",
-            Rule::CrossCompShare => "UWW012",
-            Rule::CacheKeyMismatch => "UWW013",
-            Rule::SharedOperandRace => "UWW014",
         }
     }
 
@@ -112,10 +85,6 @@ impl Rule {
             Rule::LateComp => "late-comp",
             Rule::UncomputedDelta => "uncomputed-delta",
             Rule::MalformedExpr => "malformed-expr",
-            Rule::IntraCompShare => "missed-intra-comp-share",
-            Rule::CrossCompShare => "cross-comp-share",
-            Rule::CacheKeyMismatch => "cache-key-mismatch",
-            Rule::SharedOperandRace => "shared-operand-race",
         }
     }
 
@@ -133,10 +102,6 @@ impl Rule {
             Rule::LateComp => "C5",
             Rule::UncomputedDelta => "C8",
             Rule::MalformedExpr => "C1/C2/C7",
-            Rule::IntraCompShare => "term sharing (Section 3.3 terms; MQO)",
-            Rule::CrossCompShare => "cross-expression sharing (MQO)",
-            Rule::CacheKeyMismatch => "operand-cache key discipline",
-            Rule::SharedOperandRace => "stage isolation over shared operands (Section 9)",
         }
     }
 }
@@ -254,8 +219,7 @@ impl Report {
     }
 
     /// Diagnostics per rule, in rule-id order — the JSON summary's
-    /// `"rules"` object, so CI can gate on specific rules (e.g. fail on
-    /// `UWW014` while tolerating advisory `UWW011`/`UWW012` findings).
+    /// `"rules"` object, so CI can gate on specific rules.
     pub fn rule_counts(&self) -> Vec<(Rule, usize)> {
         let mut counts: Vec<(Rule, usize)> = Vec::new();
         for r in Rule::ALL {
@@ -265,15 +229,6 @@ impl Report {
             }
         }
         counts
-    }
-
-    /// Merges another report whose indices are already in this report's
-    /// index space (e.g. the sharing report computed over the same
-    /// strategy). Kept public so CLI consumers can combine passes.
-    pub fn merge(self, other: Report) -> Report {
-        let mut all = self.diagnostics;
-        all.extend(other.diagnostics);
-        Report::new(self.exprs, all)
     }
 
     /// Renders every diagnostic rustc-style, quoting the involved
@@ -422,7 +377,7 @@ mod tests {
         let ids: Vec<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
         assert_eq!(ids[0], "UWW001");
         assert_eq!(ids[9], "UWW010");
-        assert_eq!(ids[13], "UWW014");
+        assert_eq!(ids.len(), 10);
         let mut dedup = ids.clone();
         dedup.dedup();
         assert_eq!(ids, dedup);

@@ -21,10 +21,12 @@
 //! | `UWW008` | `late-comp` | C5 |
 //! | `UWW009` | `uncomputed-delta` | C8 |
 //! | `UWW010` | `malformed-expr` | C1/C2/C7 shape conditions |
-//! | `UWW011` | `missed-intra-comp-share` | term sharing (Section 3.3 terms; MQO) |
-//! | `UWW012` | `cross-comp-share` | cross-expression sharing (MQO) |
-//! | `UWW013` | `cache-key-mismatch` | operand-cache key discipline |
-//! | `UWW014` | `shared-operand-race` | stage isolation over shared operands (Section 9) |
+//!
+//! `UWW011`–`UWW014` are retired and never reused: the sharing advisories
+//! described sharing the operand store already does (`uww explain` and
+//! `uww run --strategy-sharing` show it), and the same-stage race check is
+//! `UWW001`'s, over the one dependence relation [`depends`] that
+//! `parallelize` also schedules by.
 //!
 //! On sequential strategies the analyzer is **exactly equivalent** to the
 //! dynamic checkers: [`Report::has_errors`] is `true` iff
@@ -32,7 +34,11 @@
 //! [`analyze_view`]) rejects. On parallel strategies it is strictly
 //! stronger: [`analyze_parallel`] additionally flags same-stage expression
 //! pairs whose order matters (`UWW001`) — races the dynamic check of the
-//! linearization cannot observe.
+//! linearization cannot observe. `execute_staged` runs exactly that check
+//! before it starts a staged window.
+//!
+//! The crate also holds the engine's [`SharingProfile`] types and the
+//! operand-liveness predicate [`modifies_operand`].
 //!
 //! Diagnostics carry severity, an expression-index span, and the involved
 //! view names; [`Report::render_text`] renders them rustc-style and
@@ -43,15 +49,12 @@
 
 mod analyzer;
 mod diag;
-mod interference;
 mod parse;
 mod sharing;
 
 pub use analyzer::{analyze, analyze_costs, analyze_parallel, analyze_view, depends};
 pub use diag::{Diagnostic, Report, Rule, Severity};
-pub use interference::{analyze_interference, reads, writes, Loc};
 pub use parse::{parse_expr, parse_stages, parse_strategy};
 pub use sharing::{
-    analyze_sharing, modifies_operand, ExprSharingProfile, OperandProfile, SharingProfile,
-    TermProfile,
+    modifies_operand, ExprSharingProfile, OperandProfile, SharingProfile, TermProfile,
 };

@@ -28,9 +28,8 @@
 //! by `Warehouse::execute_carried`. Two rules bound an entry's life:
 //!
 //! * **liveness** — an entry is dropped when an executed expression actually
-//!   changed its operand: `uww_analysis::modifies_operand` (the predicate
-//!   the `UWW012` analyzer rule prices) holds *and* the install or fragment
-//!   was non-empty ([`OperandStore::expr_done`]);
+//!   changed its operand: `uww_analysis::modifies_operand` holds *and* the
+//!   install or fragment was non-empty ([`OperandStore::expr_done`]);
 //! * **retention** — an entry outlives the `Comp` that used it only if a
 //!   later expression of the window reads its `(view, role)` before one
 //!   modifies it ([`read_later`], decided from the view definitions and the

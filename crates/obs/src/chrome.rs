@@ -93,7 +93,7 @@ pub struct TraceStats {
 }
 
 /// Parses `text` as a Chrome trace and checks the shape every consumer
-/// (Perfetto, `uww diff`, the golden tests) relies on: a `traceEvents`
+/// (Perfetto, `uww-bench validate-trace`, the golden tests) relies on: a `traceEvents`
 /// array whose members carry a one-char `ph`, and for `X` events a nonempty
 /// `name`, numeric nonnegative `ts`/`dur`, and numeric `pid`/`tid`.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {

@@ -470,64 +470,6 @@ pub fn validate_ledger(text: &str) -> Result<LedgerSummary, String> {
     Ok(sum)
 }
 
-/// A per-window delta between two ledgers, aligned by window index — the
-/// ledger half of the regression localizer.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LedgerDelta {
-    /// Window index (present in both ledgers).
-    pub window: u64,
-    /// Measured linear work, A then B.
-    pub measured: (u64, u64),
-    /// Predicted linear work, A then B.
-    pub predicted: (f64, f64),
-    /// Staleness, A then B.
-    pub staleness: (f64, f64),
-    /// Wall-clock microseconds, A then B.
-    pub wall_us: (u64, u64),
-}
-
-impl LedgerDelta {
-    /// Measured-work delta (B − A).
-    pub fn measured_delta(&self) -> i64 {
-        self.measured.1 as i64 - self.measured.0 as i64
-    }
-}
-
-/// Aligns two ledgers window-by-window and returns every window whose
-/// deterministic quantities (measured or predicted work) differ. Windows
-/// present in only one ledger are reported with the other side zeroed.
-pub fn diff_ledgers(a: &[LedgerRecord], b: &[LedgerRecord]) -> Vec<LedgerDelta> {
-    let mut windows: Vec<u64> = a.iter().chain(b).map(|r| r.window).collect();
-    windows.sort_unstable();
-    windows.dedup();
-    let mut out = Vec::new();
-    for w in windows {
-        let ra = a.iter().find(|r| r.window == w);
-        let rb = b.iter().find(|r| r.window == w);
-        let m = (
-            ra.map_or(0, |r| r.measured_work),
-            rb.map_or(0, |r| r.measured_work),
-        );
-        let p = (
-            ra.map_or(0.0, |r| r.predicted_work),
-            rb.map_or(0.0, |r| r.predicted_work),
-        );
-        if m.0 != m.1 || p.0 != p.1 || ra.is_none() || rb.is_none() {
-            out.push(LedgerDelta {
-                window: w,
-                measured: m,
-                predicted: p,
-                staleness: (
-                    ra.map_or(0.0, |r| r.staleness),
-                    rb.map_or(0.0, |r| r.staleness),
-                ),
-                wall_us: (ra.map_or(0, |r| r.wall_us), rb.map_or(0, |r| r.wall_us)),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,25 +653,5 @@ mod tests {
         let sum = validate_ledger(&text).unwrap();
         assert_eq!(sum.records, 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ledger_diff_localizes_changed_windows() {
-        let a = vec![sample(0), sample(1), sample(2)];
-        let mut b = a.clone();
-        assert!(
-            diff_ledgers(&a, &b).is_empty(),
-            "identical ledgers diff empty"
-        );
-        b[1].measured_work += 100;
-        b[1].meter.operand_rows_scanned += 100;
-        let d = diff_ledgers(&a, &b);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].window, 1);
-        assert_eq!(d[0].measured_delta(), 100);
-        // A window missing on one side is reported too.
-        b.truncate(2);
-        let d = diff_ledgers(&a, &b);
-        assert!(d.iter().any(|x| x.window == 2));
     }
 }

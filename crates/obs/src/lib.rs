@@ -25,9 +25,6 @@
 //!   [`validate_ledger`](ledger::validate_ledger) consistency checker.
 //! * [`critical`] — partition critical-path derivation keyed by task
 //!   identity (stable under work stealing).
-//! * [`diff`] — the trace-to-trace regression localizer behind
-//!   `uww diff`: aligns two Chrome traces by span-tree path and reports
-//!   structural, row-counter, and wall-clock deltas.
 //!
 //! Spans carry wall-clock intervals *and* the executor's logical/physical
 //! `WorkMeter` deltas as generic attributes — this crate knows nothing about
@@ -38,7 +35,6 @@
 
 pub mod chrome;
 pub mod critical;
-pub mod diff;
 pub mod json;
 pub mod ledger;
 pub mod prom;

@@ -13,7 +13,6 @@
 //! uww recover  DIR
 //! uww analyze  [--scenario ...] [--scale F] [--frac F] [--planner ...]
 //!              [--strategy "Comp(V,{A});..."] [--stages "...|..."] [--json]
-//!              [--sharing] [--strategy-sharing]
 //! uww script   [--scenario ...] [--scale F] [--frac F]
 //! uww dot      [--scenario ...] [--scale F] [--graph vdag|eg]
 //! uww olap     [--scenario ...] [--scale F] [--frac F] [--isolation strict|low]
@@ -28,7 +27,6 @@
 //!              [--replay FILE] [--record FILE] [--serve] [--readers N]
 //!              [--json] [--metrics] [--ledger FILE]
 //!              [--latency-buckets US,US,...]
-//! uww diff     TRACE_A TRACE_B | LEDGER_A LEDGER_B  [--json]
 //! uww report   LEDGER [--json]
 //! uww explain  [--scenario ...] [--scale F] [--frac F] [--planner ...]
 //! uww dump     [--scenario ...] [--scale F]
@@ -70,16 +68,16 @@
 //! the planner's predicted work beside the linear work the run measured,
 //! and each `Comp`'s maintenance terms with their join orders.
 //!
-//! `analyze --sharing` adds the sharing-opportunity pass (`UWW011`–`UWW013`)
-//! over the window's offline description: the strategy run on a scratch
-//! clone, every keyed operand use recorded. `analyze --stages` always
-//! includes the interference pass (`UWW014`). See `docs/ANALYSIS.md`.
+//! `analyze --stages` lints a parallel schedule with the check
+//! `execute_staged` runs: the sequential rules over its linearization plus
+//! `UWW001` for every same-stage pair that must stay ordered. See
+//! `docs/ANALYSIS.md`.
 
 use std::process::ExitCode;
 use uww::core::{
     min_work, min_work_shared, prune, recover, simulate_olap, CostModel, ExecOptions, FaultPlan,
-    FsyncPolicy, IsolationMode, OlapWorkload, PartitionOptions, ScriptGenerator, SharingScope,
-    SizeCatalog, WalConfig, WalLog,
+    FsyncPolicy, IsolationMode, OlapWorkload, PartitionOptions, ScriptGenerator, SizeCatalog,
+    WalConfig, WalLog,
 };
 use uww::scenario::TpcdScenario;
 use uww::sched::{
@@ -110,7 +108,6 @@ struct Args {
     objective: String,
     trace_out: Option<String>,
     metrics: bool,
-    sharing: bool,
     policy: String,
     window: u64,
     sla: f64,
@@ -125,7 +122,6 @@ struct Args {
     fault_window: usize,
     ledger: Option<String>,
     latency_buckets: Option<Vec<u64>>,
-    dir2: Option<String>,
 }
 
 impl Default for Args {
@@ -154,7 +150,6 @@ impl Default for Args {
             objective: "linear".into(),
             trace_out: None,
             metrics: false,
-            sharing: false,
             policy: "fixed".into(),
             window: 16,
             sla: 24.0,
@@ -169,7 +164,6 @@ impl Default for Args {
             fault_window: 0,
             ledger: None,
             latency_buckets: None,
-            dir2: None,
         }
     }
 }
@@ -262,7 +256,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     .ok_or_else(|| "missing value for --objective".to_string())?;
                 args.objective = v.clone();
             }
-            "--sharing" => args.sharing = true,
             "--partitions" => {
                 let v = it
                     .next()
@@ -326,7 +319,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             word if cmd.is_none() => cmd = Some(word.to_string()),
             word if args.dir.is_none() => args.dir = Some(word.to_string()),
-            word if args.dir2.is_none() => args.dir2 = Some(word.to_string()),
             word => return Err(format!("unexpected argument {word}")),
         }
     }
@@ -645,69 +637,26 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    // The sharing pass describes the window, so it needs the change batch.
-    let mut sc = build_scenario(args)?;
-    if args.sharing {
-        load_changes(&mut sc, args)?;
-    }
-    let (mut report, label, strategy) = {
-        let g = sc.warehouse.vdag();
-        if let Some(text) = &args.stages_text {
-            let stages = uww::analysis::parse_stages(g, text)?;
-            let report = uww::analysis::analyze_parallel(g, &stages)
-                .merge(uww::analysis::analyze_interference(g, &stages));
-            let lin: Vec<_> = stages.iter().flatten().cloned().collect();
-            (
-                report,
-                format!("parallel strategy ({} stages)", stages.len()),
-                Strategy::from_exprs(lin),
-            )
-        } else if let Some(text) = &args.strategy_text {
-            let s = uww::analysis::parse_strategy(g, text)?;
-            (
-                uww::analysis::analyze(g, &s),
-                "given strategy".to_string(),
-                s,
-            )
-        } else {
-            let (s, label) = pick_strategy(&sc, args)?;
-            (uww::analysis::analyze(g, &s), label, s)
-        }
+    let sc = build_scenario(args)?;
+    let g = sc.warehouse.vdag();
+    let (report, label) = if let Some(text) = &args.stages_text {
+        let stages = uww::analysis::parse_stages(g, text)?;
+        (
+            uww::analysis::analyze_parallel(g, &stages),
+            format!("parallel strategy ({} stages)", stages.len()),
+        )
+    } else if let Some(text) = &args.strategy_text {
+        let s = uww::analysis::parse_strategy(g, text)?;
+        (uww::analysis::analyze(g, &s), "given strategy".to_string())
+    } else {
+        let (s, label) = pick_strategy(&sc, args)?;
+        (uww::analysis::analyze(g, &s), label)
     };
-    let mut described = None;
-    if args.sharing {
-        // Describe at the scope a `run` with the same flags uses.
-        let scope = if args.strategy_sharing {
-            SharingScope::Strategy
-        } else {
-            SharingScope::Comp
-        };
-        let d = uww::core::plan_strategy_sharing(&sc.warehouse, &strategy, scope)
-            .map_err(|e| e.to_string())?;
-        let g = sc.warehouse.vdag();
-        report = report.merge(uww::analysis::analyze_sharing(g, &strategy, &d.profile));
-        described = Some(d);
-    }
     if args.json {
         println!("{}", report.to_json());
     } else {
         println!("analyzing {label}:");
         print!("{}", report.render_text());
-        if let Some(d) = &described {
-            let work = d.report.total_work();
-            println!(
-                "sharing: {} hash build(s), {} reuse(s) across {} expression(s)",
-                work.hash_tables_built,
-                work.hash_tables_reused,
-                d.report.per_expr.len(),
-            );
-            if args.strategy_sharing {
-                println!(
-                    "strategy scope: {} cross-expression reuse(s), {} cached raw read(s)",
-                    work.hash_tables_cross_reused, work.operand_reads_cached,
-                );
-            }
-        }
     }
     if report.has_errors() {
         return Err(format!(
@@ -1204,123 +1153,6 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `uww diff TRACE_A TRACE_B` (Chrome traces) or `uww diff LEDGER_A
-/// LEDGER_B` (window ledgers): aligns the two runs and localizes
-/// regressions. Trace inputs are auto-detected by their `traceEvents`
-/// envelope; anything else parses as a JSONL ledger.
-fn cmd_diff(args: &Args) -> Result<(), String> {
-    let (a_path, b_path) = match (&args.dir, &args.dir2) {
-        (Some(a), Some(b)) => (a.as_str(), b.as_str()),
-        _ => return Err("diff needs two files: uww diff A B".to_string()),
-    };
-    let a = std::fs::read_to_string(a_path).map_err(|e| format!("read {a_path}: {e}"))?;
-    let b = std::fs::read_to_string(b_path).map_err(|e| format!("read {b_path}: {e}"))?;
-    let is_trace = |t: &str| t.contains("\"traceEvents\"");
-    match (is_trace(&a), is_trace(&b)) {
-        (true, true) => {
-            let d = uww::obs::diff::diff_traces(&a, &b, &uww::obs::diff::DiffConfig::default())?;
-            if args.json {
-                println!("{}", d.to_json());
-                return Ok(());
-            }
-            println!(
-                "trace diff: {} vs {} span(s) over {} path(s) — {}",
-                d.spans_a,
-                d.spans_b,
-                d.paths,
-                if d.is_empty() {
-                    "no significant deltas"
-                } else if d.deterministic_match() {
-                    "deterministically equal (wall-clock noise only)"
-                } else {
-                    "runs DIVERGE"
-                }
-            );
-            for delta in &d.deltas {
-                let kind = if delta.structural() {
-                    "structural"
-                } else if delta.rows_differ() {
-                    "rows"
-                } else {
-                    "wall"
-                };
-                println!(
-                    "  [{kind}] {} ({}): spans {}→{}, wall {}us→{}us ({:+}us), rows {}→{} ({:+})",
-                    delta.path,
-                    delta.cat,
-                    delta.count.0,
-                    delta.count.1,
-                    delta.wall_us.0,
-                    delta.wall_us.1,
-                    delta.wall_delta_us(),
-                    delta.rows.0,
-                    delta.rows.1,
-                    delta.rows_delta(),
-                );
-            }
-            Ok(())
-        }
-        (false, false) => {
-            let ra = uww::obs::ledger::read_ledger(&a).map_err(|e| format!("{a_path}: {e}"))?;
-            let rb = uww::obs::ledger::read_ledger(&b).map_err(|e| format!("{b_path}: {e}"))?;
-            let deltas = uww::obs::ledger::diff_ledgers(&ra, &rb);
-            if args.json {
-                let items: Vec<String> = deltas
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "{{\"window\":{},\"measured_a\":{},\"measured_b\":{},\
-                             \"predicted_a\":{},\"predicted_b\":{},\"measured_delta\":{}}}",
-                            d.window,
-                            d.measured.0,
-                            d.measured.1,
-                            d.predicted.0,
-                            d.predicted.1,
-                            d.measured_delta()
-                        )
-                    })
-                    .collect();
-                println!(
-                    "{{\"windows_a\":{},\"windows_b\":{},\"identical\":{},\"deltas\":[{}]}}",
-                    ra.len(),
-                    rb.len(),
-                    deltas.is_empty(),
-                    items.join(",")
-                );
-                return Ok(());
-            }
-            println!(
-                "ledger diff: {} vs {} window(s) — {}",
-                ra.len(),
-                rb.len(),
-                if deltas.is_empty() {
-                    "identical work profile"
-                } else {
-                    "work profiles DIVERGE"
-                }
-            );
-            for d in &deltas {
-                println!(
-                    "  window {}: measured {}→{} ({:+}), predicted {:.1}→{:.1}, \
-                     staleness {:.2}→{:.2}, wall {}us→{}us",
-                    d.window,
-                    d.measured.0,
-                    d.measured.1,
-                    d.measured_delta(),
-                    d.predicted.0,
-                    d.predicted.1,
-                    d.staleness.0,
-                    d.staleness.1,
-                    d.wall_us.0,
-                    d.wall_us.1,
-                );
-            }
-            Ok(())
-        }
-        _ => Err("cannot diff a chrome trace against a window ledger".to_string()),
-    }
-}
-
 /// `uww report LEDGER`: validate a window-health ledger and summarize it.
 fn cmd_report(args: &Args) -> Result<(), String> {
     let path = args
@@ -1374,7 +1206,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 }
 
 const USAGE: &str =
-    "usage: uww <info|plan|run|analyze|script|dot|olap|serve|ingest|diff|report|explain|dump> \
+    "usage: uww <info|plan|run|analyze|script|dot|olap|serve|ingest|report|explain|dump> \
 [--scenario fig4|q3|q5] [--scale F] [--frac F] \
 [--planner minwork|prune|dual-stage|rnscol] [--graph vdag|eg] \
 [--isolation strict|low (olap) / strict|mvcc|both (serve)] [--readers N] [--hold-ms N] \
@@ -1383,7 +1215,7 @@ const USAGE: &str =
 [--wal DIR] [--fsync always|never] [--fault crash:K|torn:K|dup:K|dirsync] \
 [--partitions N] [--strategy-sharing] \
 [--objective linear|shared] \
-[--trace-out FILE] [--metrics] [--sharing]\n\
+[--trace-out FILE] [--metrics]\n\
        uww ingest [--scenario ...] [--scale F] [--policy fixed|greedy] [--window N] \
 [--sla F] [--rate MILLI] [--service-rate F] [--horizon N] [--seed N] [--no-carry] \
 [--objective linear|shared] [--partitions N] \
@@ -1391,7 +1223,6 @@ const USAGE: &str =
 [--fault crash:K|torn:K|dup:K|dirsync] [--fault-window W] \
 [--replay FILE] [--record FILE] [--serve] [--readers N] [--json] [--metrics] \
 [--ledger FILE] [--latency-buckets US,US,...]\n\
-       uww diff TRACE_A TRACE_B | uww diff LEDGER_A LEDGER_B [--json]\n\
        uww report LEDGER [--json]\n\
        uww recover DIR";
 
@@ -1415,7 +1246,6 @@ fn main() -> ExitCode {
         "olap" => cmd_olap(&args),
         "serve" => cmd_serve(&args),
         "ingest" => cmd_ingest(&args),
-        "diff" => cmd_diff(&args),
         "report" => cmd_report(&args),
         "explain" => cmd_explain(&args),
         "dump" => cmd_dump(&args),

@@ -285,13 +285,31 @@ fn bad_input_fails_with_usage() {
         assert!(e.contains("usage:"), "{e}");
         assert!(stdout(&o).is_empty(), "work started: {}", stdout(&o));
     }
+    // Every command takes at most one positional word.
+    for argv in [
+        &["report", "a.jsonl", "b.jsonl"][..],
+        &["recover", "/tmp/uww-wal", "extra"][..],
+    ] {
+        let o = uww(argv);
+        assert_eq!(o.status.code(), Some(1), "{argv:?}");
+        let e = stderr(&o);
+        assert!(e.contains("error: unexpected argument"), "{argv:?}: {e}");
+        assert!(stdout(&o).is_empty(), "{argv:?}: work started");
+    }
+    let o = uww(&["diff", "a.jsonl"]);
+    assert!(
+        stderr(&o).contains("unknown command diff"),
+        "{}",
+        stderr(&o)
+    );
 }
 
 #[test]
 fn removed_flags_are_unknown() {
     // The per-term and term-threaded modes, the pinned (non-stealing) pool,
-    // the recalibration loop, the trace timeline and the trace conformance
-    // check are gone; their flags must not be silently accepted.
+    // the recalibration loop, the trace timeline, the trace conformance
+    // check and the sharing-advisory pass are gone; their flags must not be
+    // silently accepted.
     for flag in [
         &["--term-threads", "2"][..],
         &["--no-term-sharing"][..],
@@ -299,8 +317,9 @@ fn removed_flags_are_unknown() {
         &["--recalibrate"][..],
         &["--timeline"][..],
         &["--verify-against", "trace.json"][..],
+        &["--sharing"][..],
     ] {
-        for cmd in ["run", "ingest"] {
+        for cmd in ["run", "ingest", "analyze"] {
             let o = uww(&[&[cmd, "--scenario", "q3"], SMALL, flag].concat());
             assert!(!o.status.success(), "{cmd} {flag:?} unexpectedly accepted");
             let expected = format!("unknown flag {}", flag[0]);
@@ -315,13 +334,6 @@ fn strategy_sharing_reports_its_counters() {
     let run = uww(&[&["run"], &flags[..]].concat());
     assert!(run.status.success(), "{}", stderr(&run));
     assert!(stdout(&run).contains("strategy cache:"), "{}", stdout(&run));
-    let analyze = uww(&[&["analyze", "--sharing"], &flags[..]].concat());
-    assert!(analyze.status.success(), "{}", stderr(&analyze));
-    assert!(
-        stdout(&analyze).contains("strategy scope:"),
-        "{}",
-        stdout(&analyze)
-    );
 }
 
 const INGEST: &[&str] = &["ingest", "--scenario", "q3", "--horizon", "12"];
@@ -455,6 +467,23 @@ fn recover_without_dir_or_with_missing_dir_fails() {
     let o = uww(&["recover", "/nonexistent/uww-wal"]);
     assert!(!o.status.success());
     assert!(stderr(&o).contains("wal"), "{}", stderr(&o));
+}
+
+#[test]
+fn report_refuses_a_deeply_nested_line_without_overflowing() {
+    let dir = wal_dir("nested");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("nested.jsonl");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let o = uww(&["report", path.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+    let e = stderr(&o);
+    assert!(
+        e.contains("error:") && e.contains("nesting deeper than"),
+        "{e}"
+    );
+    assert!(!e.contains("overflowed"), "{e}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Property tests for the sharing description & interference analyzer.
+//! Property tests for the sharing description & the stage-race gate.
 //!
 //! Two contracts across the stack:
 //!
@@ -7,17 +7,18 @@
 //!    build/reuse counts equal the shared executor's measured
 //!    `hash_tables_built`/`hash_tables_reused` *exactly* — describing a
 //!    window is running it on a scratch clone, not an estimate.
-//! 2. **Interference soundness**: the static `UWW014` pass is at least as
-//!    strict as the staged executor's dynamic race rejection — any
-//!    schedule the executor refuses is already a static error, and a
-//!    `UWW014`-clean schedule runs staged to a byte-identical final state.
+//! 2. **Stage-race soundness**: `analyze_parallel` (`UWW001` over the
+//!    scheduler's dependence relation) is the staged executor's gate — it
+//!    refuses exactly the schedules the lint flags — and every schedule it
+//!    lets through runs staged to the sequential final state, byte for
+//!    byte.
 //!
 //! Seeded like the other property sweeps: set `UWW_TERM_SEED` to shift the
 //! whole sweep to a different deterministic slice.
 
 use std::collections::BTreeMap;
 
-use uww::analysis::{analyze_interference, analyze_parallel};
+use uww::analysis::analyze_parallel;
 use uww::core::{
     all_one_way_vdag_strategies, parallelize, plan_strategy_sharing, ExecOptions, ParallelStrategy,
     SharingScope, Warehouse,
@@ -280,7 +281,7 @@ fn random_stagings(s: &Strategy, rng: &mut SplitMix64, count: usize) -> Vec<Para
 }
 
 #[test]
-fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
+fn stage_race_lint_is_the_staged_executors_gate() {
     let base = seed_base();
     let (mut rejected, mut accepted) = (0usize, 0usize);
     for round in 0..3u64 {
@@ -289,34 +290,33 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
         let mut rng = SplitMix64::new(seed ^ 0x14AC_E5D1);
         for strategy in random_strategies(&w, &mut rng, 1) {
             for p in random_stagings(&strategy, &mut rng, 4) {
-                let g = w.vdag();
-                let static_clean = !analyze_interference(g, &p.stages).has_errors();
+                let static_clean = !analyze_parallel(w.vdag(), &p.stages).has_errors();
                 let mut threaded = loaded(&w, &changes);
-                let dynamic = threaded.execute_staged(&p, ExecOptions::default());
-                match dynamic {
+                match threaded.execute_staged(&p, ExecOptions::default()) {
                     Err(_) => {
                         rejected += 1;
-                        // "At least as strict": everything the executor
-                        // refuses is already a static UWW014 error.
                         assert!(
                             !static_clean,
-                            "executor rejected a schedule UWW014 passed clean (seed {seed}):\n{:?}",
+                            "executor rejected a schedule the lint passed clean (seed {seed}):\n{:?}",
                             p.stages
                         );
                     }
                     Ok(_) => {
                         accepted += 1;
-                        // And a statically clean schedule that ran must
-                        // match sequential execution byte for byte.
-                        if static_clean {
-                            let mut seq = loaded(&w, &changes);
-                            seq.execute(&p.linearize()).unwrap();
-                            assert_eq!(
-                                catalog_to_string(seq.state()),
-                                catalog_to_string(threaded.state()),
-                                "threaded state diverged on a UWW014-clean schedule (seed {seed})"
-                            );
-                        }
+                        assert!(
+                            static_clean,
+                            "executor ran a schedule the lint rejects (seed {seed}):\n{:?}",
+                            p.stages
+                        );
+                        // A schedule the gate lets through matches
+                        // sequential execution byte for byte.
+                        let mut seq = loaded(&w, &changes);
+                        seq.execute(&p.linearize()).unwrap();
+                        assert_eq!(
+                            catalog_to_string(seq.state()),
+                            catalog_to_string(threaded.state()),
+                            "threaded state diverged on a lint-clean schedule (seed {seed})"
+                        );
                     }
                 }
             }
@@ -328,7 +328,7 @@ fn uww014_is_at_least_as_strict_as_the_dynamic_race_rejection() {
 }
 
 #[test]
-fn uww014_clean_schedules_run_staged_byte_identical() {
+fn parallelized_schedules_run_staged_byte_identical() {
     let base = seed_base();
     for round in 0..3u64 {
         let seed = base.wrapping_mul(197).wrapping_add(round);
@@ -337,10 +337,8 @@ fn uww014_clean_schedules_run_staged_byte_identical() {
         for strategy in random_strategies(&w, &mut rng, 2) {
             let g = w.vdag();
             let p = parallelize(g, &strategy);
-            // The scheduler's output is clean under both the race pass and
-            // the interference pass...
-            assert!(!analyze_parallel(g, &p.stages).has_errors());
-            assert!(analyze_interference(g, &p.stages).is_clean());
+            // The scheduler's output passes the stage-race lint...
+            assert!(analyze_parallel(g, &p.stages).is_clean());
             // ...so staged execution is byte-identical to the sequential
             // linearization.
             let mut seq = loaded(&w, &changes);

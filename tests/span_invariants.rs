@@ -5,7 +5,8 @@
 //! attributes equal to the report's meter for that expression at one and
 //! at two partitions — and tracing must be observationally free: a run with no subscriber installed produces byte-identical state,
 //! byte-identical WAL bytes, an identical logical `WorkMeter`, and records
-//! zero spans.
+//! zero spans. Two traced runs of one seed record the same spans, whichever
+//! worker ran which partition slice.
 //!
 //! Seeded like the other sweeps: set `UWW_TERM_SEED` to shift the whole
 //! sweep to a different deterministic slice.
@@ -360,5 +361,37 @@ fn disabled_tracing_is_byte_identical_and_records_nothing() {
             assert_eq!(plain.logical, traced.logical);
             assert_eq!(plain.total, traced.total);
         }
+    }
+}
+
+/// A span as a same-seed rerun must reproduce it: kind, name and every
+/// attribute. Ids, parents, lanes and times are the run's own.
+fn span_identity(r: &SpanRecord) -> String {
+    format!("{:?} {} {:?}", r.kind, r.name, r.attrs)
+}
+
+#[test]
+fn same_seed_partitioned_runs_record_the_same_spans() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base = seed_base();
+    let seed = base.wrapping_mul(811);
+    let (w, changes) = random_warehouse(seed);
+    let mut rng = SplitMix64::new(seed ^ 0x0D1F_F000);
+    for (si, strategy) in random_strategies(&w, &mut rng, 1).iter().enumerate() {
+        let twin = |t: u32| {
+            let tag = format!("twin-{si}-{t}");
+            let (out, records) = run_once(&w, &changes, strategy, &tag, true, 3);
+            let mut spans: Vec<String> = records.iter().map(span_identity).collect();
+            spans.sort_unstable();
+            (out.state, spans)
+        };
+        let (state_a, spans_a) = twin(0);
+        let (state_b, spans_b) = twin(1);
+        assert_eq!(state_a, state_b, "strategy {si}: state diverged");
+        assert!(
+            spans_a.iter().any(|s| s.contains(keys::PARTITION)),
+            "strategy {si}: no partition fan-out was traced"
+        );
+        assert_eq!(spans_a, spans_b, "strategy {si}: same-seed spans diverged");
     }
 }

@@ -1,5 +1,5 @@
-//! Flight-recorder ledger tests: pure observation, crash reconciliation,
-//! and deterministic ledger diffing.
+//! Flight-recorder ledger tests: pure observation, same-seed determinism,
+//! and crash reconciliation.
 //!
 //! The ledger is a passive tap on the continuous scheduler: enabling it
 //! must not perturb a single byte of what the schedule computes — final
@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use uww::core::{FaultPlan, FsyncPolicy, WalLog};
-use uww::obs::ledger::{diff_ledgers, read_ledger, validate_ledger};
+use uww::obs::ledger::{read_ledger, validate_ledger, LedgerRecord};
 use uww::relational::catalog_to_string;
 use uww::sched::{
     resume_after_crash, IngestOutcome, IngestScheduler, Policy, SchedConfig, SeededSource,
@@ -227,7 +227,8 @@ fn ledger_shadows_the_schedule(policy: Policy, window: u64) {
         );
     }
 
-    // Two ledgers of the same seed diff to nothing.
+    // A second run of the same seed writes the same ledger, wall clock and
+    // WAL location aside.
     let again = scratch(&format!("pure-again-{tag}"));
     let ledger_again = again.join("window_ledger.jsonl");
     run(
@@ -236,14 +237,28 @@ fn ledger_shadows_the_schedule(policy: Policy, window: u64) {
     );
     let records_again =
         read_ledger(&std::fs::read_to_string(&ledger_again).expect("read")).expect("parse");
-    assert!(
-        diff_ledgers(&records, &records_again).is_empty(),
-        "same-seed ledgers must diff empty"
+    assert_eq!(
+        records.iter().map(deterministic).collect::<Vec<_>>(),
+        records_again.iter().map(deterministic).collect::<Vec<_>>(),
+        "same-seed ledgers diverged"
     );
 
     for d in [root_led, root_off, again] {
         let _ = std::fs::remove_dir_all(&d);
     }
+}
+
+/// `r` with the fields a re-run may change zeroed: wall-clock times (the
+/// window's, its critical path, every expression's) and the WAL directory.
+fn deterministic(r: &LedgerRecord) -> LedgerRecord {
+    let mut r = r.clone();
+    r.wall_us = 0;
+    r.critical_path_us = 0;
+    r.wal_dir = None;
+    for e in &mut r.per_expr {
+        e.wall_us = 0;
+    }
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -349,11 +364,11 @@ fn crash_matrix_reconciles_ledger_with_wal() {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger diffing
+// Workload sensitivity
 // ---------------------------------------------------------------------------
 
-/// A faster event stream re-cuts the schedule; the ledger diff must
-/// surface the divergence through deterministic quantities only.
+/// A faster event stream re-cuts the schedule, and the ledger shows it in
+/// a deterministic quantity: some window's measured work changes.
 #[test]
 fn ledger_diff_localizes_a_workload_change() {
     const HORIZON: u64 = 36;
@@ -379,21 +394,13 @@ fn ledger_diff_localizes_a_workload_change() {
         records
     };
 
-    let base = run_with_rate("diff-base", 1500);
-    let fast = run_with_rate("diff-fast", 3000);
+    let base = run_with_rate("rate-base", 1500);
+    let fast = run_with_rate("rate-fast", 3000);
     assert!(!base.is_empty() && !fast.is_empty());
-
-    let deltas = diff_ledgers(&base, &fast);
     assert!(
-        !deltas.is_empty(),
-        "doubling the arrival rate must perturb the ledger"
+        base.iter().any(|b| fast
+            .iter()
+            .any(|f| f.window == b.window && f.measured_work != b.measured_work)),
+        "doubling the arrival rate left every window's measured work unchanged"
     );
-    // Every delta names a real divergence in a deterministic quantity.
-    for d in &deltas {
-        assert!(
-            d.measured.0 != d.measured.1 || d.predicted.0 != d.predicted.1,
-            "window {}: delta without a deterministic difference",
-            d.window
-        );
-    }
 }
