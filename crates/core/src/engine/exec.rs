@@ -9,6 +9,7 @@
 //! [`plan_strategy_sharing`] only in running it on a scratch clone.
 
 use crate::engine::pool::PartitionOptions;
+use crate::engine::profile::{ExprSharingProfile, SharingProfile};
 use crate::engine::share::{self, OperandStore, Retention, WindowCarry};
 use crate::engine::warehouse::{PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
@@ -18,16 +19,15 @@ use crate::wal::{
     LOG_FILE, MANIFEST_FILE, STATE_SNAP,
 };
 use std::time::{Duration, Instant};
-use uww_analysis::{ExprSharingProfile, SharingProfile};
 use uww_obs as obs;
 use uww_relational::{catalog_digest, deltas_digest, digest64, WorkMeter};
-use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr, ViewId};
+use uww_vdag::{analyze_parallel, check_vdag_strategy, Strategy, UpdateExpr, ViewId};
 
 /// Execution options.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Check conditions C1–C8 before executing (default: on). For the full
-    /// lint with `UWW###` rule ids, call `uww_analysis::analyze` first.
+    /// Check conditions C1–C8 before executing (default: on). The error
+    /// names the first violated rule; `uww_vdag::analyze` lists them all.
     pub validate: bool,
     /// Journal execution to an install WAL so a crashed run can be resumed
     /// by [`crate::recovery::recover`] (default: off).
@@ -403,11 +403,11 @@ impl Warehouse {
                     // same-stage pair like `Comp(V5, {V4}); Comp(V4, ..)`
                     // linearizes to a C8-legal order yet computes against
                     // the frozen stage-entry state here, silently dropping
-                    // ΔV4's contribution. The static analyzer (UWW001) can
+                    // ΔV4's contribution. `analyze_parallel` (UWW001) can
                     // — and it also underwrites the WAL manifest's
                     // canonical order, so it always runs.
-                    let lint = uww_analysis::analyze_parallel(self.vdag(), &p.stages);
-                    if lint.has_errors() {
+                    let lint = analyze_parallel(self.vdag(), &p.stages);
+                    if !lint.is_clean() {
                         return Err(CoreError::Analysis(Box::new(lint)));
                     }
                     if opts.strategy_sharing {

@@ -14,10 +14,10 @@
 use crate::cost::CostModel;
 use crate::engine::eval;
 use crate::engine::exec::{plan_strategy_sharing, SharingScope};
+use crate::engine::profile::TermProfile;
 use crate::engine::warehouse::Warehouse;
 use crate::error::CoreResult;
 use std::fmt::Write as _;
-use uww_analysis::TermProfile;
 use uww_vdag::{Strategy, UpdateExpr};
 
 /// The plan of one strategy expression.

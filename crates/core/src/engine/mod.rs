@@ -19,6 +19,7 @@ pub mod eval;
 pub mod exec;
 pub mod explain;
 pub mod pool;
+pub mod profile;
 pub mod publish;
 pub(crate) mod share;
 pub mod summary;
@@ -32,6 +33,9 @@ pub use exec::{
 };
 pub use explain::{render_explain, ExprPlan};
 pub use pool::PartitionOptions;
+pub use profile::{
+    modifies_operand, ExprSharingProfile, OperandProfile, SharingProfile, TermProfile,
+};
 pub use publish::InstallPublisher;
 pub use share::{surviving_terms, WindowCarry};
 pub use summary::{stored_aggregate_schema, SummaryDelta, COUNT_COLUMN};

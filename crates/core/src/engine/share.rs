@@ -28,7 +28,7 @@
 //! by `Warehouse::execute_carried`. Two rules bound an entry's life:
 //!
 //! * **liveness** — an entry is dropped when an executed expression actually
-//!   changed its operand: `uww_analysis::modifies_operand` holds *and* the
+//!   changed its operand: [`modifies_operand`] holds *and* the
 //!   install or fragment was non-empty ([`OperandStore::expr_done`]);
 //! * **retention** — an entry outlives the `Comp` that used it only if a
 //!   later expression of the window reads its `(view, role)` before one
@@ -82,11 +82,11 @@
 use crate::engine::eval;
 use crate::engine::exec::{meter_attrs, Item};
 use crate::engine::pool::{self, PartitionOptions};
+use crate::engine::profile::{modifies_operand, ExprSharingProfile, OperandProfile, TermProfile};
 use crate::engine::warehouse::{scan_operand, PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use uww_analysis::{modifies_operand, ExprSharingProfile, OperandProfile, TermProfile};
 use uww_obs as obs;
 use uww_relational::ops::{self, BuiltTable, GroupAcc, SignedRows};
 use uww_relational::{BoundPredicate, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter};
@@ -488,8 +488,6 @@ impl CompInputs {
             let s = &def.sources[*i];
             let mut use_ = OperandProfile {
                 source: s.view.clone(),
-                alias: s.alias.clone(),
-                source_idx: *i,
                 as_delta: *as_delta,
                 key_cols: cols
                     .iter()
@@ -500,7 +498,6 @@ impl CompInputs {
                     .map(|&fi| format!("{:?}", def.filters[fi]))
                     .collect(),
                 rows: size_of(*i, *as_delta) as u64,
-                occurrences,
                 held: false,
             };
             let id = identity(&use_);

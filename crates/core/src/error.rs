@@ -1,9 +1,8 @@
 //! Error type for the planner and update engine.
 
 use std::fmt;
-use uww_analysis::Report;
 use uww_relational::RelError;
-use uww_vdag::VdagError;
+use uww_vdag::{Report, VdagError};
 
 /// Errors raised by warehouse construction, strategy execution, and planning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,9 +16,8 @@ pub enum CoreError {
     Warehouse(String),
     /// A planner precondition failed.
     Planner(String),
-    /// The static strategy analyzer refused the strategy (the staged
-    /// executor's race check); the full lint report with `UWW###` rule ids
-    /// is attached.
+    /// The checker refused a staged strategy (the staged executor's race
+    /// check); the full report with `UWW###` rule ids is attached.
     Analysis(Box<Report>),
     /// An install-WAL I/O or format problem (missing files, bad manifest,
     /// mismatched warehouse fingerprint).

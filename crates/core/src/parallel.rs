@@ -62,7 +62,7 @@ pub fn parallelize(g: &Vdag, s: &Strategy) -> ParallelStrategy {
     for j in 0..n {
         let mut min_stage = 0usize;
         for (i, earlier_stage) in stage.iter().enumerate().take(j) {
-            if uww_analysis::depends(g, &s.exprs[i], &s.exprs[j]) {
+            if uww_vdag::depends(g, &s.exprs[i], &s.exprs[j]) {
                 min_stage = min_stage.max(earlier_stage + 1);
             }
         }
@@ -303,7 +303,7 @@ fn substitute_pred(
 /// [`Warehouse::execute_staged`](crate::engine::Warehouse::execute_staged)
 /// makes its effects visible (fragments merge after the comp threads join,
 /// installs land at the stage boundary). Stage races that would make this
-/// reordering unfaithful are rejected up front by the analyzer (UWW001),
+/// reordering unfaithful are rejected up front by `analyze_parallel` (UWW001),
 /// which is what lets recovery resume a crashed staged run *sequentially*
 /// in this order.
 pub fn canonical_stage_order(p: &ParallelStrategy) -> Vec<(usize, UpdateExpr)> {

@@ -5,45 +5,29 @@ use crate::cost::CostModel;
 use crate::error::{CoreError, CoreResult};
 use crate::sizes::SizeCatalog;
 use uww_vdag::{
-    construct_eg, construct_seg, modify_ordering, permutations, Strategy, UpdateExpr, Vdag, ViewId,
-    ViewOrdering,
+    check_vdag_strategy, check_view_strategy, construct_eg, construct_seg, modify_ordering,
+    permutations, Strategy, UpdateExpr, Vdag, ViewId, ViewOrdering,
 };
 
-/// Debug-build gate: every strategy a planner emits must lint clean under
-/// the static analyzer. A diagnostic here is a planner bug, not user error,
-/// so it is a `debug_assert!` (free in release builds) rather than a result.
+/// Debug-build gate: every strategy a planner emits must be correct. A
+/// diagnostic here is a planner bug, not user error, so it panics in debug
+/// builds and costs nothing in release builds.
 #[inline]
 fn debug_lint(g: &Vdag, s: &Strategy) {
-    #[cfg(debug_assertions)]
-    {
-        let report = uww_analysis::analyze(g, s);
-        debug_assert!(
-            !report.has_errors(),
-            "planner emitted a strategy the analyzer rejects:\n{}",
-            report.render_text()
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = (g, s);
+    if cfg!(debug_assertions) {
+        if let Err(e) = check_vdag_strategy(g, s) {
+            panic!("planner emitted an incorrect strategy: {e}");
+        }
     }
 }
 
 /// Debug-build gate for single-view planners ([`min_work_single`]).
 #[inline]
 fn debug_lint_view(g: &Vdag, view: ViewId, s: &Strategy) {
-    #[cfg(debug_assertions)]
-    {
-        let report = uww_analysis::analyze_view(g, view, s);
-        debug_assert!(
-            !report.has_errors(),
-            "planner emitted a view strategy the analyzer rejects:\n{}",
-            report.render_text()
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = (g, view, s);
+    if cfg!(debug_assertions) {
+        if let Err(e) = check_view_strategy(g, view, s) {
+            panic!("planner emitted an incorrect view strategy: {e}");
+        }
     }
 }
 

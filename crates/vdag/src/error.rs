@@ -1,5 +1,6 @@
 //! Error types for the VDAG model.
 
+use crate::diag::Rule;
 use std::fmt;
 
 /// Errors raised by VDAG construction and strategy validation.
@@ -11,10 +12,12 @@ pub enum VdagError {
     UnknownView(String),
     /// A structurally invalid VDAG operation.
     Malformed(String),
-    /// A strategy violated one of the paper's correctness conditions.
+    /// A strategy violated one of the paper's correctness conditions: the
+    /// checker's first diagnostic.
     Incorrect {
-        /// Which condition (C1..C8) failed.
-        condition: &'static str,
+        /// The violated rule; [`Rule::condition`] names the condition
+        /// (C1..C8).
+        rule: Rule,
         /// Human-readable explanation.
         detail: String,
     },
@@ -28,8 +31,12 @@ impl fmt::Display for VdagError {
             VdagError::DuplicateView(n) => write!(f, "duplicate view name: {n}"),
             VdagError::UnknownView(n) => write!(f, "unknown view: {n}"),
             VdagError::Malformed(d) => write!(f, "malformed VDAG: {d}"),
-            VdagError::Incorrect { condition, detail } => {
-                write!(f, "strategy violates {condition}: {detail}")
+            VdagError::Incorrect { rule, detail } => {
+                write!(
+                    f,
+                    "strategy violates {} ({rule}): {detail}",
+                    rule.condition()
+                )
             }
             VdagError::CyclicExpressionGraph => write!(f, "expression graph is cyclic"),
         }
@@ -48,9 +55,12 @@ mod tests {
     #[test]
     fn display() {
         let e = VdagError::Incorrect {
-            condition: "C4",
+            rule: Rule::InstallOrder,
             detail: "x".into(),
         };
-        assert!(e.to_string().contains("C4"));
+        assert_eq!(
+            e.to_string(),
+            "strategy violates C4 (UWW007 install-order): x"
+        );
     }
 }

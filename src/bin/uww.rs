@@ -637,20 +637,23 @@ fn cmd_recover(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
+    if args.strategy_text.is_some() && args.stages_text.is_some() {
+        return Err("--strategy and --stages are mutually exclusive".to_string());
+    }
     let sc = build_scenario(args)?;
     let g = sc.warehouse.vdag();
     let (report, label) = if let Some(text) = &args.stages_text {
-        let stages = uww::analysis::parse_stages(g, text)?;
+        let stages = uww::vdag::parse_stages(g, text)?;
         (
-            uww::analysis::analyze_parallel(g, &stages),
+            uww::vdag::analyze_parallel(g, &stages),
             format!("parallel strategy ({} stages)", stages.len()),
         )
     } else if let Some(text) = &args.strategy_text {
-        let s = uww::analysis::parse_strategy(g, text)?;
-        (uww::analysis::analyze(g, &s), "given strategy".to_string())
+        let s = uww::vdag::parse_strategy(g, text)?;
+        (uww::vdag::analyze(g, &s), "given strategy".to_string())
     } else {
         let (s, label) = pick_strategy(&sc, args)?;
-        (uww::analysis::analyze(g, &s), label)
+        (uww::vdag::analyze(g, &s), label)
     };
     if args.json {
         println!("{}", report.to_json());
@@ -658,7 +661,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         println!("analyzing {label}:");
         print!("{}", report.render_text());
     }
-    if report.has_errors() {
+    if !report.is_clean() {
         return Err(format!(
             "{} error(s): the strategy would produce incorrect view extents",
             report.error_count()

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub use uww_analysis as analysis;
 pub use uww_core as core;
 pub use uww_obs as obs;
 pub use uww_relational as relational;

@@ -1,14 +1,13 @@
-//! End-to-end regression tests for the static strategy analyzer.
+//! End-to-end regression tests for the rule-coded strategy checker.
 //!
 //! The contract across the stack: a parallel schedule the analyzer passes
 //! clean (no `UWW001` race, no sequential defect in its linearization) is
 //! safe to run on the threaded executor — it passes the dynamic checks and
 //! produces exactly the same final state as sequential execution.
 
-use uww::analysis::{analyze, analyze_parallel};
 use uww::core::{min_work, parallelize, ExecOptions, SizeCatalog};
 use uww::scenario::TpcdScenario;
-use uww::vdag::check_vdag_strategy;
+use uww::vdag::{analyze, analyze_parallel, check_vdag_strategy};
 
 fn q3_scenario() -> TpcdScenario {
     let mut sc = TpcdScenario::builder()

@@ -8,7 +8,7 @@ use uww::relational::{
     ViewSource,
 };
 use uww::scenario::TpcdScenario;
-use uww::vdag::check_vdag_strategy;
+use uww::vdag::{check_vdag_strategy, SplitMix64, Strategy};
 
 /// Level-2 aggregate over Q3: revenue per order date.
 fn daily_def() -> ViewDef {
@@ -100,6 +100,60 @@ fn insertions_flow_up_two_levels() {
     let sizes = SizeCatalog::estimate(&sc.warehouse).unwrap();
     let plan = min_work(sc.warehouse.vdag(), &sizes).unwrap();
     sc.run(&plan.strategy).unwrap();
+}
+
+/// `base` with one to three seeded mutations, each a swap, a drop or a
+/// duplicate of an expression.
+fn perturbed(base: &Strategy, rng: &mut SplitMix64) -> Strategy {
+    let mut exprs = base.exprs.clone();
+    for _ in 0..1 + rng.below(3) {
+        let i = rng.below(exprs.len() as u64) as usize;
+        let j = rng.below(exprs.len() as u64) as usize;
+        match rng.below(3) {
+            0 => exprs.swap(i, j),
+            1 => {
+                exprs.remove(i);
+            }
+            _ => exprs.insert(j, exprs[i].clone()),
+        }
+    }
+    Strategy::from_exprs(exprs)
+}
+
+#[test]
+fn every_perturbed_strategy_the_checker_accepts_recomputes_the_views() {
+    // C7/C8 held to the recompute oracle, not to another checker: whatever
+    // `check_vdag_strategy` lets through must leave every view equal to a
+    // from-scratch rebuild.
+    let mut sc = two_level_scenario();
+    sc.load_col_changes(0.10).unwrap();
+    let expected = sc.warehouse.expected_final_state().unwrap();
+    let sizes = SizeCatalog::estimate(&sc.warehouse).unwrap();
+    let min_work = min_work(sc.warehouse.vdag(), &sizes).unwrap().strategy;
+    let (mut accepted, mut rejected) = (0, 0);
+    for (seed, base) in [(1, min_work), (2, sc.dual_stage_strategy())] {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..150 {
+            let s = perturbed(&base, &mut rng);
+            if check_vdag_strategy(sc.warehouse.vdag(), &s).is_err() {
+                rejected += 1;
+                continue;
+            }
+            accepted += 1;
+            let mut w = sc.warehouse.clone();
+            w.execute(&s).unwrap();
+            let diffs = w.diff_state(&expected);
+            assert!(
+                diffs.is_empty(),
+                "{} diverges on {diffs:?}",
+                s.display(w.vdag())
+            );
+        }
+    }
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }
 
 #[test]

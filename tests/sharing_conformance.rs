@@ -18,7 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use uww::analysis::analyze_parallel;
 use uww::core::{
     all_one_way_vdag_strategies, parallelize, plan_strategy_sharing, ExecOptions, ParallelStrategy,
     SharingScope, Warehouse,
@@ -27,7 +26,7 @@ use uww::relational::{
     catalog_to_string, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate,
     ScalarExpr, Schema, Table, Tuple, Value, ValueType, ViewDef, ViewOutput, ViewSource,
 };
-use uww::vdag::{check_vdag_strategy, SplitMix64, Strategy, UpdateExpr};
+use uww::vdag::{analyze_parallel, check_vdag_strategy, SplitMix64, Strategy, UpdateExpr};
 
 fn seed_base() -> u64 {
     std::env::var("UWW_TERM_SEED")
@@ -290,7 +289,7 @@ fn stage_race_lint_is_the_staged_executors_gate() {
         let mut rng = SplitMix64::new(seed ^ 0x14AC_E5D1);
         for strategy in random_strategies(&w, &mut rng, 1) {
             for p in random_stagings(&strategy, &mut rng, 4) {
-                let static_clean = !analyze_parallel(w.vdag(), &p.stages).has_errors();
+                let static_clean = analyze_parallel(w.vdag(), &p.stages).is_clean();
                 let mut threaded = loaded(&w, &changes);
                 match threaded.execute_staged(&p, ExecOptions::default()) {
                     Err(_) => {
