@@ -10,6 +10,7 @@
 
 use crate::engine::pool::PartitionOptions;
 use crate::engine::profile::{ExprSharingProfile, SharingProfile};
+use crate::engine::publish::InstallPhase;
 use crate::engine::share::{self, OperandStore, Retention, WindowCarry};
 use crate::engine::warehouse::{PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
@@ -280,10 +281,11 @@ pub(crate) fn serial_items(strategy: &Strategy) -> Vec<Item<'_>> {
         .collect()
 }
 
-/// The journal, operand store and report of the window in flight.
+/// The journal, install phase, store and report of the window in flight.
 struct Run<'a> {
     opts: &'a ExecOptions,
     wal: Option<WalWriter>,
+    phase: InstallPhase<'a>,
     store: OperandStore,
     /// The store's scope: emptied after each `Comp`, or kept to the end of
     /// the window — and, when `carried`, handed on to the next one.
@@ -343,7 +345,8 @@ impl Warehouse {
     /// state (fragments are pure reads), then the fragments merge and the
     /// stage's `Inst`s apply serially at the stage boundary — through the
     /// same install funnel as a sequential window, so an attached
-    /// [`InstallPublisher`](crate::engine::InstallPublisher) publishes them.
+    /// [`InstallPublisher`](crate::engine::InstallPublisher) publishes the
+    /// window at its commit.
     ///
     /// The WAL manifest records [`canonical_stage_order`]: a `STG` record
     /// opens each stage, every `CS` lands before the threads spawn, each
@@ -374,22 +377,23 @@ impl Warehouse {
     /// strategy: it is race-checked, each group gets a stage span, and the
     /// group's leading `Comp`s fan out over threads; otherwise every item
     /// runs on its own. `resume` continues a recovered window on its
-    /// reopened journal from the stage its replayed prefix ended in
-    /// (recovery has already gated prefix + suffix and holds the run span
-    /// open). `carry` starts the operand store from the previous window's
-    /// survivors, forcing `strategy_sharing` on and keeping the store past
-    /// the window's end.
+    /// reopened journal from the stage its replayed prefix ended in, and the
+    /// install phase its replay opened (recovery has already gated prefix +
+    /// suffix and holds the run span open). `carry` starts the operand store
+    /// from the previous window's survivors, forcing `strategy_sharing` on
+    /// and keeping the store past the window's end.
     pub(crate) fn run_window(
         &mut self,
         items: &[Item<'_>],
         staged: Option<&ParallelStrategy>,
         opts: &ExecOptions,
-        resume: Option<(Option<usize>, WalWriter)>,
+        resume: Option<(Option<usize>, WalWriter, InstallPhase<'_>)>,
         carry: Option<WindowCarry>,
     ) -> CoreResult<WindowOutcome> {
         let fresh = resume.is_none();
-        let (mut last_stage, wal) = match resume {
-            Some((last_stage, wal)) => (last_stage, Some(wal)),
+        let publisher = self.publisher().cloned();
+        let (mut last_stage, wal, phase) = match resume {
+            Some((last_stage, wal, phase)) => (last_stage, Some(wal), phase),
             None => {
                 if opts.validate {
                     let linear = match staged {
@@ -423,7 +427,7 @@ impl Warehouse {
                     Some(cfg) => Some(self.wal_begin(cfg, items)?),
                     None => None,
                 };
-                (None, wal)
+                (None, wal, InstallPhase::new(publisher.as_ref()))
             }
         };
 
@@ -446,6 +450,7 @@ impl Warehouse {
         let mut run = Run {
             opts,
             wal,
+            phase,
             store,
             window_scope: carried || opts.strategy_sharing,
             carried,
@@ -484,6 +489,7 @@ impl Warehouse {
             }
         }
         run.journal(RecordBody::Commit)?;
+        self.publish_window(run.phase)?;
 
         let measured = self.meter().since(&start_meter);
         let (measured_carried_table_hits, measured_carried_raw_hits) = run.store.carried_hits();
@@ -618,7 +624,7 @@ impl Warehouse {
         let start_meter = *self.meter();
         let t0 = Instant::now();
         run.journal(RecordBody::InstStart(idx))?;
-        let delta_len = self.exec_inst(view)?;
+        let delta_len = self.exec_inst(view, &mut run.phase)?;
         if let Some(w) = &mut run.wal {
             let post_digest = self.table(self.vdag().name(view))?.digest();
             w.append(&RecordBody::InstDone {
@@ -711,14 +717,14 @@ impl Warehouse {
     /// delta rows installed.
     ///
     /// This is the single funnel through which *every* install lands (the
-    /// window runner and recovery's replay both reach it), so an attached
-    /// [`InstallPublisher`](crate::engine::publish::InstallPublisher) sees
-    /// every install and publishes the new extent to online readers.
-    pub(crate) fn exec_inst(&mut self, view: ViewId) -> CoreResult<u64> {
+    /// window runner and recovery's replay both reach it), so `phase` sees
+    /// every install the window's publish must carry.
+    pub(crate) fn exec_inst(&mut self, view: ViewId, phase: &mut InstallPhase) -> CoreResult<u64> {
         let name = self.vdag().name(view).to_string();
         self.meter_mut().inst_expressions += 1;
-        let publisher = self.publisher().cloned();
-        let Some(pending) = self.pending_map_mut().remove(&name) else {
+        let pending = self.pending_map_mut().remove(&name);
+        phase.inst(&name, pending.is_some());
+        let Some(pending) = pending else {
             return Ok(0);
         };
         let delta = match pending {
@@ -726,17 +732,10 @@ impl Warehouse {
             PendingDelta::Summary(s) => s.to_delta(self.table(&name)?).map_err(CoreError::Rel)?,
         };
         let len = delta.len();
-        match &publisher {
-            Some(p) => {
-                p.install_and_publish(&name, &delta, self.state_mut())?;
-            }
-            None => {
-                self.state_mut()
-                    .get_mut(&name)?
-                    .install(&delta)
-                    .map_err(CoreError::Rel)?;
-            }
-        }
+        self.state_mut()
+            .get_mut(&name)?
+            .install(&delta)
+            .map_err(CoreError::Rel)?;
         self.meter_mut().install(len);
         Ok(len)
     }

@@ -1,37 +1,32 @@
-//! Publishing installs to a shared [`VersionedCatalog`].
+//! Publishing committed windows to a shared [`VersionedCatalog`].
 //!
-//! The engine's private [`Catalog`](uww_relational::Catalog) is what the
-//! update strategy mutates; online readers never touch it. When a warehouse
-//! has an [`InstallPublisher`] attached, every completed `Inst(V)` atomically
-//! publishes the view's new extent as a fresh catalog version, so concurrent
-//! readers move from the pre-install extent to the post-install extent with
-//! nothing in between. The publisher is the single funnel through which both
-//! the window runner (sequential or staged) and recovery's replay make installs
-//! visible — parallel stages install at stage boundaries on the coordinating
-//! thread, so they flow through the exact same path.
+//! Strategies mutate the engine's private catalog. With an
+//! [`InstallPublisher`] attached, a window publishes every extent it
+//! installed as **one** version right after its `COMMIT` is journaled, so a
+//! reader sees the whole pre-window or post-window warehouse, never ORDER
+//! maintained beside a stale Q3; a failed or crashed window publishes
+//! nothing. The window runner and recovery both end in
+//! [`Warehouse::publish_window`].
 
+use crate::engine::warehouse::Warehouse;
 use crate::error::CoreResult;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, RwLockWriteGuard};
 use std::time::Duration;
-use uww_relational::{Catalog, DeltaRelation, VersionedCatalog};
+use uww_relational::VersionedCatalog;
 
-/// Publishes each install to a shared [`VersionedCatalog`], under one of the
-/// two isolation regimes of paper §7.
+/// Publishes committed windows to a shared [`VersionedCatalog`], under one
+/// of the two isolation regimes of paper §7.
 ///
-/// * **MVCC** (`strict == false`): the install runs against the engine's
-///   private catalog and is made visible with one atomic version swap.
-///   Readers keep serving the pinned pre-install version throughout; the
-///   "update window" costs them nothing but staleness.
-/// * **Strict** (`strict == true`): the publisher holds the per-view *write*
-///   lock (from [`VersionedCatalog::view_lock`]) across install+publish,
-///   and strict readers take the matching read lock — so readers of the view
-///   stall for the duration of its install, which is exactly the reader
-///   latency the paper's window metric is a proxy for.
+/// * **MVCC** (`strict == false`): readers keep serving the pinned
+///   pre-window version; the update window costs them only staleness.
+/// * **Strict** (`strict == true`): the window holds the catalog's
+///   install-phase lock ([`VersionedCatalog::lock_installs`]) from its first
+///   `Inst` through its publish, and strict readers take the read half — so
+///   readers stall for the install phase, the span dual-stage compresses.
 ///
-/// `hold` artificially lengthens each install while the view is unpublished
-/// (and, under Strict, locked). At bench scale real installs take micro-
-/// seconds; the hold makes the strict-vs-mvcc latency gap measurable and
-/// deterministic for tests without scaling the data up.
+/// `hold` pauses each window just before its publish (inside the lock under
+/// Strict), so the strict-vs-mvcc gap is measurable at test scales.
 #[derive(Clone, Debug)]
 pub struct InstallPublisher {
     catalog: Arc<VersionedCatalog>,
@@ -49,100 +44,167 @@ impl InstallPublisher {
         }
     }
 
-    /// Sets the artificial per-install hold time (default: none).
+    /// Sets the pause before each window's publish (default: none).
     pub fn with_hold(mut self, hold: Duration) -> Self {
         self.hold = hold;
         self
     }
+}
 
-    /// The shared catalog this publisher publishes to.
-    pub fn catalog(&self) -> &Arc<VersionedCatalog> {
-        &self.catalog
-    }
+/// One window's installs as readers will see them: the views installed so
+/// far and, under Strict, the install-phase lock, taken at the first `Inst`
+/// and released after the publish — or when a failed window drops it.
+pub(crate) struct InstallPhase<'a> {
+    publisher: Option<&'a InstallPublisher>,
+    lock: Option<RwLockWriteGuard<'a, ()>>,
+    installed: BTreeSet<String>,
+}
 
-    /// True when installs run under the Strict (per-view lock) regime.
-    pub fn strict(&self) -> bool {
-        self.strict
-    }
-
-    /// Installs `delta` into `state`'s extent of `view` and publishes the
-    /// result. Under Strict the view's write lock is held for the whole
-    /// operation; under MVCC no lock is taken and visibility is the version
-    /// swap alone.
-    pub(crate) fn install_and_publish(
-        &self,
-        view: &str,
-        delta: &DeltaRelation,
-        state: &mut Catalog,
-    ) -> CoreResult<u64> {
-        if self.strict {
-            let lock = self.catalog.view_lock(view);
-            let _guard = lock.write().unwrap_or_else(|e| e.into_inner());
-            self.apply(view, delta, state)
-        } else {
-            self.apply(view, delta, state)
+impl<'a> InstallPhase<'a> {
+    /// A phase that has installed nothing; inert without a publisher.
+    pub(crate) fn new(publisher: Option<&'a InstallPublisher>) -> Self {
+        Self {
+            publisher,
+            lock: None,
+            installed: BTreeSet::new(),
         }
     }
 
-    fn apply(&self, view: &str, delta: &DeltaRelation, state: &mut Catalog) -> CoreResult<u64> {
-        state.get_mut(view)?.install(delta)?;
-        if !self.hold.is_zero() {
-            std::thread::sleep(self.hold);
+    /// Called as `Inst(view)` starts: a strict window's first `Inst` takes
+    /// the lock, and a non-empty install joins the window's publish.
+    pub(crate) fn inst(&mut self, view: &str, installs: bool) {
+        let Some(p) = self.publisher else { return };
+        if p.strict && self.lock.is_none() {
+            self.lock = Some(p.catalog.lock_installs());
         }
-        Ok(self.catalog.publish(state.get(view)?.clone()))
+        if installs {
+            self.installed.insert(view.to_string());
+        }
+    }
+}
+
+impl Warehouse {
+    /// Publishes the extents `phase` installed as one catalog version, after
+    /// the publisher's hold, then releases the install-phase lock.
+    pub(crate) fn publish_window(&self, phase: InstallPhase<'_>) -> CoreResult<()> {
+        let Some(p) = phase.publisher else {
+            return Ok(());
+        };
+        let tables = phase.installed.iter().map(|view| self.table(view).cloned());
+        let tables = tables.collect::<CoreResult<Vec<_>>>()?;
+        std::thread::sleep(p.hold);
+        p.catalog.publish_all(tables);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uww_relational::{tup, Schema, Table, Value, ValueType};
+    use crate::engine::ExecOptions;
+    use crate::wal::{FaultPlan, FsyncPolicy, WalConfig};
+    use uww_relational::{
+        tup, DeltaRelation, OutputColumn, Schema, Table, Value, ValueType, ViewDef, ViewOutput,
+        ViewSource,
+    };
+    use uww_vdag::{Strategy, UpdateExpr};
 
-    fn seed() -> (Catalog, Arc<VersionedCatalog>) {
-        let mut t = Table::new("T", Schema::of(&[("k", ValueType::Int)]));
-        t.insert(tup![Value::Int(1)]).unwrap();
-        let mut cat = Catalog::new();
-        cat.register(t).unwrap();
-        let versioned = Arc::new(VersionedCatalog::from_catalog(&cat));
-        (cat, versioned)
+    /// `V = π_k R` over three rows, with a pending insert into R.
+    fn warehouse() -> (Warehouse, Strategy) {
+        let mut r = Table::new("R", Schema::of(&[("k", ValueType::Int)]));
+        for i in 0..3 {
+            r.insert(tup![Value::Int(i)]).unwrap();
+        }
+        let mut w = Warehouse::builder()
+            .base_table(r)
+            .view(ViewDef {
+                name: "V".into(),
+                sources: vec![ViewSource::named("R")],
+                joins: vec![],
+                filters: vec![],
+                output: ViewOutput::Project(vec![OutputColumn::col("k", "R.k")]),
+            })
+            .build()
+            .unwrap();
+        let mut d = DeltaRelation::new(w.table("R").unwrap().schema().clone());
+        d.add(tup![Value::Int(7)], 1);
+        w.load_changes([("R".to_string(), d)].into_iter().collect())
+            .unwrap();
+        let (r, v) = (w.view_id("R").unwrap(), w.view_id("V").unwrap());
+        let strategy = Strategy::from_exprs(vec![
+            UpdateExpr::comp1(v, r),
+            UpdateExpr::inst(r),
+            UpdateExpr::inst(v),
+        ]);
+        (w, strategy)
     }
 
-    fn delta_add(state: &Catalog, k: i64) -> DeltaRelation {
-        let mut d = DeltaRelation::new(state.get("T").unwrap().schema().clone());
-        d.add(tup![Value::Int(k)], 1);
-        d
+    fn attach(w: &mut Warehouse, strict: bool) -> Arc<VersionedCatalog> {
+        let versioned = Arc::new(VersionedCatalog::from_catalog(w.state()));
+        w.attach_publisher(InstallPublisher::new(Arc::clone(&versioned), strict));
+        versioned
     }
 
     #[test]
-    fn mvcc_install_publishes_a_new_epoch() {
-        let (mut state, versioned) = seed();
-        let p = InstallPublisher::new(Arc::clone(&versioned), false);
+    fn a_committed_window_is_one_epoch() {
+        let (mut w, strategy) = warehouse();
+        let versioned = attach(&mut w, false);
         let before = versioned.snapshot();
-        let d = delta_add(&state, 2);
-        let epoch = p.install_and_publish("T", &d, &mut state).unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(before.get("T").unwrap().len(), 1);
-        assert_eq!(versioned.snapshot().get("T").unwrap().len(), 2);
+        w.execute(&strategy).unwrap();
+        assert_eq!(versioned.epoch(), 1);
+        let after = versioned.snapshot();
+        for view in ["R", "V"] {
+            assert_eq!(before.get(view).unwrap().len(), 3);
+            assert!(after
+                .get(view)
+                .unwrap()
+                .same_contents(w.table(view).unwrap()));
+        }
     }
 
     #[test]
-    fn strict_install_excludes_lock_holders() {
-        let (mut state, versioned) = seed();
-        let p = InstallPublisher::new(Arc::clone(&versioned), true);
-        // A reader holding the view's read lock sees the publish strictly
-        // after releasing it: take the lock, install on another thread,
-        // observe no new epoch until we drop our guard.
-        let lock = versioned.view_lock("T");
-        let guard = lock.read().unwrap();
-        let vc = Arc::clone(&versioned);
-        let handle = std::thread::spawn(move || {
-            let d = delta_add(&state, 2);
-            p.install_and_publish("T", &d, &mut state).unwrap()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(vc.epoch(), 0, "install must wait for the read lock");
+    fn strict_window_waits_for_readers_of_the_install_phase() {
+        let (mut w, strategy) = warehouse();
+        let versioned = attach(&mut w, true);
+        // A strict reader mid-scan holds the read half: the window blocks at
+        // its first Inst and publishes strictly after the reader is done.
+        let guard = versioned.wait_installs();
+        let handle = std::thread::spawn(move || w.execute(&strategy).map(|_| ()));
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(versioned.epoch(), 0, "the window must wait for the reader");
         drop(guard);
-        assert_eq!(handle.join().unwrap(), 1);
+        handle.join().unwrap().unwrap();
         assert_eq!(versioned.epoch(), 1);
+        // The lock is free again once the window has published.
+        drop(versioned.lock_installs());
+    }
+
+    #[test]
+    fn a_crashed_window_publishes_nothing() {
+        let (clean, strategy) = warehouse();
+        let dir = std::env::temp_dir().join(format!("uww-publish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = |faults| {
+            let wal = WalConfig::new(&dir).with_fsync(FsyncPolicy::Never);
+            ExecOptions {
+                wal: Some(wal.with_faults(faults)),
+                ..ExecOptions::default()
+            }
+        };
+        clean
+            .clone()
+            .execute_with(&strategy, wal(FaultPlan::default()))
+            .unwrap();
+        let records = crate::wal::WalLog::open(&dir).unwrap().records.len() as u64;
+        for k in 0..records {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut w = clean.clone();
+            let versioned = attach(&mut w, k % 2 == 0);
+            let crashed = w.execute_with(&strategy, wal(FaultPlan::crash_before(k)));
+            assert!(crashed.is_err(), "crash point {k}");
+            assert_eq!(versioned.epoch(), 0, "crash point {k}");
+            drop(versioned.lock_installs());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

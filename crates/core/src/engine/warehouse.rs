@@ -47,8 +47,8 @@ pub struct Warehouse {
     pending: BTreeMap<String, PendingDelta>,
     /// Cumulative work meter.
     meter: WorkMeter,
-    /// When attached, every completed `Inst` publishes the view's new extent
-    /// to a shared versioned catalog for online readers.
+    /// When attached, every committed window publishes the extents it
+    /// installed to a shared versioned catalog for online readers.
     publisher: Option<InstallPublisher>,
 }
 
@@ -92,9 +92,10 @@ impl Warehouse {
         &mut self.state
     }
 
-    /// Attaches an install publisher: from now on every completed `Inst`
-    /// (sequential or parallel executor alike) publishes the view's new
-    /// extent to the publisher's shared [`uww_relational::VersionedCatalog`].
+    /// Attaches an install publisher: from now on every committed window
+    /// (sequential, carried, staged or recovered alike) publishes the extents
+    /// it installed, as one version of the publisher's shared
+    /// [`uww_relational::VersionedCatalog`].
     pub fn attach_publisher(&mut self, publisher: InstallPublisher) {
         self.publisher = Some(publisher);
     }

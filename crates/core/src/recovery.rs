@@ -23,6 +23,9 @@
 //!    as every other entry point, journaling onto the same log (torn tail
 //!    truncated first), and the run commits.
 //!
+//! An attached publisher sees one window: replayed and resumed installs
+//! publish together at the commit, or after an already-committed replay.
+//!
 //! Replayed expressions appear in the returned
 //! [`ExecutionReport`](crate::ExecutionReport) with
 //! [`ExprReport::replayed`](crate::ExprReport) set, so the report's
@@ -34,6 +37,7 @@ use uww_obs as obs;
 use uww_vdag::{check_vdag_strategy, Strategy, UpdateExpr};
 
 use crate::engine::exec::Item;
+use crate::engine::publish::InstallPhase;
 use crate::engine::{ExecOptions, ExecutionReport, ExprReport, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use crate::wal::{decode_pending, Record, RecordBody, WalConfig, WalLog, WalWriter, MANIFEST_FILE};
@@ -164,6 +168,8 @@ pub fn recover_with(
     let mut run_span = obs::span(obs::SpanKind::Run, "recover");
     run_span.attr_u64("replayed", done.len() as u64);
     let mut report = ExecutionReport::default();
+    let publisher = w.publisher().cloned();
+    let mut phase = InstallPhase::new(publisher.as_ref());
     let mut replayed_comps = 0usize;
     let mut replayed_insts = 0usize;
     for (i, d) in done.iter().enumerate() {
@@ -196,7 +202,7 @@ pub fn recover_with(
                 post_digest,
                 ..
             } => {
-                let installed = w.exec_inst(expr.subject())?;
+                let installed = w.exec_inst(expr.subject(), &mut phase)?;
                 let name = w.vdag().name(expr.subject()).to_string();
                 let actual = w.table(&name)?.digest();
                 if installed != *delta_len || actual != *post_digest {
@@ -225,6 +231,7 @@ pub fn recover_with(
     }
 
     if log.committed {
+        w.publish_window(phase)?;
         return Ok(RecoveryOutcome {
             report,
             replayed_comps,
@@ -283,7 +290,7 @@ pub fn recover_with(
         &items,
         None,
         &ExecOptions::default(),
-        Some((last_stage, writer)),
+        Some((last_stage, writer, phase)),
         None,
     )?;
     report.per_expr.extend(fresh.report.per_expr);

@@ -3,29 +3,28 @@
 //! The paper's update window hurts because readers are either locked out
 //! (Strict isolation, §7) or exposed to half-installed views (Low isolation).
 //! This module gives the warehouse a third option: copy-on-write catalog
-//! versions. Every install publishes a *new* [`CatalogVersion`] — an epoch
-//! number plus a name→`Arc<Table>` map — and readers pin whichever version
-//! was current when their query began. A pinned version is immutable, so a
-//! reader can never observe a torn install, and publishing never waits for
-//! readers to drain.
+//! versions. A committed update window publishes *one* new
+//! [`CatalogVersion`] (an epoch plus a name→`Arc<Table>` map) holding every
+//! extent it installed, and readers pin whichever version was current when
+//! their query began. A pinned version is immutable, so a reader never
+//! observes a half-maintained window, and publishing never waits for readers.
 //!
-//! Strict isolation is still expressible (and now *measurable*): each view
-//! has an associated [`RwLock`] obtained via [`VersionedCatalog::view_lock`].
-//! A strict installer holds the write lock across install+publish; a strict
-//! reader takes the read lock before pinning. MVCC mode simply skips the
-//! view locks.
+//! Strict isolation is still expressible (and now *measurable*): one
+//! catalog-wide install-phase lock. A strict window holds its write half from
+//! its first install through its publish; a strict reader holds the read
+//! half while it pins and scans. MVCC readers never touch it.
 
 use crate::error::{RelError, RelResult};
 use crate::table::Table;
 use crate::Catalog;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One immutable published state of the warehouse: an epoch and the table
 /// extents that were current when it was published.
 ///
-/// Tables are shared via `Arc`, so publishing a new version after a single
-/// view install copies one map of pointers, not the data.
+/// Tables are shared via `Arc`, so publishing a new version copies one map
+/// of pointers, not the data.
 #[derive(Clone, Debug)]
 pub struct CatalogVersion {
     epoch: u64,
@@ -77,9 +76,8 @@ impl CatalogVersion {
 #[derive(Debug)]
 pub struct VersionedCatalog {
     current: RwLock<Arc<CatalogVersion>>,
-    /// Per-view locks for Strict isolation. Created lazily; MVCC readers and
-    /// installers never touch them.
-    view_locks: Mutex<BTreeMap<String, Arc<RwLock<()>>>>,
+    /// Strict isolation's install-phase lock. MVCC never takes it.
+    install_phase: RwLock<()>,
 }
 
 impl VersionedCatalog {
@@ -91,7 +89,7 @@ impl VersionedCatalog {
             .collect();
         Self {
             current: RwLock::new(Arc::new(CatalogVersion { epoch: 0, tables })),
-            view_locks: Mutex::new(BTreeMap::new()),
+            install_phase: RwLock::new(()),
         }
     }
 
@@ -106,35 +104,41 @@ impl VersionedCatalog {
         read_lock(&self.current).epoch
     }
 
-    /// Publishes a new version in which `table` replaces (or introduces) the
-    /// extent stored under its own name. Returns the new epoch.
+    /// [`publish_all`](VersionedCatalog::publish_all) of one table.
+    pub fn publish(&self, table: Table) -> u64 {
+        self.publish_all([table])
+    }
+
+    /// Publishes one new version in which every table of `tables` replaces
+    /// (or introduces) the extent stored under its name. Returns the new
+    /// epoch.
     ///
     /// The swap is atomic with respect to [`snapshot`]: a reader pins either
     /// the version before this publish or the one after, never a mixture.
     ///
     /// [`snapshot`]: VersionedCatalog::snapshot
-    pub fn publish(&self, table: Table) -> u64 {
+    pub fn publish_all(&self, tables: impl IntoIterator<Item = Table>) -> u64 {
         let mut guard = write_lock(&self.current);
-        let mut tables = guard.tables.clone();
-        tables.insert(table.name().to_string(), Arc::new(table));
-        let epoch = guard.epoch + 1;
-        *guard = Arc::new(CatalogVersion { epoch, tables });
-        epoch
+        let mut next = CatalogVersion::clone(&guard);
+        next.epoch += 1;
+        let named = tables
+            .into_iter()
+            .map(|t| (t.name().to_string(), Arc::new(t)));
+        next.tables.extend(named);
+        *guard = Arc::new(next);
+        guard.epoch
     }
 
-    /// The Strict-isolation lock for `view`, created on first use.
-    ///
-    /// Strict installers hold the *write* half across install+publish;
-    /// strict readers hold the *read* half while they pin and scan. MVCC
-    /// mode never calls this, which is exactly the paper's low-isolation
-    /// observation: dropping the locks removes the reader stall.
-    pub fn view_lock(&self, view: &str) -> Arc<RwLock<()>> {
-        let mut locks = self.view_locks.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            locks
-                .entry(view.to_string())
-                .or_insert_with(|| Arc::new(RwLock::new(()))),
-        )
+    /// The write half of the install-phase lock: a strict window holds it
+    /// from its first install through its publish.
+    pub fn lock_installs(&self) -> RwLockWriteGuard<'_, ()> {
+        write_lock(&self.install_phase)
+    }
+
+    /// The read half: a strict reader holds it while it pins and scans, so
+    /// it waits out an open install phase and then sees the whole window.
+    pub fn wait_installs(&self) -> RwLockReadGuard<'_, ()> {
+        read_lock(&self.install_phase)
     }
 
     /// Convenience: pin the current version and resolve one view in it.
@@ -145,11 +149,11 @@ impl VersionedCatalog {
     }
 }
 
-fn read_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -208,13 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn view_locks_are_per_view_and_stable() {
+    fn publish_all_swaps_every_table_in_one_epoch() {
         let vc = VersionedCatalog::from_catalog(&seed_catalog());
-        let a = vc.view_lock("T");
-        let b = vc.view_lock("T");
-        let c = vc.view_lock("U");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
+        let before = vc.snapshot();
+        assert_eq!(vc.publish_all([table_with("T", 4), table_with("U", 2)]), 1);
+        let after = vc.snapshot();
+        assert_eq!((after.epoch(), after.len()), (1, 2));
+        assert_eq!(after.get("T").unwrap().len(), 4);
+        assert_eq!(after.get("U").unwrap().len(), 2);
+        assert_eq!(before.get("U").unwrap().len(), 1);
+        // An empty publish still marks a committed window.
+        assert_eq!(vc.publish_all([]), 2);
+        assert!(Arc::ptr_eq(
+            after.get("T").unwrap(),
+            vc.snapshot().get("T").unwrap()
+        ));
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! readers are locked out or slowed while the batch update runs. The
 //! `uww-core` simulation (`olap::simulate`) models that interference in
 //! discrete time; this crate *measures* it. An update strategy executes on
-//! one thread, publishing each install through the versioned catalog, while
-//! the server answers reader queries on a bounded worker pool. Both of the
-//! paper's isolation regimes are served:
+//! one thread, publishing each committed window as one catalog version,
+//! while the server answers reader queries on a bounded worker pool. Both
+//! of the paper's isolation regimes are served:
 //!
-//! * [`Isolation::Strict`] — readers take the per-view read lock installs
-//!   hold exclusively, so a query against a view mid-install stalls for the
-//!   rest of the install (the paper's locking regime);
+//! * [`Isolation::Strict`] — reads take the read half of the install-phase
+//!   lock a window holds from its first install through its publish, so a
+//!   read stalls for the rest of the install phase (the locking regime);
 //! * [`Isolation::Mvcc`] — readers pin an immutable catalog version and
-//!   never wait; an install's only reader-visible effect is the atomic
-//!   epoch bump (the paper's "lower isolation levels" regime, made safe).
+//!   never wait; a window's only reader-visible effect is the atomic epoch
+//!   bump (the paper's "lower isolation levels" regime, made safe).
 //!
 //! ## Protocol
 //!
@@ -53,8 +53,9 @@
 //! ([`table_digest`](uww_relational::table_digest): the content digest a
 //! table keeps and the WAL journals), so a
 //! response commits the server to an exact extent — the concurrency tests
-//! assert every digest equals either the pre- or post-install extent, which
-//! is precisely the "no torn reads" guarantee.
+//! assert every `SNAPSHOT`'s digest vector equals the whole pre-window or
+//! the whole post-window catalog, which is precisely the "no torn reads"
+//! guarantee.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,8 +78,8 @@ pub use server::{IngestSink, Server, ServerConfig};
 /// reads).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Isolation {
-    /// Readers take the per-view read lock; installs hold the write lock,
-    /// so reads of a view stall while its install runs.
+    /// Readers take the read half of the install-phase lock a window holds
+    /// from its first install through its publish.
     Strict,
     /// Readers pin an immutable catalog version; installs never block them.
     Mvcc,

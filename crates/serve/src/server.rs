@@ -168,11 +168,6 @@ impl Server {
         self.local_addr
     }
 
-    /// The isolation regime this server runs under.
-    pub fn isolation(&self) -> Isolation {
-        self.shared.isolation
-    }
-
     /// Current metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
@@ -281,46 +276,31 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> Result
     if span.is_recording() {
         span.attr_str(obs::keys::VERB, verb.map_or("invalid", Verb::as_str));
     }
+    // Under Strict, wait out an open install phase — the paper's locking
+    // regime — and hold the read half across the pin and scan.
+    let strict = shared.isolation == Isolation::Strict
+        && matches!(parsed, Ok(Request::Query(_) | Request::Snapshot));
+    let waited = Instant::now();
+    let install_phase = strict.then(|| shared.catalog.wait_installs());
+    let lock_wait = install_phase
+        .as_ref()
+        .map_or(Duration::ZERO, |_| waited.elapsed());
     let reply = match parsed {
-        Ok(Request::Query(view)) => {
-            // Pin an epoch and scan the extent (the digest walks every row:
-            // this is the query's service work). Under Strict, first wait
-            // out any in-flight install of this view — the paper's locking
-            // regime — and hold the read lock across the scan.
-            let (result, lock_wait) = match shared.isolation {
-                Isolation::Strict => {
-                    let lock = shared.catalog.view_lock(&view);
-                    let t0 = Instant::now();
-                    let guard = lock.read().unwrap_or_else(|e| e.into_inner());
-                    let wait = t0.elapsed();
-                    let result = shared
-                        .catalog
-                        .read_pinned(&view)
-                        .map(|(t, e)| (table_digest(&t), t.len(), e));
-                    drop(guard);
-                    (result, wait)
-                }
-                Isolation::Mvcc => (
-                    shared
-                        .catalog
-                        .read_pinned(&view)
-                        .map(|(t, e)| (table_digest(&t), t.len(), e)),
-                    Duration::ZERO,
-                ),
-            };
-            match result {
-                Ok((digest, rows, epoch)) => {
-                    shared
-                        .metrics
-                        .record_query(started.elapsed(), rows, lock_wait);
-                    format!("OK {view} {rows} {digest:016x} {epoch}")
-                }
-                Err(e) => {
-                    shared.metrics.record_error();
-                    format!("ERR {e}")
-                }
+        // Pin an epoch and scan the extent (the digest walks every row: this
+        // is the query's service work).
+        Ok(Request::Query(view)) => match shared.catalog.read_pinned(&view) {
+            Ok((table, epoch)) => {
+                let (digest, rows) = (table_digest(&table), table.len());
+                shared
+                    .metrics
+                    .record_query(started.elapsed(), rows, lock_wait);
+                format!("OK {view} {rows} {digest:016x} {epoch}")
             }
-        }
+            Err(e) => {
+                shared.metrics.record_error();
+                format!("ERR {e}")
+            }
+        },
         Ok(Request::Snapshot) => {
             let snap = shared.catalog.snapshot();
             let mut out = format!("EPOCH {}", snap.epoch());
@@ -379,6 +359,7 @@ fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared) -> Result
             format!("ERR {msg}")
         }
     };
+    drop(install_phase);
     writeln!(writer, "{reply}").map_err(|_| ())
 }
 
@@ -659,14 +640,15 @@ mod tests {
         let (server, catalog) = start(Isolation::Strict);
         let addr = server.local_addr();
 
-        // Simulate an in-flight install: hold V's write lock.
-        let lock = catalog.view_lock("V");
-        let guard = lock.write().unwrap();
+        // Simulate an open install phase: hold the catalog's write half,
+        // against a view the query does not even target.
+        let guard = catalog.lock_installs();
         let handle = std::thread::spawn(move || {
             let mut c = Client::connect(addr).unwrap();
             let q = c.query("V").unwrap();
+            let snap = c.snapshot().unwrap();
             c.quit().unwrap();
-            q
+            (q, snap)
         });
         // The query must be stalled on the lock, not answered. The stall
         // needs to dominate connection setup (accept + worker hand-off can
@@ -674,8 +656,12 @@ mod tests {
         // real margin.
         std::thread::sleep(Duration::from_millis(150));
         assert_eq!(server.metrics().queries, 0, "strict read must block");
+        catalog.publish(Table::new("U", Schema::of(&[("k", ValueType::Int)])));
         drop(guard);
-        assert_eq!(handle.join().unwrap().rows, 5);
+        // The query and the snapshot both read the version published inside
+        // the lock.
+        let (q, snap) = handle.join().unwrap();
+        assert_eq!((q.rows, q.epoch, snap.epoch), (5, 1, 1));
 
         let m = server.shutdown();
         assert_eq!(m.queries, 1);
@@ -689,8 +675,7 @@ mod tests {
     #[test]
     fn mvcc_queries_ignore_the_install_lock() {
         let (server, catalog) = start(Isolation::Mvcc);
-        let lock = catalog.view_lock("V");
-        let _guard = lock.write().unwrap();
+        let _guard = catalog.lock_installs();
         // Lock held for the whole test: MVCC reads sail past it.
         let mut c = Client::connect(server.local_addr()).unwrap();
         assert_eq!(c.query("V").unwrap().rows, 5);

@@ -17,8 +17,7 @@
 //! uww dot      [--scenario ...] [--scale F] [--graph vdag|eg]
 //! uww olap     [--scenario ...] [--scale F] [--frac F] [--isolation strict|low]
 //! uww serve    [--scenario ...] [--scale F] [--frac F] [--planner ...]
-//!              [--isolation strict|mvcc|both] [--readers N] [--hold-ms N]
-//!              [--json] [--metrics]
+//!              [--isolation strict|mvcc|both] [--readers N] [--json] [--metrics]
 //! uww ingest   [--scenario ...] [--scale F] [--policy fixed|greedy]
 //!              [--window N] [--sla F] [--rate MILLI] [--service-rate F]
 //!              [--horizon N] [--seed N] [--no-carry] [--objective linear|shared]
@@ -102,7 +101,6 @@ struct Args {
     fault: Option<String>,
     dir: Option<String>,
     readers: usize,
-    hold_ms: u64,
     partitions: usize,
     strategy_sharing: bool,
     objective: String,
@@ -144,7 +142,6 @@ impl Default for Args {
             fault: None,
             dir: None,
             readers: 4,
-            hold_ms: 2,
             partitions: 1,
             strategy_sharing: false,
             objective: "linear".into(),
@@ -278,7 +275,7 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                 args.stages_text = Some(v.clone());
             }
             "--scenario" | "--scale" | "--frac" | "--planner" | "--graph" | "--isolation"
-            | "--wal" | "--fsync" | "--fault" | "--readers" | "--hold-ms" => {
+            | "--wal" | "--fsync" | "--fault" | "--readers" => {
                 let v = it
                     .next()
                     .ok_or_else(|| format!("missing value for {a}"))?
@@ -309,9 +306,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                     "--fault" => args.fault = Some(v),
                     "--readers" => {
                         args.readers = v.parse().map_err(|_| format!("bad --readers {v}"))?
-                    }
-                    "--hold-ms" => {
-                        args.hold_ms = v.parse().map_err(|_| format!("bad --hold-ms {v}"))?
                     }
                     _ => unreachable!(),
                 }
@@ -794,7 +788,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let cfg = uww::serving::LiveRunConfig {
             isolation: *iso,
             readers: args.readers.max(1),
-            hold: std::time::Duration::from_millis(args.hold_ms),
             latency_buckets: args.latency_buckets.clone(),
             ..uww::serving::LiveRunConfig::default()
         };
@@ -843,8 +836,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
 
     println!(
-        "serving {} @ scale {} with {} readers, planner {label}, hold {}ms",
-        args.scenario, args.scale, args.readers, args.hold_ms
+        "serving {} @ scale {} with {} readers, planner {label}",
+        args.scenario, args.scale, args.readers
     );
     println!(
         "{:<8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>13} {:>11}",
@@ -1095,7 +1088,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
         } else {
             print_ingest_windows(&out.ingest);
             println!(
-                "served {} queries across {} readers while ingesting; {} epochs published",
+                "served {} queries across {} readers while ingesting; {} epochs published, one per window",
                 out.metrics.queries,
                 out.queries_per_reader.len(),
                 out.epochs
@@ -1212,7 +1205,7 @@ const USAGE: &str =
     "usage: uww <info|plan|run|analyze|script|dot|olap|serve|ingest|report|explain|dump> \
 [--scenario fig4|q3|q5] [--scale F] [--frac F] \
 [--planner minwork|prune|dual-stage|rnscol] [--graph vdag|eg] \
-[--isolation strict|low (olap) / strict|mvcc|both (serve)] [--readers N] [--hold-ms N] \
+[--isolation strict|low (olap) / strict|mvcc|both (serve)] [--readers N] \
 [--sql NAME=SELECT-statement] \
 [--strategy \"Comp(V,{A,B}); Inst(A); ...\"] [--stages \"stage | stage | ...\"] [--json] \
 [--wal DIR] [--fsync always|never] [--fault crash:K|torn:K|dup:K|dirsync] \

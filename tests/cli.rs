@@ -135,8 +135,6 @@ fn serve_measures_live_latency_under_one_isolation() {
             "mvcc",
             "--readers",
             "2",
-            "--hold-ms",
-            "1",
         ],
         SMALL,
     ]
@@ -159,8 +157,6 @@ fn serve_json_compares_both_isolations_to_the_simulation() {
             "0.1",
             "--readers",
             "2",
-            "--hold-ms",
-            "1",
             "--json",
         ],
         SMALL,
@@ -308,9 +304,10 @@ fn bad_input_fails_with_usage() {
 fn removed_flags_are_unknown() {
     // The per-term and term-threaded modes, the pinned (non-stealing) pool,
     // the recalibration loop, the trace timeline, the trace conformance
-    // check and the sharing-advisory pass are gone; their flags must not be
-    // silently accepted.
+    // check, the sharing-advisory pass and the per-install serving hold are
+    // gone; their flags must not be silently accepted.
     for flag in [
+        &["--hold-ms", "1"][..],
         &["--term-threads", "2"][..],
         &["--no-term-sharing"][..],
         &["--no-steal"][..],

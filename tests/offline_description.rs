@@ -57,9 +57,12 @@ fn offline_descriptions_never_publish() {
         assert_eq!(*epoch, now_epoch);
     }
 
-    // The warehouse itself still serves: really running the window publishes.
+    // The warehouse itself still serves: really running the window publishes
+    // it, once, and lands on the recompute oracle's state.
+    let oracle = w.expected_final_state().unwrap();
     w.execute(&strategy).unwrap();
-    assert!(versioned.epoch() > 0);
+    assert!(w.diff_state(&oracle).is_empty());
+    assert_eq!(versioned.epoch(), 1);
     for table in w.state().iter() {
         let (published, _) = versioned.read_pinned(table.name()).unwrap();
         assert!(published.same_contents(table), "{}", table.name());
@@ -100,9 +103,11 @@ fn a_shared_planner_run_publishes_only_its_real_installs() {
     replay.attach_publisher(InstallPublisher::new(Arc::clone(&versioned), false));
     for window in &out.ingest.windows {
         replay.load_changes(window.batch.clone()).unwrap();
+        let oracle = replay.expected_final_state().unwrap();
         replay.execute(&window.strategy).unwrap();
+        assert!(replay.diff_state(&oracle).is_empty());
     }
-    assert!(versioned.epoch() > 0);
+    assert_eq!(versioned.epoch(), out.ingest.windows.len() as u64);
     assert_eq!(
         out.epochs,
         versioned.epoch(),
