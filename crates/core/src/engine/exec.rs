@@ -11,7 +11,7 @@
 use crate::engine::pool::PartitionOptions;
 use crate::engine::profile::{ExprSharingProfile, SharingProfile};
 use crate::engine::publish::InstallPhase;
-use crate::engine::share::{self, OperandStore, Retention, WindowCarry};
+use crate::engine::share::{self, OperandStore, WindowCarry};
 use crate::engine::warehouse::{PendingDelta, Warehouse};
 use crate::error::{CoreError, CoreResult};
 use crate::parallel::{canonical_stage_order, ParallelStrategy};
@@ -19,6 +19,7 @@ use crate::wal::{
     encode_pending, Manifest, ManifestExpr, RecordBody, WalConfig, WalWriter, CHANGES_SNAP,
     LOG_FILE, MANIFEST_FILE, STATE_SNAP,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uww_obs as obs;
 use uww_relational::{catalog_digest, deltas_digest, digest64, WorkMeter};
@@ -179,35 +180,38 @@ impl ExecutionReport {
     }
 }
 
-/// What the operand store served during one window, as the meter and the
-/// store's producer tags measured it.
+/// What the operand store and the maintained indexes served during one
+/// window, as the meter and the producer tags measured it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CarryConformance {
-    /// Hash-table uses served by an earlier expression's or window's table.
+    /// Hash-table uses served by an earlier expression's or window's table
+    /// or key index.
     pub measured_cross_reuses: u64,
-    /// Raw operand reads served by an earlier expression's or window's
-    /// materialization.
+    /// Operand reads served by an earlier expression's materialization or
+    /// an earlier expression's or window's maintained extent.
     pub measured_cached_reads: u64,
-    /// Hash-table uses served by the *previous window's* carried tables
-    /// (subset of `measured_cross_reuses`).
+    /// Key-index probes served by indexes that existed when the window
+    /// began (subset of `measured_cross_reuses`).
     pub measured_carried_table_hits: u64,
-    /// Raw operand reads served by carried materializations (subset of
-    /// `measured_cached_reads`).
+    /// Stored operand reads served by extents that existed when the window
+    /// began (subset of `measured_cached_reads`).
     pub measured_carried_raw_hits: u64,
 }
 
 /// Result of one carried window: the execution report, the store entries
-/// that survived into the next window, and what the store served.
+/// that survived into the next window, and what the store and the indexes
+/// served.
 #[derive(Debug)]
 pub struct WindowOutcome {
     /// Per-expression measurements, exactly as [`Warehouse::execute_with`]
     /// would report them.
     pub report: ExecutionReport,
-    /// Build tables and raw materializations that outlived this window —
-    /// pass to the next window's [`Warehouse::execute_carried`] call (or
-    /// drop to run it cold, e.g. after crash recovery).
+    /// Store entries that outlived this window: none, since every entry is
+    /// over a pending delta the next batch replaces. What carries over is
+    /// the warehouse's maintained indexes
+    /// ([`Warehouse::drop_indexes`] runs the next window cold).
     pub carry: WindowCarry,
-    /// What the operand store served during this window.
+    /// What the operand store and the indexes served during this window.
     pub conformance: CarryConformance,
     /// What each expression this run executed did beside its meter — every
     /// `Comp`'s term join orders and keyed operand uses — in execution
@@ -240,8 +244,8 @@ pub fn plan_strategy_sharing(
 }
 
 /// [`plan_strategy_sharing`] for a carried window: the scratch run's store
-/// starts from `carry` and keeps stored-role entries past the strategy's
-/// end, as [`Warehouse::execute_carried`] does.
+/// starts from `carry`, at window scope, as [`Warehouse::execute_carried`]
+/// does.
 pub fn plan_strategy_sharing_carried(
     w: &Warehouse,
     strategy: &Strategy,
@@ -287,10 +291,9 @@ struct Run<'a> {
     wal: Option<WalWriter>,
     phase: InstallPhase<'a>,
     store: OperandStore,
-    /// The store's scope: emptied after each `Comp`, or kept to the end of
-    /// the window — and, when `carried`, handed on to the next one.
+    /// The store's scope: emptied after each `Comp`, or kept while a later
+    /// expression of the window can read an entry.
     window_scope: bool,
-    carried: bool,
     /// The items not yet finished, the running one first.
     rest: &'a [Item<'a>],
     report: ExecutionReport,
@@ -326,9 +329,9 @@ impl Warehouse {
 
     /// Executes one continuous-mode window: like [`Warehouse::execute_with`]
     /// with `strategy_sharing` forced on, but the operand store starts from
-    /// `carry` — the entries that survived the previous window — and is
-    /// handed back afterwards for the next one. Deltas, WAL bytes, and the
-    /// logical meter are byte-identical to an unseeded run; only the physical
+    /// `carry` and is handed back afterwards, with what the store and the
+    /// carried-in maintained indexes served. Deltas, WAL bytes, and the
+    /// logical meter are byte-identical to any other run; only the physical
     /// sharing counters move.
     pub fn execute_carried(
         &mut self,
@@ -380,8 +383,8 @@ impl Warehouse {
     /// reopened journal from the stage its replayed prefix ended in, and the
     /// install phase its replay opened (recovery has already gated prefix +
     /// suffix and holds the run span open). `carry` starts the operand store
-    /// from the previous window's survivors, forcing `strategy_sharing` on
-    /// and keeping the store past the window's end.
+    /// from the previous window's survivors and forces `strategy_sharing`
+    /// on.
     pub(crate) fn run_window(
         &mut self,
         items: &[Item<'_>],
@@ -432,9 +435,11 @@ impl Warehouse {
         };
 
         // Nothing about sharing is planned: the store is driven by lookups,
-        // and its scope is how long this window keeps it.
+        // and its scope is how long this window keeps it. Every index held
+        // now was built before this window.
         let carried = carry.is_some();
         let store = OperandStore::start_window(carry);
+        self.indexes_mut().start_window();
 
         // The staged label predates `execute_staged`; trace diffs key on it.
         let _run_span = fresh.then(|| {
@@ -453,7 +458,6 @@ impl Warehouse {
             phase,
             store,
             window_scope: carried || opts.strategy_sharing,
-            carried,
             rest: items,
             report: ExecutionReport::default(),
             profile: SharingProfile::default(),
@@ -518,15 +522,15 @@ impl Warehouse {
     }
 
     /// Runs a batch of `Comp`s against the current state: a `CS` for each
-    /// (log-ahead intent), the fragments — concurrently when there are
-    /// several, each a pure read of `self` — then, in manifest order, each
-    /// fragment's `CD` (journaled *before* the merge, so a `CD` record
-    /// guarantees the fragment is durably reproducible) and its merge into
-    /// the view's pending delta.
+    /// (log-ahead intent); each planned, its indexes ensured, in turn; the
+    /// fragments — concurrently when there are several, each a pure read of
+    /// `self` — then, in manifest order, each fragment's `CD` (journaled
+    /// *before* the merge, so a `CD` record guarantees the fragment is
+    /// durably reproducible) and its merge into the view's pending delta.
     fn run_comps(&mut self, batch: &[Item<'_>], run: &mut Run<'_>) -> CoreResult<()> {
         let parent = obs::current_span_id();
-        // A lone Comp's span covers its journal records and merge too; a
-        // fanned-out Comp's span lives on its worker thread.
+        // A lone Comp's span covers its planning, journal records and merge
+        // too; a fanned-out Comp's span lives on its worker thread.
         let mut solo = match batch {
             [one] => Some(self.expr_span(parent, one.2)),
             _ => None,
@@ -535,49 +539,74 @@ impl Warehouse {
         for item in batch {
             run.journal(RecordBody::CompStart(item.0))?;
         }
-        let this: &Warehouse = self;
-        let opts = run.opts;
-        let fragment_of = |item: &Item<'_>, store: &mut OperandStore, retention: Retention<'_>| {
-            let UpdateExpr::Comp { view, over } = item.2 else {
-                return Err(CoreError::Warehouse(
-                    "an Inst was scheduled among a stage's Comps".into(),
-                ));
-            };
-            let t = Instant::now();
-            share::comp_fragment(this, *view, over, opts.partition, store, item.0, retention)
-                .map(|(fragment, work, profile)| (fragment, work, profile, t.elapsed()))
-        };
+        let partition = run.opts.partition;
         type Computed = (PendingDelta, WorkMeter, ExprSharingProfile, Duration);
         let results: Vec<CoreResult<Computed>> = match batch {
             [one] => {
-                let retention = run.window_scope.then_some((&run.rest[1..], run.carried));
-                vec![fragment_of(one, &mut run.store, retention)]
+                let retention = run.window_scope.then(|| &run.rest[1..]);
+                let t = Instant::now();
+                let (view, over) = comp_of(one.2)?;
+                let (inputs, meter) = share::prepare_comp(
+                    self,
+                    (view, over),
+                    partition,
+                    &mut run.store,
+                    one.0,
+                    retention,
+                )?;
+                let out =
+                    share::comp_fragment(self, inputs, meter, &mut run.store, one.0, retention);
+                vec![out.map(|(fragment, work, profile)| (fragment, work, profile, t.elapsed()))]
             }
-            // Concurrent Comps share nothing: each reads through a store of
+            // Concurrent Comps share nothing but the indexes, ensured for
+            // all of them before any runs: each reads through a store of
             // its own, emptied when it is done.
-            _ => std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .iter()
-                    .map(|item| {
-                        scope.spawn(move || {
-                            let mut span = this.expr_span(parent, item.2);
-                            let out = fragment_of(item, &mut OperandStore::empty(), None);
-                            if let Ok((_, work, ..)) = &out {
-                                meter_attrs(&mut span, work);
-                            }
-                            out
+            _ => {
+                let mut jobs = Vec::with_capacity(batch.len());
+                for item in batch {
+                    let t = Instant::now();
+                    let mut store = OperandStore::empty();
+                    let (view, over) = comp_of(item.2)?;
+                    let (inputs, meter) = share::prepare_comp(
+                        self,
+                        (view, over),
+                        partition,
+                        &mut store,
+                        item.0,
+                        None,
+                    )?;
+                    jobs.push((item, store, inputs, meter, t.elapsed()));
+                }
+                let this: &Warehouse = self;
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = jobs
+                        .into_iter()
+                        .map(|(item, mut store, inputs, meter, prep)| {
+                            scope.spawn(move || {
+                                let mut span = this.expr_span(parent, item.2);
+                                let t = Instant::now();
+                                let out = share::comp_fragment(
+                                    this, inputs, meter, &mut store, item.0, None,
+                                );
+                                if let Ok((_, work, _)) = &out {
+                                    meter_attrs(&mut span, work);
+                                }
+                                out.map(|(fragment, work, profile)| {
+                                    (fragment, work, profile, prep + t.elapsed())
+                                })
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(CoreError::Warehouse("a Comp's thread panicked".into()))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| {
+                            h.join().unwrap_or_else(|_| {
+                                Err(CoreError::Warehouse("a Comp's thread panicked".into()))
+                            })
                         })
-                    })
-                    .collect()
-            }),
+                        .collect()
+                })
+            }
         };
         for (&(idx, _, expr), result) in batch.iter().zip(results) {
             let (fragment, mut work, profile, wall) = result?;
@@ -718,12 +747,16 @@ impl Warehouse {
     ///
     /// This is the single funnel through which *every* install lands (the
     /// window runner and recovery's replay both reach it), so `phase` sees
-    /// every install the window's publish must carry.
+    /// every install the window's publish must carry, and every maintained
+    /// index over the view is handed the same delta.
     pub(crate) fn exec_inst(&mut self, view: ViewId, phase: &mut InstallPhase) -> CoreResult<u64> {
         let name = self.vdag().name(view).to_string();
         self.meter_mut().inst_expressions += 1;
         let pending = self.pending_map_mut().remove(&name);
         phase.inst(&name, pending.is_some());
+        if !self.vdag().is_base(view) || pending.as_ref().is_some_and(|p| !p.is_empty()) {
+            self.indexes_mut().cool(&name);
+        }
         let Some(pending) = pending else {
             return Ok(0);
         };
@@ -732,12 +765,24 @@ impl Warehouse {
             PendingDelta::Summary(s) => s.to_delta(self.table(&name)?).map_err(CoreError::Rel)?,
         };
         let len = delta.len();
-        self.state_mut()
-            .get_mut(&name)?
-            .install(&delta)
-            .map_err(CoreError::Rel)?;
+        let delta = Arc::new(delta);
+        let (state, indexes) = self.index_parts();
+        let table = state.get_mut(&name)?;
+        table.install(&delta).map_err(CoreError::Rel)?;
+        indexes.install(&name, &delta, table);
         self.meter_mut().install(len);
         Ok(len)
+    }
+}
+
+/// The target and delta set of a `Comp`; an `Inst` scheduled among a
+/// stage's `Comp`s is an error.
+fn comp_of(e: &UpdateExpr) -> CoreResult<(ViewId, &std::collections::BTreeSet<ViewId>)> {
+    match e {
+        UpdateExpr::Comp { view, over } => Ok((*view, over)),
+        UpdateExpr::Inst(_) => Err(CoreError::Warehouse(
+            "an Inst was scheduled among a stage's Comps".into(),
+        )),
     }
 }
 
@@ -955,8 +1000,10 @@ mod tests {
     }
 
     #[test]
-    fn the_store_outlives_the_window_only_when_a_carry_is_requested() {
-        // R changes, S does not: S's stored extent survives every install.
+    fn indexes_outlive_the_window_and_store_entries_do_not() {
+        // R changes, S does not. Whatever the scope, the window hands on no
+        // store entry, and the warehouse keeps the indexes its terms probed,
+        // current: the next window probes them instead of building.
         let mut w = warehouse_with_changes();
         w.pending_map_mut().remove("S");
         let strategy = strategy_1way_rs(&w);
@@ -965,15 +1012,34 @@ mod tests {
             strategy_sharing: true,
             ..ExecOptions::default()
         };
-        let kept = |carry| {
-            let out = w.clone().run_window(&items, None, &shared, None, carry);
-            out.unwrap().carry
-        };
-        assert!(kept(None).is_empty());
-        assert!(kept(Some(WindowCarry::empty())).raws() > 0);
-        // Per-`Comp` scope keeps nothing either way.
-        let out = w.run_window(&items, None, &ExecOptions::default(), None, None);
-        assert!(out.unwrap().carry.is_empty());
+        for (opts, carry) in [
+            (&shared, None),
+            (&shared, Some(WindowCarry::empty())),
+            (&ExecOptions::default(), None),
+        ] {
+            let mut run = w.clone();
+            let out = run.run_window(&items, None, opts, None, carry).unwrap();
+            assert!(out.carry.is_empty());
+            assert_eq!(run.index_counts(), (1, 1), "Comp(V,{{R}}) probes S on sk");
+            run.check_indexes().unwrap();
+        }
+        w.execute(&strategy).unwrap();
+        let mut d = DeltaRelation::new(w.table("S").unwrap().schema().clone());
+        d.add(tup![Value::Int(2), Value::Int(0)], -1);
+        let mut d2 = DeltaRelation::new(w.table("R").unwrap().schema().clone());
+        d2.add(tup![Value::Int(2), Value::Decimal(300)], -1);
+        w.load_changes(BTreeMap::from([
+            ("S".to_string(), d),
+            ("R".to_string(), d2),
+        ]))
+        .unwrap();
+        let expected = w.expected_final_state().unwrap();
+        let second = w.run_window(&items, None, &shared, None, None).unwrap();
+        assert!(w.diff_state(&expected).is_empty());
+        w.check_indexes().unwrap();
+        let probe = second.report.per_expr[0].work;
+        assert_eq!(probe.hash_tables_built, 0, "{probe}");
+        assert_eq!(second.conformance.measured_carried_table_hits, 1);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 pub mod eval;
 pub mod exec;
 pub mod explain;
+pub(crate) mod index;
 pub mod pool;
 pub mod profile;
 pub mod publish;

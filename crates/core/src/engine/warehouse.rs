@@ -1,6 +1,7 @@
 //! The warehouse: stored view extents, view definitions, and pending deltas.
 
 use crate::engine::eval;
+use crate::engine::index::IndexSet;
 use crate::engine::publish::InstallPublisher;
 use crate::engine::summary::{stored_aggregate_schema, SummaryDelta};
 use crate::error::{CoreError, CoreResult};
@@ -47,6 +48,10 @@ pub struct Warehouse {
     pending: BTreeMap<String, PendingDelta>,
     /// Cumulative work meter.
     meter: WorkMeter,
+    /// The maintained join indexes terms probe stored operands through
+    /// (`engine::index`): built on first use, kept current by every
+    /// install, shared with clones until one side installs.
+    indexes: IndexSet,
     /// When attached, every committed window publishes the extents it
     /// installed to a shared versioned catalog for online readers.
     publisher: Option<InstallPublisher>,
@@ -88,8 +93,41 @@ impl Warehouse {
         &mut self.meter
     }
 
-    pub(crate) fn state_mut(&mut self) -> &mut Catalog {
-        &mut self.state
+    pub(crate) fn indexes(&self) -> &IndexSet {
+        &self.indexes
+    }
+
+    pub(crate) fn indexes_mut(&mut self) -> &mut IndexSet {
+        &mut self.indexes
+    }
+
+    /// The stored catalog beside the indexes, for building an index over a
+    /// table or installing into both.
+    pub(crate) fn index_parts(&mut self) -> (&mut Catalog, &mut IndexSet) {
+        (&mut self.state, &mut self.indexes)
+    }
+
+    /// Drops every maintained join index, so the next window builds each one
+    /// it probes afresh — a cold window. Indexes otherwise outlive windows,
+    /// kept current by every install.
+    pub fn drop_indexes(&mut self) {
+        self.indexes.clear();
+    }
+
+    /// `(key indexes, extents)` of the maintained join indexes held: the
+    /// key column lists indexed, over how many filtered stored extents.
+    pub fn index_counts(&self) -> (usize, usize) {
+        self.indexes.counts()
+    }
+
+    /// Checks every maintained join index against a fresh filter-and-build
+    /// over its view's current extent: the same rows and multiplicities, and
+    /// per indexed key the same rows on that key's chain. Costs a rebuild of
+    /// every index; for tests and audits, not for windows.
+    pub fn check_indexes(&self) -> CoreResult<()> {
+        self.indexes
+            .audit(&self.state)
+            .map_err(CoreError::Warehouse)
     }
 
     /// Attaches an install publisher: from now on every committed window
@@ -148,7 +186,7 @@ impl Warehouse {
     /// Replaces the stored state with a recovered snapshot, after verifying
     /// that it covers exactly this warehouse's views with matching schemas.
     /// Any pending deltas are discarded (recovery reloads them from the WAL
-    /// directory's change snapshot).
+    /// directory's change snapshot), and so are the maintained indexes.
     pub(crate) fn restore_state(&mut self, snapshot: Catalog) -> CoreResult<()> {
         if snapshot.len() != self.state.len() {
             return Err(CoreError::Warehouse(format!(
@@ -170,6 +208,7 @@ impl Warehouse {
         }
         self.state = snapshot;
         self.pending.clear();
+        self.indexes.clear();
         Ok(())
     }
 
@@ -369,6 +408,7 @@ impl WarehouseBuilder {
             state,
             pending: BTreeMap::new(),
             meter: WorkMeter::new(),
+            indexes: IndexSet::default(),
             publisher: None,
         })
     }

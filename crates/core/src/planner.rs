@@ -273,6 +273,13 @@ pub fn min_work_shared_capped(
     cap: usize,
 ) -> CoreResult<SharedPlanOutcome> {
     use crate::engine::{plan_strategy_sharing, SharingScope};
+    // Price what a window shares within itself, on a clone without the
+    // maintained indexes earlier windows left: the choice then depends on
+    // the warehouse's contents alone, not on whether a crash or a cold
+    // start dropped them.
+    let mut cold = w.clone();
+    cold.drop_indexes();
+    let w = &cold;
     let g = w.vdag();
     let mut candidates: Vec<Strategy> = vec![min_work(g, model.sizes())?.strategy];
     let relevant = g.views_with_consumers();

@@ -102,13 +102,13 @@ impl Registry {
         self.family(name, help, MetricKind::Gauge).sample(value);
     }
 
-    /// Adds a cumulative histogram over `observations` (µs) with the given
-    /// upper bounds (µs), producing `_bucket{le=…}` samples (including
-    /// `+Inf`), `_sum`, and `_count`.
-    pub fn histogram_us(&mut self, name: &str, help: &str, observations: &[u64], bounds: &[u64]) {
+    /// Adds a cumulative histogram over `observations` (fractional µs) with
+    /// the given upper bounds (whole µs), producing `_bucket{le=…}` samples
+    /// (including `+Inf`), `_sum`, and `_count`.
+    pub fn histogram_us(&mut self, name: &str, help: &str, observations: &[f64], bounds: &[u64]) {
         let mut samples = Vec::with_capacity(bounds.len() + 3);
         for &b in bounds {
-            let n = observations.iter().filter(|&&o| o <= b).count();
+            let n = observations.iter().filter(|&&o| o <= b as f64).count();
             samples.push(Sample {
                 suffix: "_bucket",
                 labels: vec![("le".to_string(), b.to_string())],
@@ -123,7 +123,7 @@ impl Registry {
         samples.push(Sample {
             suffix: "_sum",
             labels: Vec::new(),
-            value: observations.iter().sum::<u64>() as f64,
+            value: observations.iter().sum::<f64>(),
         });
         samples.push(Sample {
             suffix: "_count",
@@ -366,7 +366,7 @@ mod tests {
         reg.histogram_us(
             "uww_latency_us",
             "Latency (µs).",
-            &[50, 150, 150, 9000],
+            &[50.0, 150.0, 150.5, 9000.0],
             &[100, 1000],
         );
         let text = reg.render();
@@ -390,7 +390,7 @@ mod tests {
             scrape.value("uww_latency_us_bucket", &[("le", "+Inf")]),
             Some(4.0)
         );
-        assert_eq!(scrape.value("uww_latency_us_sum", &[]), Some(9350.0));
+        assert_eq!(scrape.value("uww_latency_us_sum", &[]), Some(9350.5));
         assert_eq!(scrape.value("uww_latency_us_count", &[]), Some(4.0));
         assert!(scrape
             .types

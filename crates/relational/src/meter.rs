@@ -14,9 +14,9 @@
 //!   (MinWork/Prune) are made against this metric, so it must not move when
 //!   the executor gets smarter.
 //! * **physical** — rows the executor actually touched: each operand
-//!   materialization and each hash-table build pass counts its input rows
-//!   once. The shared-operand term engine shrinks this without moving the
-//!   logical metric.
+//!   materialization, each pushed-down filter pass and each hash-table build
+//!   pass counts its input rows once. The shared-operand term engine and its
+//!   maintained indexes shrink this without moving the logical metric.
 
 use std::fmt;
 
@@ -37,8 +37,8 @@ pub struct WorkMeter {
     pub comp_expressions: u64,
     /// Number of `Inst` expressions executed.
     pub inst_expressions: u64,
-    /// Rows the executor *actually* read: operand materializations plus
-    /// hash-table build passes. Without operand sharing this tracks
+    /// Rows the executor *actually* read: operand materializations,
+    /// pushed-down filter passes and hash-table build passes. Without operand sharing this tracks
     /// `operand_rows_scanned` plus build inputs; with sharing it drops while
     /// the logical counters stay put.
     pub physical_rows_touched: u64,

@@ -52,7 +52,7 @@ fn check_key_arity(a: usize, b: usize) -> RelResult<()> {
 }
 
 /// The end of a chain in [`BuiltTable`]'s `heads` and `next`.
-const NIL: usize = usize::MAX;
+pub(super) const NIL: usize = usize::MAX;
 
 /// A hash-join build table decoupled from the batch it indexes: chains of
 /// indices into the build batch, one chain per bucket, each in batch order.
@@ -100,16 +100,11 @@ impl BuiltTable {
             next,
         }
     }
-
-    /// The first build row whose hash lands in `h`'s bucket, or [`NIL`].
-    fn chain(&self, h: u64) -> usize {
-        self.heads[(h >> bucket_shift(self.heads.len())) as usize]
-    }
 }
 
 /// The right shift that turns a hash into an index into `buckets` (a power
 /// of two, at least 2) buckets: its top bits, where the hash mixes best.
-fn bucket_shift(buckets: usize) -> u32 {
+pub(super) fn bucket_shift(buckets: usize) -> u32 {
     u64::BITS - buckets.trailing_zeros()
 }
 
@@ -148,23 +143,53 @@ pub fn probe_table(
     build_is_left: bool,
     meter: &mut WorkMeter,
 ) -> RelResult<SignedRows> {
-    check_key_arity(probe_keys.len(), table.keys.len())?;
     debug_assert_eq!(
         build.len(),
         table.hashes.len(),
         "table built over another batch"
     );
+    let chains = Chains {
+        keys: &table.keys,
+        hashes: &table.hashes,
+        heads: &table.heads,
+        next: &table.next,
+    };
+    probe_chains(build, chains, probe, probe_keys, build_is_left, meter)
+}
+
+/// Hash chains over a build batch, as [`probe_chains`] walks them: the key
+/// columns, each build row's key hash and chain link, and the bucket heads.
+pub(super) struct Chains<'a> {
+    pub(super) keys: &'a [usize],
+    pub(super) hashes: &'a [u64],
+    pub(super) heads: &'a [usize],
+    pub(super) next: &'a [usize],
+}
+
+/// The probe loop of [`probe_table`] and of a maintained index: per probe
+/// row, hash its key columns in place, walk one chain and compare key
+/// columns only on an equal hash.
+pub(super) fn probe_chains(
+    build: &[(Tuple, i64)],
+    chains: Chains<'_>,
+    probe: &[(Tuple, i64)],
+    probe_keys: &[usize],
+    build_is_left: bool,
+    meter: &mut WorkMeter,
+) -> RelResult<SignedRows> {
+    check_key_arity(probe_keys.len(), chains.keys.len())?;
+    let shift = bucket_shift(chains.heads.len());
     let mut out = Vec::new();
     for (t, m) in probe {
         let h = key_hash(t, probe_keys);
-        let mut bi = table.chain(h);
+        let mut bi = chains.heads[(h >> shift) as usize];
         while bi != NIL {
             let (bt, bm) = &build[bi];
             let same_key = || {
-                let mut pairs = table.keys.iter().zip(probe_keys);
+                let mut pairs = chains.keys.iter().zip(probe_keys);
                 pairs.all(|(&bk, &pk)| bt.get(bk) == t.get(pk))
             };
-            if table.hashes[bi] == h && same_key() {
+            if chains.hashes[bi] == h && same_key() {
                 let row = if build_is_left {
                     bt.concat(t)
                 } else {
@@ -172,7 +197,7 @@ pub fn probe_table(
                 };
                 out.push((row, joined_multiplicity(*m, *bm)?));
             }
-            bi = table.next[bi];
+            bi = chains.next[bi];
         }
     }
     meter.emit(out.len() as u64);

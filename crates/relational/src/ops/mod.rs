@@ -8,6 +8,7 @@
 //! appropriately" semantics of the paper's maintenance expressions.
 
 mod aggregate;
+mod index;
 mod join;
 pub(crate) mod keyhash;
 mod partition;
@@ -15,6 +16,7 @@ mod partition;
 pub use aggregate::{
     group_rows, group_rows_chunked, merge_groups, Acc, AggFunc, AggSpec, GroupAcc,
 };
+pub use index::MaintainedIndex;
 pub use join::{build_table, cross_join, hash_join, probe_table, BuiltTable};
 pub use partition::{part_of, Partitioner};
 

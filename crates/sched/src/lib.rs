@@ -11,10 +11,10 @@
 //! WAL/recovery/publishing path, so a crash mid-window resumes cleanly and
 //! online readers never block.
 //!
-//! Windows keep the operand store to their end, and the entries no
-//! expression of a window actually changed *carry over* into the next
-//! window's store ([`uww_core::Warehouse::execute_carried`]), every
-//! carried hit counted apart.
+//! Windows keep the operand store to their end
+//! ([`uww_core::Warehouse::execute_carried`]), and the warehouse's
+//! maintained join indexes — kept current by every install — *carry over*
+//! into the next window, every probe of a carried index counted apart.
 //!
 //! Determinism is the design center: a [`SeededSource`] timeline is a pure
 //! function of its seed, the virtual clock advances by *predicted* work,

@@ -12,9 +12,10 @@
 //!    (`minwork` or the sharing-aware `shared` objective) — and converts
 //!    the predicted linear work into processing ticks via the SLA's
 //!    service rate;
-//! 4. executes through the existing WAL + strategy-cache machinery
-//!    ([`Warehouse::execute_carried`]), optionally carrying surviving
-//!    build tables into the next window;
+//! 4. executes through the existing WAL + operand-store machinery
+//!    ([`Warehouse::execute_carried`]), the warehouse's maintained join
+//!    indexes carried into the next window, or dropped before each window
+//!    when `carry` is off;
 //! 5. advances the virtual clock past the processing span, so arrivals
 //!    during processing land in the *next* batch.
 //!
@@ -70,7 +71,8 @@ pub struct SchedConfig {
     pub window: u64,
     /// Stop once every event at or before this tick is processed.
     pub horizon: u64,
-    /// Carry surviving strategy-cache entries across windows.
+    /// Keep the warehouse's maintained join indexes across windows; off,
+    /// every window starts by dropping them and runs cold.
     pub carry: bool,
     /// Per-window strategy planner.
     pub planner: WindowPlanner,
@@ -159,7 +161,8 @@ pub struct WindowReport {
     pub staleness: f64,
     /// Effective service rate μ (per-worker rate × partitions).
     pub service_rate: f64,
-    /// Strategy-cache entries carried *in* from the previous window.
+    /// `(key indexes, extents)` of the maintained join indexes the window
+    /// started with ([`Warehouse::index_counts`]).
     pub carry_in: (usize, usize),
     /// What the operand store served during the window.
     pub conformance: CarryConformance,
@@ -287,7 +290,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
         }
         let mut out = IngestOutcome::default();
         let mut queue: Vec<DeltaEvent> = Vec::new();
-        let mut carry = WindowCarry::empty();
         loop {
             if queue.is_empty()
                 && self.drained_through >= self.cfg.horizon
@@ -311,6 +313,10 @@ impl<S: DeltaSource> IngestScheduler<S> {
             let events = std::mem::take(&mut queue);
             let batch = batch_of(w, &events)?;
             w.load_changes(batch.clone())?;
+            if !self.cfg.carry {
+                w.drop_indexes();
+            }
+            let carry_in = w.index_counts();
 
             // Plan: sizes re-estimated against the freshly loaded batch.
             let sizes = SizeCatalog::estimate(w)?;
@@ -364,12 +370,6 @@ impl<S: DeltaSource> IngestScheduler<S> {
                 span.attr_f64(obs::keys::STALENESS, staleness);
             }
 
-            let carry_in = (carry.tables(), carry.raws());
-            let seed_carry = if self.cfg.carry {
-                std::mem::replace(&mut carry, WindowCarry::empty())
-            } else {
-                WindowCarry::empty()
-            };
             // Ledger enrichment only: the span tail recorded during this
             // window's execution yields the partition critical path.
             let spans_before = if self.cfg.ledger.is_some() {
@@ -377,15 +377,12 @@ impl<S: DeltaSource> IngestScheduler<S> {
             } else {
                 None
             };
-            match w.execute_carried(&strategy, opts, seed_carry) {
+            match w.execute_carried(&strategy, opts, WindowCarry::empty()) {
                 Ok(outcome) => {
                     if span.is_recording() {
                         span.attr_u64(obs::keys::MEASURED_WORK, outcome.report.linear_work());
                     }
                     drop(span);
-                    if self.cfg.carry {
-                        carry = outcome.carry;
-                    }
                     self.clock = done;
                     let report = WindowReport {
                         index: idx,
@@ -544,7 +541,7 @@ fn ledger_record(
 
 /// Recovers the crashed window from its WAL (completing it exactly as the
 /// uninterrupted run would have) and runs the rest of the schedule. The
-/// resumed run starts with an **empty** carry — a recovered window rebuilds
+/// resumed run starts with no maintained index — a recovered window rebuilds
 /// from the journal snapshot, so nothing survives the crash boundary.
 pub fn resume_after_crash<S: DeltaSource>(
     cfg: SchedConfig,

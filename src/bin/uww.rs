@@ -854,7 +854,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     for (iso, out) in &outcomes {
         let m = &out.metrics;
         println!(
-            "{:<8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9} {:>13} {:>11?}",
+            "{:<8} {:>8} {:>8.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>13} {:>11?}",
             iso.label(),
             m.queries,
             m.mean_us,
@@ -876,7 +876,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let strict_m = &outcomes[0].1.metrics;
         let mvcc_m = &outcomes[1].1.metrics;
         println!(
-            "measured: strict mean {}us mvcc mean {}us — {}; simulation predicts strict ≥ mvcc",
+            "measured: strict mean {:.3}us mvcc mean {:.3}us — {}; simulation predicts strict ≥ mvcc",
             strict_m.mean_us,
             mvcc_m.mean_us,
             if strict_m.mean_us >= mvcc_m.mean_us {
