@@ -141,6 +141,10 @@ fn assert_sharing_predicted(out: &IngestOutcome, carry_on: bool, tag: &str) {
     for wr in &out.windows {
         let at = format!("{tag}: window {}", wr.index);
         w.load_changes(wr.batch.clone()).expect("load batch");
+        if !carry_on {
+            // What the scheduler does to run a window cold.
+            w.drop_indexes();
+        }
         let expected = w.expected_final_state().expect("oracle");
         let described = plan_strategy_sharing_carried(&w, &wr.strategy, &carry).expect("describe");
         let opts = ExecOptions {

@@ -316,11 +316,12 @@ fn strategy_scope_cache_is_byte_identical_and_exactly_predicted() {
                 strat.report.total_work().hash_tables_built
                     <= percomp.report.total_work().hash_tables_built
             );
-            // Per-Comp scope never records cross-expression service.
-            assert_eq!(percomp.report.total_work().hash_tables_cross_reused, 0);
-            assert_eq!(percomp.report.total_work().operand_reads_cached, 0);
-
+            // The maintained indexes serve later Comps at either scope; the
+            // window-scope store only adds delta-role service on top.
+            let pc = percomp.report.total_work();
             let st = strat.report.total_work();
+            assert!(pc.hash_tables_cross_reused <= st.hash_tables_cross_reused);
+            assert!(pc.operand_reads_cached <= st.operand_reads_cached);
 
             // The description is the run: at either scope, every expression's
             // full meter equals what then really executing the window reports.
