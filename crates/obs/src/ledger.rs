@@ -109,17 +109,17 @@ pub struct LedgerRecord {
     pub meter: LedgerMeter,
     /// Per-expression predicted-vs-measured breakdown.
     pub per_expr: Vec<LedgerExpr>,
-    /// Strategy-cache tables carried in from the previous window.
+    /// Maintained key indexes the window started with.
     pub carry_in_tables: u64,
-    /// Strategy-cache raw operands carried in from the previous window.
+    /// Maintained extents the window started with.
     pub carry_in_raws: u64,
     /// Measured cross-expression hash-table reuses.
     pub cross_reuses: u64,
     /// Measured strategy-cache raw-read hits.
     pub cached_reads: u64,
-    /// Measured hits on tables carried from the previous window.
+    /// Measured probes of key indexes carried from a previous window.
     pub carried_table_hits: u64,
-    /// Measured hits on raw operands carried from the previous window.
+    /// Measured reads of extents carried from a previous window.
     pub carried_raw_hits: u64,
     /// Hash-table cache hit rate: reuses / (builds + reuses), 0 if none.
     pub cache_hit_rate: f64,
