@@ -213,7 +213,7 @@ pub fn group_output(
     def: &ViewDef,
     term_schema: &Schema,
     rows: &SignedRows,
-) -> RelResult<std::collections::HashMap<uww_relational::Tuple, ops::GroupAcc>> {
+) -> RelResult<ops::GroupMap> {
     let spec = agg_spec(def, term_schema)?;
     ops::group_rows(rows, &spec)
 }

@@ -107,7 +107,7 @@ use crate::error::{CoreError, CoreResult};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use uww_obs as obs;
-use uww_relational::ops::{self, BuiltTable, GroupAcc, MaintainedIndex, SignedRows};
+use uww_relational::ops::{self, BuiltTable, GroupMap, MaintainedIndex, SignedRows};
 use uww_relational::{BoundPredicate, RelResult, Schema, Tuple, ViewDef, ViewOutput, WorkMeter};
 use uww_vdag::{UpdateExpr, Vdag, ViewId};
 
@@ -776,7 +776,7 @@ enum TermOut {
     /// Consolidated projection delta (non-aggregate views).
     Rows(SignedRows),
     /// Per-group accumulator deltas (aggregate views).
-    Groups(HashMap<Tuple, GroupAcc>),
+    Groups(GroupMap),
 }
 
 /// What a `Comp`'s terms share as they run one after another: its inputs,

@@ -12,10 +12,9 @@
 //! standard bookkeeping that makes SUM/COUNT views self-maintainable under
 //! deletions: a group dies exactly when its count reaches zero.
 
-use std::collections::HashMap;
-use uww_relational::ops::{Acc, GroupAcc};
+use uww_relational::ops::{Acc, GroupAcc, GroupMap};
 use uww_relational::{
-    AggFunc, Column, RelError, RelResult, Schema, Table, Tuple, Value, ValueType,
+    AggFunc, Column, RelError, RelResult, Schema, Table, Tuple, TupleMap, Value, ValueType,
 };
 
 /// Name of the hidden per-group count column in stored aggregate extents.
@@ -35,7 +34,7 @@ pub struct SummaryDelta {
     group_arity: usize,
     /// `(function, output type)` per aggregate column, in schema order.
     agg_types: Vec<(AggFunc, ValueType)>,
-    groups: HashMap<Tuple, GroupAcc>,
+    groups: GroupMap,
 }
 
 impl SummaryDelta {
@@ -44,7 +43,7 @@ impl SummaryDelta {
         SummaryDelta {
             group_arity,
             agg_types,
-            groups: HashMap::new(),
+            groups: GroupMap::default(),
         }
     }
 
@@ -60,7 +59,7 @@ impl SummaryDelta {
 
     /// Merges per-group accumulator deltas (the output of
     /// [`uww_relational::ops::group_rows`]) into this delta.
-    pub fn merge_groups(&mut self, groups: HashMap<Tuple, GroupAcc>) {
+    pub fn merge_groups(&mut self, groups: GroupMap) {
         for (key, acc) in groups {
             debug_assert_eq!(key.arity(), self.group_arity);
             debug_assert_eq!(acc.accs.len(), self.agg_types.len());
@@ -195,7 +194,7 @@ impl SummaryDelta {
                     group_arity
                 )));
             }
-            let mut m = HashMap::new();
+            let mut m = GroupMap::default();
             m.insert(Tuple::new(values), GroupAcc { accs, count });
             delta.merge_groups(m);
         }
@@ -224,14 +223,16 @@ impl SummaryDelta {
             });
         }
         // Index the stored extent by group key.
-        let mut by_group: HashMap<Tuple, &Tuple> = HashMap::with_capacity(stored.distinct_len());
+        let key_cols: Vec<usize> = (0..self.group_arity).collect();
+        let mut by_group: TupleMap<&Tuple> =
+            TupleMap::with_capacity_and_hasher(stored.distinct_len(), Default::default());
         for (row, mult) in stored.iter() {
             if mult != 1 {
                 return Err(RelError::SchemaMismatch {
                     detail: "aggregate extent must have one row per group".to_string(),
                 });
             }
-            let key = row.project(&(0..self.group_arity).collect::<Vec<_>>());
+            let key = row.project(&key_cols);
             if by_group.insert(key, row).is_some() {
                 return Err(RelError::SchemaMismatch {
                     detail: "duplicate group key in aggregate extent".to_string(),
@@ -413,7 +414,7 @@ mod tests {
 
     fn delta_with(groups: Vec<(i64, i64, i64)>) -> SummaryDelta {
         let mut d = SummaryDelta::new(1, vec![(AggFunc::Sum, ValueType::Decimal)]);
-        let mut m = HashMap::new();
+        let mut m = GroupMap::default();
         for (g, dsum, dcount) in groups {
             m.insert(
                 tup![Value::Int(g)],
@@ -513,7 +514,7 @@ mod tests {
                 (AggFunc::Min, ValueType::Int),
             ],
         );
-        let mut m = HashMap::new();
+        let mut m = GroupMap::default();
         m.insert(
             tup![Value::Int(1)],
             GroupAcc {

@@ -5,17 +5,16 @@
 //! the "minus tuples" (deletions). Updates are modeled as a deletion followed
 //! by an insertion, exactly as in Section 2 of the paper.
 
-use crate::error::RelResult;
+use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::tuple::Tuple;
-use std::collections::HashMap;
+use crate::tuple::{Tuple, TupleMap};
 
 /// A signed multiset of tuples over a fixed schema.
 #[derive(Clone, Debug)]
 pub struct DeltaRelation {
     schema: Schema,
-    rows: HashMap<Tuple, i64>,
+    rows: TupleMap<i64>,
 }
 
 impl DeltaRelation {
@@ -23,7 +22,7 @@ impl DeltaRelation {
     pub fn new(schema: Schema) -> Self {
         DeltaRelation {
             schema,
-            rows: HashMap::new(),
+            rows: TupleMap::default(),
         }
     }
 
@@ -34,22 +33,40 @@ impl DeltaRelation {
 
     /// Adds `count` (signed) copies of `tuple`; entries that net to zero are
     /// dropped, so a delta never stores dead weight.
+    ///
+    /// # Panics
+    ///
+    /// When the row's signed count would leave `i64`. Counts a client
+    /// chose go through [`DeltaRelation::try_add`] instead.
     pub fn add(&mut self, tuple: Tuple, count: i64) {
+        if let Err(e) = self.try_add(tuple, count) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`DeltaRelation::add`], or [`RelError::Overflow`] — with the delta
+    /// untouched — when the row's signed count would leave `i64`.
+    pub fn try_add(&mut self, tuple: Tuple, count: i64) -> RelResult<()> {
         if count == 0 {
-            return;
+            return Ok(());
         }
         use std::collections::hash_map::Entry;
-        match self.rows.entry(tuple) {
+        match self.rows.entry(tuple.hashed()) {
             Entry::Occupied(mut e) => {
-                *e.get_mut() += count;
-                if *e.get() == 0 {
+                let sum = e.get().checked_add(count).ok_or_else(|| {
+                    RelError::Overflow(format!("signed count of delta row {:?}", e.key()))
+                })?;
+                if sum == 0 {
                     e.remove();
+                } else {
+                    *e.get_mut() = sum;
                 }
             }
             Entry::Vacant(e) => {
                 e.insert(count);
             }
         }
+        Ok(())
     }
 
     /// Merges another delta into this one (bag union with signed counts).
@@ -78,8 +95,16 @@ impl DeltaRelation {
 
     /// Total row volume `|ΔV|`: the sum of absolute multiplicities. This is
     /// the size used by the linear work metric for `Inst` and delta scans.
+    ///
+    /// Each row's count fits an `i64`, but a sum over rows may not: this,
+    /// [`DeltaRelation::plus_len`] and [`DeltaRelation::minus_len`]
+    /// saturate, and [`DeltaRelation::net_count`] clamps its exact sum. A
+    /// size pinned at the bound still prices the delta as the largest
+    /// there is.
     pub fn len(&self) -> u64 {
-        self.rows.values().map(|m| m.unsigned_abs()).sum()
+        self.rows
+            .values()
+            .fold(0, |n, m| n.saturating_add(m.unsigned_abs()))
     }
 
     /// True when the delta carries no change.
@@ -90,25 +115,18 @@ impl DeltaRelation {
     /// Net change in cardinality this delta causes when installed:
     /// `|V'| − |V|` for the target view.
     pub fn net_count(&self) -> i64 {
-        self.rows.values().sum()
+        let net: i128 = self.rows.values().map(|&m| i128::from(m)).sum();
+        net.clamp(i64::MIN.into(), i64::MAX.into()) as i64
     }
 
     /// Number of plus rows (insertions), counting multiplicities.
     pub fn plus_len(&self) -> u64 {
-        self.rows
-            .values()
-            .filter(|m| **m > 0)
-            .map(|m| *m as u64)
-            .sum()
+        (self.rows.values().filter(|m| **m > 0)).fold(0, |n, &m| n.saturating_add(m as u64))
     }
 
     /// Number of minus rows (deletions), counting multiplicities.
     pub fn minus_len(&self) -> u64 {
-        self.rows
-            .values()
-            .filter(|m| **m < 0)
-            .map(|m| m.unsigned_abs())
-            .sum()
+        (self.rows.values().filter(|m| **m < 0)).fold(0, |n, m| n.saturating_add(m.unsigned_abs()))
     }
 
     /// Builds the delta that deletes every row of `table` matched by `pred`.
@@ -209,6 +227,39 @@ mod tests {
         let d = DeltaRelation::inserting(schema(), (0..4).map(|i| tup![Value::Int(i)]));
         assert_eq!(d.plus_len(), 4);
         assert_eq!(d.net_count(), 4);
+    }
+
+    #[test]
+    fn a_count_past_i64_is_a_typed_error_and_sizes_saturate() {
+        let mut d = DeltaRelation::new(schema());
+        d.try_add(tup![Value::Int(1)], i64::MAX).unwrap();
+        let err = d.try_add(tup![Value::Int(1)], i64::MAX);
+        assert!(matches!(err, Err(RelError::Overflow(_))));
+        assert!(matches!(
+            d.try_add(tup![Value::Int(1)], 1),
+            Err(RelError::Overflow(_))
+        ));
+        assert_eq!(d.multiplicity(&tup![Value::Int(1)]), i64::MAX);
+        d.try_add(tup![Value::Int(2)], i64::MAX).unwrap();
+        d.try_add(tup![Value::Int(3)], i64::MIN).unwrap();
+        d.try_add(tup![Value::Int(4)], i64::MIN).unwrap();
+        assert_eq!(d.len(), u64::MAX);
+        assert_eq!(d.plus_len(), 2 * i64::MAX as u64);
+        assert_eq!(d.minus_len(), u64::MAX);
+        // Exact whatever the order rows are summed in: 2·MAX + 2·MIN.
+        assert_eq!(d.net_count(), -2);
+        let mut e = DeltaRelation::new(schema());
+        e.add(tup![Value::Int(1)], i64::MAX);
+        e.add(tup![Value::Int(2)], i64::MAX);
+        assert_eq!(e.net_count(), i64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "integer overflow")]
+    fn add_panics_rather_than_wrap() {
+        let mut d = DeltaRelation::new(schema());
+        d.add(tup![Value::Int(1)], i64::MIN);
+        d.add(tup![Value::Int(1)], -1);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use snapshot::{
 };
 pub use sql::parse_view_def;
 pub use table::Table;
-pub use tuple::Tuple;
+pub use tuple::{Tuple, TupleMap};
 pub use value::{date, days_to_ymd, ymd_to_days, Value, ValueType, DECIMAL_ONE, DECIMAL_SCALE};
 pub use versioned::{CatalogVersion, VersionedCatalog};
 pub use viewdef::{AggregateColumn, EquiJoin, OutputColumn, ViewDef, ViewOutput, ViewSource};

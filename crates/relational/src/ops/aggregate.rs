@@ -17,9 +17,8 @@
 use super::SignedRows;
 use crate::error::{RelError, RelResult};
 use crate::expr::BoundExpr;
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleMap};
 use crate::value::ValueType;
-use std::collections::HashMap;
 
 /// Aggregate functions supported by view definitions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -137,6 +136,10 @@ impl GroupAcc {
     }
 }
 
+/// Per-group accumulators keyed by group-key tuple, bucketed by each key's
+/// cached row hash.
+pub type GroupMap = TupleMap<GroupAcc>;
+
 /// Groups a signed batch, returning per-group accumulator deltas.
 ///
 /// Groups whose every accumulator *and* count net to the identity are
@@ -146,8 +149,8 @@ impl GroupAcc {
 /// Accepts any row slice (not just a whole [`SignedRows`] batch) so the
 /// partition-parallel engine can aggregate contiguous chunks independently
 /// and [`merge_groups`] the per-chunk maps.
-pub fn group_rows(rows: &[(Tuple, i64)], spec: &AggSpec) -> RelResult<HashMap<Tuple, GroupAcc>> {
-    let mut out: HashMap<Tuple, GroupAcc> = HashMap::new();
+pub fn group_rows(rows: &[(Tuple, i64)], spec: &AggSpec) -> RelResult<GroupMap> {
+    let mut out = GroupMap::default();
     for (row, mult) in rows {
         let mut key_vals = Vec::with_capacity(spec.group_by.len());
         for e in &spec.group_by {
@@ -207,9 +210,7 @@ pub fn group_rows(rows: &[(Tuple, i64)], spec: &AggSpec) -> RelResult<HashMap<Tu
 /// the concatenated input regardless of how the batch was chunked or in
 /// which order chunks arrive. The first map is the accumulator, so a single
 /// chunk comes back as it is.
-pub fn merge_groups(
-    maps: impl IntoIterator<Item = HashMap<Tuple, GroupAcc>>,
-) -> HashMap<Tuple, GroupAcc> {
+pub fn merge_groups(maps: impl IntoIterator<Item = GroupMap>) -> GroupMap {
     let mut maps = maps.into_iter();
     let mut out = maps.next().unwrap_or_default();
     let mut merged = false;
@@ -234,11 +235,7 @@ pub fn merge_groups(
 
 /// [`group_rows`] over `chunks` contiguous slices, merged — the sequential
 /// reference for the partition-parallel aggregation path.
-pub fn group_rows_chunked(
-    rows: &SignedRows,
-    spec: &AggSpec,
-    chunks: usize,
-) -> RelResult<HashMap<Tuple, GroupAcc>> {
+pub fn group_rows_chunked(rows: &SignedRows, spec: &AggSpec, chunks: usize) -> RelResult<GroupMap> {
     let size = rows.len().div_ceil(chunks.max(1)).max(1);
     let maps = rows
         .chunks(size)

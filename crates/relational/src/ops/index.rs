@@ -324,7 +324,7 @@ impl MaintainedIndex {
     /// index part-edited; drop it.
     pub fn apply(&mut self, delta: &DeltaRelation) -> RelResult<()> {
         if self.by_row.is_none() {
-            let mut by_row = Chains::new(self.rows.iter().map(|(t, _)| row_hash(t)).collect());
+            let mut by_row = Chains::new(self.rows.iter().map(|(t, _)| t.row_hash()).collect());
             by_row.link_back();
             self.by_row = Some(by_row);
             self.by_key.iter_mut().for_each(|(_, c)| c.link_back());
@@ -339,7 +339,7 @@ impl MaintainedIndex {
 
     /// Moves `t`'s multiplicity by `m`; the row chains are built.
     fn add(&mut self, t: &Tuple, m: i64) -> RelResult<()> {
-        let h = row_hash(t);
+        let h = t.row_hash();
         let negative = || RelError::NegativeMultiplicity {
             relation: "maintained index".into(),
         };
@@ -399,7 +399,9 @@ impl MaintainedIndex {
             ));
         }
         if let Some(by_row) = &self.by_row {
-            by_row.audit(self.rows.iter().map(|(t, _)| row_hash(t)), "row chains")?;
+            // A fresh fold, so a stale cached hash shows as a broken chain.
+            let fresh = self.rows.iter().map(|(t, _)| row_hash(t.values()));
+            by_row.audit(fresh, "row chains")?;
         }
         for (keys, chains) in &self.by_key {
             let what = format!("key chains {keys:?}");

@@ -2,15 +2,23 @@
 //! where they lie, with no projected key tuple in between.
 //!
 //! It is deterministic (no per-process seed), so a build table's layout is
-//! a pure function of its rows. Join keys come from the warehouse's own
-//! tables, not from clients, so `std`'s collision-resistant SipHash buys
-//! nothing here and costs most of a probe.
+//! a pure function of its rows. The same fold, finalised, is every tuple's
+//! cached row hash ([`row_hash`]), which content digests add up and every
+//! tuple-keyed map buckets by.
+//!
+//! Rows do come from clients: `INGEST` loads base rows a client chose, and
+//! join keys, group keys and whole rows derive from them. Since no seed is
+//! secret, a client can pick rows whose hashes collide. That only slows the
+//! maps and chains those rows land in, down to a linear walk per lookup: a
+//! lookup still compares values after hashes, so a collision never merges
+//! or loses a row. `std`'s SipHash would resist it, at most of a probe's
+//! cost on every row of every window.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// The odd multiplier of Fibonacci hashing (2^64 / φ).
-const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One word into the running hash. The product carries every input bit into
 /// the high bits, which is where [`super::join`] takes its bucket index.
@@ -44,12 +52,13 @@ pub(super) fn key_hash(row: &Tuple, cols: &[usize]) -> u64 {
     cols.iter().fold(0, |h, &c| mix_value(h, row.get(c)))
 }
 
-/// The hash of a whole row, every column in order, for content digests
-/// that add up one hash per row. `mix` leaves its low bits depending on few
-/// input bits, which a sum would keep; MurmurHash3's `fmix64` finaliser
-/// spreads every input bit over the whole word first.
-pub(crate) fn row_hash(row: &Tuple) -> u64 {
-    let mut h = row.values().iter().fold(0, mix_value);
+/// The hash of a whole row, every column in order: what a [`Tuple`]
+/// carries, and what content digests add up one per row. `mix`
+/// leaves its low bits depending on few input bits, which a sum or a
+/// bucket mask would keep; MurmurHash3's `fmix64` finaliser spreads every
+/// input bit over the whole word first.
+pub(crate) fn row_hash(values: &[Value]) -> u64 {
+    let mut h = values.iter().fold(0, mix_value);
     h ^= h >> 33;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;

@@ -14,7 +14,7 @@ pub(crate) mod keyhash;
 mod partition;
 
 pub use aggregate::{
-    group_rows, group_rows_chunked, merge_groups, Acc, AggFunc, AggSpec, GroupAcc,
+    group_rows, group_rows_chunked, merge_groups, Acc, AggFunc, AggSpec, GroupAcc, GroupMap,
 };
 pub use index::MaintainedIndex;
 pub use join::{build_table, cross_join, hash_join, probe_table, BuiltTable};
@@ -25,7 +25,7 @@ use crate::error::RelResult;
 use crate::expr::{BoundExpr, BoundPredicate};
 use crate::meter::WorkMeter;
 use crate::table::Table;
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleMap};
 
 /// A batch of rows with signed multiplicities.
 pub type SignedRows = Vec<(Tuple, i64)>;
@@ -75,10 +75,9 @@ pub fn project(
 /// Collapses duplicate tuples by summing multiplicities, dropping zeros.
 /// Used at term boundaries to keep intermediate batches small.
 pub fn consolidate(rows: SignedRows) -> SignedRows {
-    use std::collections::HashMap;
-    let mut map: HashMap<Tuple, i64> = HashMap::with_capacity(rows.len());
+    let mut map: TupleMap<i64> = TupleMap::with_capacity_and_hasher(rows.len(), Default::default());
     for (t, m) in rows {
-        *map.entry(t).or_insert(0) += m;
+        *map.entry(t.hashed()).or_insert(0) += m;
     }
     map.into_iter().filter(|(_, m)| *m != 0).collect()
 }

@@ -384,7 +384,7 @@ fn parse_delta_body<'a>(lines: &mut impl Iterator<Item = &'a str>) -> RelResult<
                     detail: format!("bad signed multiplicity in: {row_line}"),
                 })?;
         let values: Vec<Value> = fields.map(parse_value).collect::<RelResult<_>>()?;
-        delta.add(Tuple::new(values), mult);
+        delta.try_add(Tuple::new(values), mult)?;
     }
     Ok(delta)
 }

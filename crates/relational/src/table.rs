@@ -2,11 +2,9 @@
 
 use crate::delta::DeltaRelation;
 use crate::error::{RelError, RelResult};
-use crate::ops::keyhash::row_hash;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleMap};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// The largest multiplicity a table stores: every scan hands counts on as
 /// signed `i64` multiplicities.
@@ -30,15 +28,16 @@ fn overflow(relation: &str) -> RelError {
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: HashMap<Tuple, u64>,
+    rows: TupleMap<u64>,
     len: u64,
     digest: u64,
 }
 
-/// A row's share of a content digest: `count` copies of `tuple`. Shares add
-/// with wrapping arithmetic, so a signed count (cast) subtracts.
+/// A row's share of a content digest: `count` copies of `tuple`, read off
+/// its cached row hash. Shares add with wrapping arithmetic, so a signed
+/// count (cast) subtracts.
 pub(crate) fn digest_share(tuple: &Tuple, count: u64) -> u64 {
-    count.wrapping_mul(row_hash(tuple))
+    count.wrapping_mul(tuple.row_hash())
 }
 
 impl Table {
@@ -47,7 +46,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: HashMap::new(),
+            rows: TupleMap::default(),
             len: 0,
             digest: 0,
         }
@@ -99,6 +98,7 @@ impl Table {
             });
         }
         let len = (self.len.checked_add(count)).ok_or_else(|| overflow(&self.name))?;
+        let tuple = tuple.hashed();
         let share = digest_share(&tuple, count);
         let grown = |held: u64| held.checked_add(count).filter(|&m| m <= MAX_MULTIPLICITY);
         match self.rows.entry(tuple) {

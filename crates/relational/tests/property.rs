@@ -4,8 +4,9 @@
 use proptest::prelude::*;
 use uww_relational::ops::{self, SignedRows};
 use uww_relational::{
-    table_digest, DeltaRelation, Predicate, ScalarExpr, Schema, Table, Tuple, Value, ValueType,
-    WorkMeter,
+    catalog_from_str, catalog_to_string, delta_digest, delta_from_str, delta_to_string,
+    table_digest, Catalog, DeltaRelation, Predicate, ScalarExpr, Schema, Table, Tuple, Value,
+    ValueType, WorkMeter,
 };
 
 fn schema() -> Schema {
@@ -158,8 +159,113 @@ fn arb_digest_steps() -> impl Strategy<Value = Vec<(u8, i64, usize, i64)>> {
     prop::collection::vec((0..4u8, 0..6i64, 0..4usize, -3..4i64), 0..40)
 }
 
+/// Strings empty, one byte, exactly one 8-byte word, one byte past it (9
+/// bytes, twice), and one with a character the snapshot escapes.
+const HASH_STRS: [&str; 6] = ["", "a", "abcdefgh", "abcdefghi", "ninebytes", "tab\there"];
+
+fn typed_schema() -> Schema {
+    Schema::of(&[
+        ("i", ValueType::Int),
+        ("d", ValueType::Decimal),
+        ("t", ValueType::Date),
+        ("s", ValueType::Str),
+        ("u", ValueType::Str),
+    ])
+}
+
+/// `(i, d, t, s, u, m)`: one value of each type, two strings, a count.
+type TypedRow = (i64, i64, i64, usize, usize, i64);
+
+fn arb_typed_rows() -> impl Strategy<Value = Vec<TypedRow>> {
+    prop::collection::vec(
+        (-2..3i64, -2..3i64, -2..3i64, 0..6usize, 0..6usize, -3..4i64),
+        0..20,
+    )
+}
+
+fn typed_tuple(&(i, d, t, s, u, _): &TypedRow) -> Tuple {
+    Tuple::new(vec![
+        Value::Int(i),
+        Value::Decimal(d),
+        Value::Date(t as i32),
+        Value::str(HASH_STRS[s]),
+        Value::str(HASH_STRS[u]),
+    ])
+}
+
+/// The cached hash is the hash of the values it sits beside.
+fn hash_is_fresh(t: &Tuple) -> bool {
+    t.row_hash() == Tuple::row_hash_of(t.values())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// However a tuple is built — `new`, `project`, `concat`, read back from
+    /// a snapshot or from delta text — its cached hash equals a fresh fold
+    /// over its values; equal tuples hash equally; and `Int(k)`,
+    /// `Decimal(k)` and `Date(k)` rows hash apart.
+    #[test]
+    fn the_cached_row_hash_is_never_stale(rows in arb_typed_rows()) {
+        let mut table = Table::new("T", typed_schema());
+        let mut delta = DeltaRelation::new(typed_schema());
+        let joined_schema = Schema::of(&[
+            ("a", ValueType::Str),
+            ("b", ValueType::Int),
+            ("c", ValueType::Str),
+        ])
+        .concat(&typed_schema())
+        .unwrap();
+        let mut joined_delta = DeltaRelation::new(joined_schema.clone());
+        let mut built_delta = DeltaRelation::new(joined_schema);
+        for row in &rows {
+            let t = typed_tuple(row);
+            prop_assert!(hash_is_fresh(&t));
+            prop_assert_eq!(t.row_hash(), typed_tuple(row).row_hash());
+            let projected = t.project(&[4, 0, 3]);
+            prop_assert!(hash_is_fresh(&projected));
+            let rebuilt = Tuple::new(vec![t.get(4).clone(), t.get(0).clone(), t.get(3).clone()]);
+            prop_assert_eq!(&projected, &rebuilt);
+            prop_assert_eq!(projected.row_hash(), rebuilt.row_hash());
+            let joined = projected.concat(&t);
+            prop_assert!(hash_is_fresh(&joined));
+            prop_assert_eq!(joined.project(&[3, 4, 5, 6, 7]), t.clone());
+
+            let (i, k) = (row.0, Value::Int(row.0));
+            let typed = [k, Value::Decimal(i), Value::Date(i as i32)].map(|v| Tuple::new(vec![v]));
+            prop_assert_ne!(typed[0].row_hash(), typed[1].row_hash());
+            prop_assert_ne!(typed[0].row_hash(), typed[2].row_hash());
+            prop_assert_ne!(typed[1].row_hash(), typed[2].row_hash());
+
+            table.insert_n(t.clone(), row.5.unsigned_abs()).unwrap();
+            delta.add(t, row.5);
+            // A joined row carries no hash until a delta keeps it.
+            joined_delta.add(joined.clone(), row.5);
+            built_delta.add(Tuple::new(joined.values().to_vec()), row.5);
+        }
+        prop_assert_eq!(delta_digest(&joined_delta), delta_digest(&built_delta));
+        for (t, m) in joined_delta.iter() {
+            prop_assert!(hash_is_fresh(t));
+            prop_assert_eq!(built_delta.multiplicity(t), m);
+        }
+
+        let mut catalog = Catalog::new();
+        catalog.register(table.clone()).unwrap();
+        let back = catalog_from_str(&catalog_to_string(&catalog)).unwrap();
+        let back = back.get("T").unwrap();
+        prop_assert!(back.same_contents(&table));
+        prop_assert_eq!(back.digest(), table.digest());
+        for (t, _) in back.iter() {
+            prop_assert!(hash_is_fresh(t));
+        }
+
+        let read = delta_from_str(&delta_to_string(&delta)).unwrap();
+        prop_assert_eq!(read.sorted_rows(), delta.sorted_rows());
+        for (t, m) in read.iter() {
+            prop_assert!(hash_is_fresh(t));
+            prop_assert_eq!(delta.multiplicity(t), m);
+        }
+    }
 
     /// The hash-join kernel is the nested-loop join, byte for byte and meter
     /// for meter: `probe_table` over either side's build table, and
@@ -372,4 +478,20 @@ proptest! {
             prop_assert_ne!(one_copy_less.digest(), t.digest());
         }
     }
+}
+
+/// The row hash is a format, not a detail: WAL `ID` records and manifests
+/// pin table digests, which add it up. One fixed table's digest, by value.
+#[test]
+fn a_fixed_tables_digest_is_pinned() {
+    let mut t = Table::new("T", typed_schema());
+    for row in [
+        (1, 250, 9_000, 0, 3, 2),
+        (-7, -1, 0, 4, 1, 1),
+        (i64::MAX, i64::MIN, -1, 2, 5, 3),
+    ] {
+        t.insert_n(typed_tuple(&row), row.5 as u64).unwrap();
+    }
+    assert_eq!(t.digest(), table_digest(&t));
+    assert_eq!(t.digest(), 0x49b2_6f83_a5e7_0a3e);
 }

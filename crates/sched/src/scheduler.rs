@@ -595,9 +595,55 @@ pub fn batch_of(
                 d.schema().columns().len()
             )));
         }
-        d.add(e.row.clone(), e.count);
+        d.try_add(e.row.clone(), e.count)?;
     }
     // A batch that fully cancels on some view still loads fine (empty
     // delta); drop nothing so the WAL records the caller's exact intent.
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uww_core::CoreError;
+    use uww_relational::{RelError, Schema, Table, Tuple, Value, ValueType};
+
+    fn warehouse() -> Warehouse {
+        let a = Table::new("A", Schema::of(&[("k", ValueType::Int)]));
+        Warehouse::builder().base_table(a).build().unwrap()
+    }
+
+    fn event(k: i64, count: i64) -> DeltaEvent {
+        DeltaEvent {
+            at: 1,
+            view: "A".into(),
+            row: Tuple::new(vec![Value::Int(k)]),
+            count,
+        }
+    }
+
+    #[test]
+    fn counts_that_overflow_together_are_a_typed_error() {
+        let w = warehouse();
+        // Each count fits; their sum would wrap to -2, deleting two copies.
+        let events = [event(1, i64::MAX), event(1, i64::MAX)];
+        let err = batch_of(&w, &events).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rel(RelError::Overflow(_))),
+            "{err}"
+        );
+        let err = batch_of(&w, &[event(2, i64::MIN), event(2, -1)]).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Rel(RelError::Overflow(_))),
+            "{err}"
+        );
+        // Opposite counts still net out, and the largest count still loads.
+        let batch = batch_of(&w, &[event(1, i64::MAX), event(1, i64::MIN)]).unwrap();
+        assert_eq!(
+            batch["A"].multiplicity(&Tuple::new(vec![Value::Int(1)])),
+            -1
+        );
+        let batch = batch_of(&w, &[event(1, i64::MAX)]).unwrap();
+        assert_eq!(batch["A"].len(), i64::MAX as u64);
+    }
 }
