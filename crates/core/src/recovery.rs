@@ -31,6 +31,7 @@
 //! [`ExprReport::replayed`](crate::ExprReport) set, so the report's
 //! `wall()` — the measured update window — includes recovery replay time.
 
+use std::io::Write as _;
 use std::path::Path;
 
 use uww_obs as obs;
@@ -40,7 +41,10 @@ use crate::engine::exec::Item;
 use crate::engine::publish::InstallPhase;
 use crate::engine::{ExecOptions, ExecutionReport, ExprReport, Warehouse};
 use crate::error::{CoreError, CoreResult};
-use crate::wal::{decode_pending, Record, RecordBody, WalConfig, WalLog, WalWriter, MANIFEST_FILE};
+use crate::wal::{
+    decode_pending, sync_dir, write_file, FsyncPolicy, Record, RecordBody, WalConfig, WalLog,
+    WalWriter, MANIFEST_FILE,
+};
 
 /// What [`recover`] did.
 #[derive(Debug)]
@@ -243,7 +247,11 @@ pub fn recover_with(
 
     // An overridden suffix changes the plan: rewrite the manifest so the
     // continued log stays coherent (and a crash during recovery remains
-    // recoverable against the *new* plan).
+    // recoverable against the *new* plan). The rewrite is a temp file renamed
+    // over the old one and made durable before any suffix record is: a torn
+    // manifest would strand the window, and suffix records outliving the old
+    // manifest would name expressions its plan does not have.
+    let cfg = WalConfig::new(dir).with_fsync(log.manifest.fsync);
     let suffix_stage = match done.len() {
         0 => 0,
         n => manifest_exprs[n - 1].0,
@@ -259,13 +267,16 @@ pub fn recover_with(
                 e,
             ));
         }
-        std::fs::write(dir.join(MANIFEST_FILE), manifest.render())
-            .map_err(|e| CoreError::Wal(format!("rewrite manifest: {e}")))?;
+        write_file(&cfg, MANIFEST_FILE, |out| {
+            out.write_all(manifest.render().as_bytes())
+        })?;
+        if cfg.fsync == FsyncPolicy::Always {
+            sync_dir(dir)?;
+        }
     }
 
     // Execute the suffix fresh through the window runner, journaling onto
     // the same log; the runner commits it.
-    let cfg = WalConfig::new(dir).with_fsync(log.manifest.fsync);
     let writer = WalWriter::resume(&cfg, &log)?;
     let last_stage = (!done.is_empty()).then_some(suffix_stage);
     let items: Vec<Item<'_>> = suffix

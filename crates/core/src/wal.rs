@@ -10,8 +10,8 @@
 //!
 //! | file           | contents                                              |
 //! |----------------|-------------------------------------------------------|
-//! | `state.snap`   | catalog snapshot of the warehouse **before** the run  |
-//! | `changes.snap` | the batch of base-view deltas being installed         |
+//! | `state.snap`   | binary image of the warehouse catalog **before** the run |
+//! | `changes.snap` | binary image of the batch of base-view deltas being installed |
 //! | `manifest`     | VDAG fingerprint, content digests of both snapshots, strategy hash, and the strategy itself in canonical execution order |
 //! | `wal.log`      | append-only, checksummed records, one per line        |
 //!
@@ -43,6 +43,8 @@
 //! State digests are the content digests every [`Table`](uww_relational::Table)
 //! keeps up to date ([`catalog_digest`], [`deltas_digest`]): an `ID` record
 //! costs O(1), and writing the snapshots is a window's one pass over the data.
+//! The snapshots are images ([`write_catalog_image`]): rows in map order, no
+//! sort, since [`WalLog::open`] checks them by those digests, not by bytes.
 //!
 //! # Reader tolerance
 //!
@@ -63,12 +65,12 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use uww_relational::{
-    catalog_digest, catalog_from_str, delta_from_str, delta_to_string, deltas_digest,
-    deltas_from_str, digest64, write_catalog, write_deltas, Catalog, DeltaRelation,
+    catalog_digest, catalog_from_image, delta_from_str, delta_to_string, deltas_digest,
+    deltas_from_image, digest64, write_catalog_image, write_deltas_image, Catalog, DeltaRelation,
 };
 use uww_vdag::{UpdateExpr, Vdag};
 
@@ -76,7 +78,7 @@ use crate::engine::{PendingDelta, SummaryDelta};
 use crate::error::{CoreError, CoreResult};
 
 /// First line of the manifest file.
-pub const MANIFEST_HEADER: &str = "# uww wal manifest v2";
+pub const MANIFEST_HEADER: &str = "# uww wal manifest v3";
 /// Catalog snapshot file name inside a WAL directory.
 pub const STATE_SNAP: &str = "state.snap";
 /// Base-delta snapshot file name inside a WAL directory.
@@ -88,6 +90,30 @@ pub const LOG_FILE: &str = "wal.log";
 
 fn io_err(ctx: &str, e: std::io::Error) -> CoreError {
     CoreError::Wal(format!("{ctx}: {e}"))
+}
+
+/// Writes `name` in the WAL directory so a crash leaves the old file or the
+/// whole new one: `body` fills `name.tmp`, synced under [`FsyncPolicy::Always`]
+/// and renamed over `name`. [`sync_dir`] then makes the new name durable.
+pub(crate) fn write_file(
+    cfg: &WalConfig,
+    name: &str,
+    body: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> CoreResult<()> {
+    let io = |e| io_err(&format!("write {name}"), e);
+    let tmp = cfg.dir.join(format!("{name}.tmp"));
+    let mut file = File::create(&tmp).map_err(io)?;
+    body(&mut file).map_err(io)?;
+    if cfg.fsync == FsyncPolicy::Always {
+        file.sync_all().map_err(io)?;
+    }
+    fs::rename(&tmp, cfg.dir.join(name)).map_err(io)
+}
+
+/// Makes the entries of directory `dir` durable.
+pub(crate) fn sync_dir(dir: &Path) -> CoreResult<()> {
+    let d = File::open(dir).map_err(|e| io_err("open wal dir", e))?;
+    d.sync_all().map_err(|e| io_err("sync wal dir", e))
 }
 
 // ---------------------------------------------------------------------------
@@ -656,22 +682,11 @@ impl WalWriter {
                 log_path.display()
             )));
         }
-        let write = |name: &str, body: &dyn Fn(&mut BufWriter<File>) -> std::io::Result<()>| {
-            let io = |e| io_err(&format!("write {name}"), e);
-            let mut out = BufWriter::new(File::create(cfg.dir.join(name)).map_err(io)?);
-            body(&mut out).map_err(io)?;
-            let file = out.into_inner().map_err(|e| io(e.into_error()))?;
-            if cfg.fsync == FsyncPolicy::Always {
-                file.sync_all()
-                    .map_err(|e| io_err(&format!("sync {name}"), e))?;
-            }
-            Ok::<_, CoreError>(())
-        };
-        write(STATE_SNAP, &|out| write_catalog(out, state))?;
-        write(CHANGES_SNAP, &|out| {
-            write_deltas(out, changes.iter().copied())
+        write_file(cfg, STATE_SNAP, |out| write_catalog_image(out, state))?;
+        write_file(cfg, CHANGES_SNAP, |out| {
+            write_deltas_image(out, changes.iter().copied())
         })?;
-        write(MANIFEST_FILE, &|out| {
+        write_file(cfg, MANIFEST_FILE, |out| {
             out.write_all(manifest.render().as_bytes())
         })?;
         let file = OpenOptions::new()
@@ -686,9 +701,7 @@ impl WalWriter {
             // no name — recovery would find an empty or partial WAL dir.
             // One directory fsync after the last create makes the whole set
             // (snapshots, manifest, empty log) durable as a unit.
-            File::open(&cfg.dir)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| io_err("sync wal dir", e))?;
+            sync_dir(&cfg.dir)?;
             if cfg.faults.crash_at_dir_sync {
                 // The directory entries are durable; BEGIN (seq 0) is not.
                 return Err(CoreError::InjectedCrash { record: 0 });
@@ -798,22 +811,22 @@ impl WalLog {
     /// * any interior checksum failure, sequence anomaly, or record after
     ///   `COMMIT` is [`CoreError::WalCorrupt`].
     pub fn open(dir: &Path) -> CoreResult<WalLog> {
-        let read = |name: &str| -> CoreResult<String> {
-            fs::read_to_string(dir.join(name)).map_err(|e| io_err(&format!("read {name}"), e))
-        };
-        let manifest = Manifest::parse(&read(MANIFEST_FILE)?)?;
+        let read = |n: &str| fs::read(dir.join(n)).map_err(|e| io_err(&format!("read {n}"), e));
+        let manifest = String::from_utf8(read(MANIFEST_FILE)?)
+            .map_err(|_| CoreError::Wal("manifest: not UTF-8".to_string()))?;
+        let manifest = Manifest::parse(&manifest)?;
         let damaged = |name: &str| CoreError::Wal(format!("{name} digest mismatch"));
-        let parsed = |name: &str, e| CoreError::Wal(format!("{name}: {e}"));
-        let state = catalog_from_str(&read(STATE_SNAP)?).map_err(|e| parsed(STATE_SNAP, e))?;
+        let bad = |name: &str, e| CoreError::Wal(format!("{name}: {e}"));
+        let state = catalog_from_image(&read(STATE_SNAP)?).map_err(|e| bad(STATE_SNAP, e))?;
         if catalog_digest(&state) != manifest.state_digest {
             return Err(damaged(STATE_SNAP));
         }
-        let changes = deltas_from_str(&read(CHANGES_SNAP)?).map_err(|e| parsed(CHANGES_SNAP, e))?;
+        let changes = deltas_from_image(&read(CHANGES_SNAP)?).map_err(|e| bad(CHANGES_SNAP, e))?;
         if deltas_digest(changes.iter().map(|(n, d)| (n.as_str(), d))) != manifest.changes_digest {
             return Err(damaged(CHANGES_SNAP));
         }
 
-        let bytes = fs::read(dir.join(LOG_FILE)).map_err(|e| io_err("read wal.log", e))?;
+        let bytes = read(LOG_FILE)?;
         let mut records: Vec<Record> = Vec::new();
         let mut prev_raw: Option<&[u8]> = None;
         let mut valid_len = 0;

@@ -44,9 +44,10 @@ pub use meter::WorkMeter;
 pub use ops::{AggFunc, AggSpec, SignedRows};
 pub use schema::{Column, Schema};
 pub use snapshot::{
-    catalog_digest, catalog_from_str, catalog_to_string, delta_digest, delta_from_str,
-    delta_to_string, deltas_digest, deltas_from_str, deltas_to_string, digest64, table_digest,
-    table_to_string, value_from_wire, value_to_wire, write_catalog, write_deltas,
+    catalog_digest, catalog_from_image, catalog_from_str, catalog_to_string, delta_digest,
+    delta_from_str, delta_to_string, deltas_digest, deltas_from_image, deltas_to_string, digest64,
+    table_digest, table_to_string, value_from_wire, value_to_wire, write_catalog_image,
+    write_deltas_image,
 };
 pub use sql::parse_view_def;
 pub use table::Table;

@@ -1,14 +1,9 @@
-//! Plain-text snapshots of tables, catalogs and delta relations.
+//! Snapshots of tables, catalogs and delta relations, in two formats.
 //!
-//! A line-oriented, dependency-free format for persisting warehouse state
-//! (and for diffing states in bug reports). Deterministic: rows are written
-//! in sorted order, so equal states serialize to equal bytes. The writers
-//! stream to any [`io::Write`](std::io::Write) one row at a time, so a
-//! snapshot reaches a file without the whole text in memory.
-//!
-//! Content digests ([`table_digest`], [`catalog_digest`], [`delta_digest`])
-//! do not read the text: they add up one row hash per row, the digest a
-//! [`Table`] keeps up to date as rows come and go ([`Table::digest`]).
+//! **Text** is the human format: line-oriented, dependency-free and
+//! deterministic. Rows are written in sorted order, so equal states
+//! serialize to equal bytes. It is what `uww dump` prints, what the WAL's
+//! `CD` payloads carry and what tests diff.
 //!
 //! ```text
 //! # uww snapshot v1
@@ -17,6 +12,32 @@
 //! ROW 1 <TAB> i:1 <TAB> s:Customer#000000001
 //! END
 //! ```
+//!
+//! The **image** is the journal's checkpoint format
+//! ([`write_catalog_image`], [`write_deltas_image`]). It is binary and
+//! written in map order with no sort, so equal states may encode to
+//! different bytes. It need not be canonical: the journal checks what it
+//! reads back against content digests, which do not depend on row order.
+//! After a versioned magic line, every integer (`Int`, `Decimal` and
+//! `Date` values, multiplicities, signed counts, lengths) is a zigzag
+//! LEB128 varint, and a string is its byte length then its UTF-8 bytes.
+//! Values carry no type tag: each relation's schema, written once as its
+//! text spec, types them.
+//!
+//! ```text
+//! # uww catalog image v1 <LF> <table count>
+//!   per table: <name> <schema spec> <distinct rows>
+//!     per row: <multiplicity> <value>...
+//! ```
+//!
+//! A delta-set image (`# uww deltas image v1`) has the same shape, with a
+//! delta's name and signed counts. The image decoders trust no length
+//! beyond the bytes left to cover it and refuse malformed input with a
+//! typed [`RelError`].
+//!
+//! Content digests ([`table_digest`], [`catalog_digest`], [`delta_digest`])
+//! read neither format: they add up one row hash per row, the digest a
+//! [`Table`] keeps up to date as rows come and go ([`Table::digest`]).
 
 use crate::catalog::Catalog;
 use crate::delta::DeltaRelation;
@@ -265,7 +286,7 @@ pub fn table_to_string(table: &Table) -> String {
 
 /// Streams a whole catalog's snapshot (tables in name order) to `out`: the
 /// bytes [`catalog_to_string`] returns, one row at a time.
-pub fn write_catalog(out: &mut impl io::Write, catalog: &Catalog) -> io::Result<()> {
+fn write_catalog(out: &mut impl io::Write, catalog: &Catalog) -> io::Result<()> {
     writeln!(out, "{HEADER}")?;
     let mut line = String::new();
     for table in catalog.iter() {
@@ -391,7 +412,7 @@ fn parse_delta_body<'a>(lines: &mut impl Iterator<Item = &'a str>) -> RelResult<
 
 /// Streams a change batch to `out` in the order given: the bytes
 /// [`deltas_to_string`] returns for the same batch in name order.
-pub fn write_deltas<'a>(
+fn write_deltas<'a>(
     out: &mut impl io::Write,
     deltas: impl IntoIterator<Item = (&'a str, &'a DeltaRelation)>,
 ) -> io::Result<()> {
@@ -409,34 +430,201 @@ pub fn deltas_to_string(deltas: &BTreeMap<String, DeltaRelation>) -> String {
     text_of(|out| write_deltas(out, deltas.iter().map(|(n, d)| (n.as_str(), d))))
 }
 
-/// Parses a change batch serialized by [`deltas_to_string`].
-pub fn deltas_from_str(s: &str) -> RelResult<BTreeMap<String, DeltaRelation>> {
-    let mut lines = s.lines().peekable();
-    match lines.next() {
-        Some(h) if h == DELTA_HEADER => {}
-        other => {
-            return Err(RelError::SchemaMismatch {
-                detail: format!("bad delta-set header: {other:?}"),
-            })
+/// The magic line every catalog image starts with.
+const IMAGE_HEADER: &[u8] = b"# uww catalog image v1\n";
+
+/// The magic line every delta-set image starts with.
+const DELTA_IMAGE_HEADER: &[u8] = b"# uww deltas image v1\n";
+
+/// Bytes an image writer gathers before handing them to its sink.
+const IMAGE_CHUNK: usize = 64 * 1024;
+
+/// Appends `v` as a zigzag LEB128 varint.
+fn put_int(buf: &mut Vec<u8>, v: i64) {
+    let mut u = ((v << 1) ^ (v >> 63)) as u64;
+    while u >= 0x80 {
+        buf.push(u as u8 | 0x80);
+        u >>= 7;
+    }
+    buf.push(u as u8);
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_int(buf, s.len() as i64);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Appends one relation — name, schema spec, row count, then per row its
+/// count and values — draining `buf` into `out` every [`IMAGE_CHUNK`] bytes.
+fn put_relation<'a>(
+    out: &mut impl io::Write,
+    buf: &mut Vec<u8>,
+    name: &str,
+    schema: &Schema,
+    distinct: usize,
+    rows: impl Iterator<Item = (&'a Tuple, i64)>,
+) -> io::Result<()> {
+    put_str(buf, name);
+    put_str(buf, &schema_to_spec(schema));
+    put_int(buf, distinct as i64);
+    for (row, count) in rows {
+        put_int(buf, count);
+        for v in row.values() {
+            match v {
+                Value::Int(i) | Value::Decimal(i) => put_int(buf, *i),
+                Value::Date(d) => put_int(buf, i64::from(*d)),
+                Value::Str(s) => put_str(buf, s),
+            }
+        }
+        if buf.len() >= IMAGE_CHUNK {
+            out.write_all(buf)?;
+            buf.clear();
         }
     }
-    let mut out = BTreeMap::new();
-    while let Some(line) = lines.next() {
-        if line.trim().is_empty() {
-            continue;
+    Ok(())
+}
+
+/// Streams a catalog's image to `out`: tables in name order, rows in map
+/// order (the layout is in the module docs).
+pub fn write_catalog_image(out: &mut impl io::Write, catalog: &Catalog) -> io::Result<()> {
+    let mut buf = IMAGE_HEADER.to_vec();
+    put_int(&mut buf, catalog.len() as i64);
+    for t in catalog.iter() {
+        // A stored multiplicity is at most `i64::MAX`.
+        let rows = t.iter().map(|(r, m)| (r, m as i64));
+        put_relation(out, &mut buf, t.name(), t.schema(), t.distinct_len(), rows)?;
+    }
+    out.write_all(&buf)
+}
+
+/// Streams a change batch's image to `out`, deltas in the order given.
+pub fn write_deltas_image<'a, I>(out: &mut impl io::Write, deltas: I) -> io::Result<()>
+where
+    I: IntoIterator<Item = (&'a str, &'a DeltaRelation), IntoIter: ExactSizeIterator>,
+{
+    let deltas = deltas.into_iter();
+    let mut buf = DELTA_IMAGE_HEADER.to_vec();
+    put_int(&mut buf, deltas.len() as i64);
+    for (name, d) in deltas {
+        put_relation(out, &mut buf, name, d.schema(), d.distinct_len(), d.iter())?;
+    }
+    out.write_all(&buf)
+}
+
+fn bad_image(what: &str) -> RelError {
+    RelError::SchemaMismatch {
+        detail: format!("malformed snapshot image: {what}"),
+    }
+}
+
+/// A cursor over an image; every read is checked against the bytes left.
+struct ImageReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ImageReader<'a> {
+    fn open(bytes: &'a [u8], header: &[u8]) -> RelResult<Self> {
+        let rest = bytes
+            .strip_prefix(header)
+            .ok_or_else(|| bad_image("bad header"))?;
+        Ok(ImageReader { rest })
+    }
+
+    fn int(&mut self) -> RelResult<i64> {
+        let mut u = 0u64;
+        for shift in (0..64).step_by(7) {
+            let (&b, rest) = self
+                .rest
+                .split_first()
+                .ok_or_else(|| bad_image("truncated"))?;
+            self.rest = rest;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            u |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok((u >> 1) as i64 ^ -((u & 1) as i64));
+            }
         }
-        let name = line
-            .strip_prefix("DELTA ")
-            .ok_or_else(|| RelError::SchemaMismatch {
-                detail: format!("expected DELTA line, got: {line}"),
-            })?;
-        let delta = parse_delta_body(&mut lines)?;
-        if out.insert(name.to_string(), delta).is_some() {
-            return Err(RelError::SchemaMismatch {
-                detail: format!("duplicate delta for {name}"),
+        Err(bad_image("varint overflows 64 bits"))
+    }
+
+    /// A length or an item count: never more than the bytes left, since
+    /// every item takes at least one byte.
+    fn len(&mut self) -> RelResult<usize> {
+        usize::try_from(self.int()?)
+            .ok()
+            .filter(|&n| n <= self.rest.len())
+            .ok_or_else(|| bad_image("length beyond the end"))
+    }
+
+    fn str(&mut self) -> RelResult<&'a str> {
+        let n = self.len()?;
+        let (s, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        std::str::from_utf8(s).map_err(|_| bad_image("string is not UTF-8"))
+    }
+
+    /// One row: its count, then one value per column, typed by `schema`.
+    fn row(&mut self, schema: &Schema) -> RelResult<(Tuple, i64)> {
+        let count = self.int()?;
+        // The schema's spec was read from the image, which covered its length.
+        let mut values = Vec::with_capacity(schema.len());
+        for c in schema.columns() {
+            values.push(match c.ty {
+                ValueType::Int => Value::Int(self.int()?),
+                ValueType::Decimal => Value::Decimal(self.int()?),
+                ValueType::Date => Value::Date(
+                    i32::try_from(self.int()?).map_err(|_| bad_image("date out of range"))?,
+                ),
+                ValueType::Str => Value::str(self.str()?),
             });
         }
+        Ok((Tuple::new(values), count))
     }
+
+    fn finish(self) -> RelResult<()> {
+        match self.rest {
+            [] => Ok(()),
+            _ => Err(bad_image("trailing bytes")),
+        }
+    }
+}
+
+/// Decodes an image written by [`write_catalog_image`].
+pub fn catalog_from_image(bytes: &[u8]) -> RelResult<Catalog> {
+    let mut r = ImageReader::open(bytes, IMAGE_HEADER)?;
+    let mut catalog = Catalog::new();
+    for _ in 0..r.len()? {
+        let name = r.str()?;
+        let mut table = Table::new(name, schema_from_spec(r.str()?)?);
+        for _ in 0..r.len()? {
+            let (row, mult) = r.row(table.schema())?;
+            let mult = u64::try_from(mult).map_err(|_| bad_image("negative multiplicity"))?;
+            table.insert_n(row, mult)?;
+        }
+        catalog.register(table)?;
+    }
+    r.finish()?;
+    Ok(catalog)
+}
+
+/// Decodes an image written by [`write_deltas_image`].
+pub fn deltas_from_image(bytes: &[u8]) -> RelResult<BTreeMap<String, DeltaRelation>> {
+    let mut r = ImageReader::open(bytes, DELTA_IMAGE_HEADER)?;
+    let mut out = BTreeMap::new();
+    for _ in 0..r.len()? {
+        let name = r.str()?;
+        let mut delta = DeltaRelation::new(schema_from_spec(r.str()?)?);
+        for _ in 0..r.len()? {
+            let (row, count) = r.row(delta.schema())?;
+            delta.try_add(row, count)?;
+        }
+        if out.insert(name.to_string(), delta).is_some() {
+            return Err(bad_image(&format!("duplicate delta for {name}")));
+        }
+    }
+    r.finish()?;
     Ok(out)
 }
 
@@ -541,21 +729,82 @@ mod tests {
     }
 
     #[test]
-    fn delta_set_round_trip() {
+    fn delta_set_text_lists_each_delta_in_name_order() {
         let mut a = DeltaRelation::new(Schema::of(&[("k", ValueType::Int)]));
         a.add(tup![Value::Int(7)], -1);
         let b = DeltaRelation::new(Schema::of(&[("x", ValueType::Str)]));
         let mut m = BTreeMap::new();
-        m.insert("A".to_string(), a);
         m.insert("B".to_string(), b);
-        let text = deltas_to_string(&m);
-        let back = deltas_from_str(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back["A"].multiplicity(&tup![Value::Int(7)]), -1);
-        assert!(back["B"].is_empty());
-        // Malformed inputs rejected.
-        assert!(deltas_from_str("junk").is_err());
-        assert!(deltas_from_str(&format!("{DELTA_HEADER}\nDELTA A\nSCHEMA k:int\n")).is_err());
+        m.insert("A".to_string(), a);
+        assert_eq!(
+            deltas_to_string(&m),
+            format!("{DELTA_HEADER}\nDELTA A\nSCHEMA k:int\nROW -1\ti:7\nEND\nDELTA B\nSCHEMA x:str\nEND\n")
+        );
+    }
+
+    #[test]
+    fn images_round_trip_and_refuse_damage_by_type() {
+        let c = sample_catalog();
+        let mut good = Vec::new();
+        write_catalog_image(&mut good, &c).unwrap();
+        let back = catalog_from_image(&good).unwrap();
+        assert_eq!(catalog_to_string(&back), catalog_to_string(&c));
+        let one_table = |spec: &str, mult: i64, value: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = IMAGE_HEADER.to_vec();
+            put_int(&mut b, 1);
+            put_str(&mut b, "T");
+            put_str(&mut b, spec);
+            put_int(&mut b, 1);
+            put_int(&mut b, mult);
+            value(&mut b);
+            b
+        };
+        assert!(catalog_from_image(&one_table("k:int", 1, &|b| put_int(b, 5))).is_ok());
+        let mut ten_bytes = IMAGE_HEADER.to_vec();
+        ten_bytes.extend([0x80; 9].iter().chain(&[0x02]));
+        let cases: [(Vec<u8>, &str); 11] = [
+            (Vec::new(), "bad header"),
+            (catalog_to_string(&c).into_bytes(), "bad header"),
+            (IMAGE_HEADER.to_vec(), "truncated"),
+            (good[..good.len() - 1].to_vec(), "truncated"),
+            ([good.as_slice(), &[0]].concat(), "trailing bytes"),
+            (ten_bytes, "overflows 64 bits"),
+            ([IMAGE_HEADER, &[0x7e]].concat(), "length beyond the end"),
+            (
+                one_table("k:int", -1, &|b| put_int(b, 5)),
+                "negative multiplicity",
+            ),
+            (
+                one_table("k:date", 1, &|b| put_int(b, 1 << 31)),
+                "date out of range",
+            ),
+            (one_table("k:str", 1, &|b| b.extend([2, 0xff])), "not UTF-8"),
+            (one_table("k:float", 1, &|_| {}), "unknown snapshot type"),
+        ];
+        for (bytes, want) in cases {
+            match catalog_from_image(&bytes) {
+                Err(RelError::SchemaMismatch { detail }) => {
+                    assert!(detail.contains(want), "{detail}")
+                }
+                other => panic!("{want}: {other:?}"),
+            }
+        }
+
+        let mut twice = DELTA_IMAGE_HEADER.to_vec();
+        put_int(&mut twice, 2);
+        for _ in 0..2 {
+            put_str(&mut twice, "A");
+            put_str(&mut twice, "k:int");
+            put_int(&mut twice, 0);
+        }
+        assert!(matches!(
+            deltas_from_image(&twice),
+            Err(RelError::SchemaMismatch { detail }) if detail.contains("duplicate delta for A")
+        ));
+        assert!(
+            deltas_from_image(&good).is_err(),
+            "a catalog is not a delta set"
+        );
     }
 
     #[test]

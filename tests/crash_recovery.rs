@@ -15,8 +15,9 @@ use uww::core::{
     WalLog, Warehouse,
 };
 use uww::relational::{
-    catalog_to_string, digest64, AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn,
-    Predicate, ScalarExpr, Schema, Table, Tuple, Value, ValueType, ViewDef, ViewOutput, ViewSource,
+    catalog_from_image, catalog_to_string, deltas_to_string, digest64, write_catalog_image,
+    AggFunc, AggregateColumn, DeltaRelation, EquiJoin, OutputColumn, Predicate, ScalarExpr, Schema,
+    Table, Tuple, Value, ValueType, ViewDef, ViewOutput, ViewSource,
 };
 use uww::scenario::TpcdScenario;
 use uww::vdag::{check_vdag_strategy, SplitMix64, Strategy, UpdateExpr};
@@ -515,15 +516,16 @@ fn an_edited_state_snapshot_is_refused_before_anything_is_restored() {
     let err = run_journaled(&w, &strategy, &dir, FaultPlan::crash_before(3), 1);
     assert!(matches!(err, Err(CoreError::InjectedCrash { .. })));
 
+    // Decode the image, add one to one stored row's multiplicity, re-encode.
     let snap_path = dir.join("state.snap");
-    let snap = std::fs::read_to_string(&snap_path).unwrap();
-    let at = snap.find("\nROW ").expect("a stored row") + "\nROW ".len();
-    let (mult, rest) = snap[at..].split_once('\t').unwrap();
-    let edited = format!(
-        "{}{}\t{rest}",
-        &snap[..at],
-        mult.parse::<u64>().unwrap() + 1
-    );
+    let mut state = catalog_from_image(&std::fs::read(&snap_path).unwrap()).unwrap();
+    let stored = state.iter().find(|t| !t.is_empty()).expect("a stored row");
+    let name = stored.name().to_string();
+    let table = state.get_mut(&name).unwrap();
+    let row = table.iter().next().unwrap().0.clone();
+    table.insert(row).unwrap();
+    let mut edited = Vec::new();
+    write_catalog_image(&mut edited, &state).unwrap();
     std::fs::write(&snap_path, edited).unwrap();
 
     let err = WalLog::open(&dir).expect_err("an edited snapshot must be refused");
@@ -535,6 +537,116 @@ fn an_edited_state_snapshot_is_refused_before_anything_is_restored() {
         catalog_to_string(recovered.state()),
         catalog_to_string(w.state()),
         "nothing may be restored from a refused snapshot"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The snapshot images are read back whole or refused. `state.snap` and
+/// `changes.snap` cut at every byte, and seeded single-byte flips in each,
+/// either open to the journaled content (and recover to the uncrashed run's
+/// catalog) or are a typed `CoreError::Wal` that leaves the warehouse
+/// untouched. No damage may panic the decoder.
+#[test]
+fn damaged_snapshot_images_are_read_whole_or_refused() {
+    let seed = seed_base().wrapping_mul(43).wrapping_add(23);
+    let (mut w, changes) = random_warehouse(seed);
+    let batch = deltas_to_string(&changes);
+    w.load_changes(changes).unwrap();
+    let mut rng = SplitMix64::new(seed ^ 0x1A6E);
+    let strategy = random_strategies(&w, &mut rng, 1).remove(0);
+    let reference = wal_dir("image-ref");
+    let expected = run_journaled(&w, &strategy, &reference, FaultPlan::none(), 1).unwrap();
+    std::fs::remove_dir_all(&reference).unwrap();
+
+    let dir = wal_dir("image-fuzz");
+    let err = run_journaled(&w, &strategy, &dir, FaultPlan::crash_before(3), 1);
+    assert!(matches!(err, Err(CoreError::InjectedCrash { .. })));
+    let files: Vec<(&str, Vec<u8>)> = ["manifest", "state.snap", "changes.snap", "wal.log"]
+        .into_iter()
+        .map(|f| (f, std::fs::read(dir.join(f)).unwrap()))
+        .collect();
+    let untouched = catalog_to_string(w.state());
+    let (mut read_whole, mut refused) = (0, 0);
+    let mut try_damaged = |name: &str, bytes: &[u8], what: &str| {
+        for (f, b) in &files {
+            std::fs::write(dir.join(f), b).unwrap();
+        }
+        std::fs::write(dir.join(name), bytes).unwrap();
+        let mut recovered = w.clone();
+        match WalLog::open(&dir) {
+            Ok(log) => {
+                assert_eq!(catalog_to_string(&log.state), untouched, "{what}");
+                assert_eq!(deltas_to_string(&log.changes), batch, "{what}");
+                recover(&mut recovered, &dir).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(catalog_to_string(recovered.state()), expected, "{what}");
+                read_whole += 1;
+            }
+            Err(e) => {
+                assert!(matches!(e, CoreError::Wal(_)), "{what}: {e}");
+                let e = recover(&mut recovered, &dir).expect_err(what);
+                assert!(matches!(e, CoreError::Wal(_)), "{what}: {e}");
+                assert_eq!(catalog_to_string(recovered.state()), untouched, "{what}");
+                refused += 1;
+            }
+        }
+    };
+    for (name, image) in files[1..3].iter().cloned() {
+        for cut in 0..image.len() {
+            try_damaged(name, &image[..cut], &format!("{name} cut at {cut}"));
+        }
+        for flip in 0..64 {
+            let mut damaged = image.clone();
+            let at = rng.below(image.len() as u64) as usize;
+            damaged[at] ^= 1 + rng.below(255) as u8;
+            try_damaged(name, &damaged, &format!("{name} flip {flip} at {at}"));
+        }
+        try_damaged(name, &image, &format!("{name} as written"));
+    }
+    assert!(
+        read_whole >= 2 && refused > read_whole,
+        "{read_whole} read, {refused} refused"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory written before the snapshots became images (manifest `v2`
+/// beside text snapshots) is refused with a typed error, never misread; so
+/// is a text `state.snap` beside a current manifest.
+#[test]
+fn a_v2_directory_with_text_snapshots_is_refused() {
+    let seed = seed_base().wrapping_mul(47).wrapping_add(29);
+    let (mut w, changes) = random_warehouse(seed);
+    let batch = deltas_to_string(&changes);
+    w.load_changes(changes).unwrap();
+    let mut rng = SplitMix64::new(seed ^ 0x0502);
+    let strategy = random_strategies(&w, &mut rng, 1).remove(0);
+    let dir = wal_dir("v2");
+    let err = run_journaled(&w, &strategy, &dir, FaultPlan::crash_before(3), 1);
+    assert!(matches!(err, Err(CoreError::InjectedCrash { .. })));
+
+    std::fs::write(dir.join("state.snap"), catalog_to_string(w.state())).unwrap();
+    std::fs::write(dir.join("changes.snap"), batch).unwrap();
+    let err = WalLog::open(&dir).expect_err("a text state.snap");
+    assert!(
+        matches!(&err, CoreError::Wal(d) if d.starts_with("state.snap")),
+        "{err}"
+    );
+
+    let manifest = std::fs::read_to_string(dir.join("manifest")).unwrap();
+    let v2 = manifest.replacen("# uww wal manifest v3", "# uww wal manifest v2", 1);
+    assert_ne!(v2, manifest);
+    std::fs::write(dir.join("manifest"), v2).unwrap();
+    let err = WalLog::open(&dir).expect_err("a v2 manifest");
+    assert!(
+        matches!(&err, CoreError::Wal(d) if d.contains("header")),
+        "{err}"
+    );
+    let mut recovered = w.clone();
+    let err = recover(&mut recovered, &dir).expect_err("recover must refuse it too");
+    assert!(matches!(err, CoreError::Wal(_)), "{err}");
+    assert_eq!(
+        catalog_to_string(recovered.state()),
+        catalog_to_string(w.state())
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -678,6 +790,10 @@ fn recovery_gate_refuses_a_suffix_invalidated_by_the_prefix() {
     let mut recovered = sc.warehouse.clone();
     let outcome = recover_with(&mut recovered, &dir, Some(&good)).unwrap();
     assert_eq!(outcome.resumed, 3);
+    assert!(
+        !dir.join("manifest.tmp").exists(),
+        "the rewrite left its temp file"
+    );
     let expected = sc.warehouse.expected_final_state().unwrap();
     assert!(recovered.diff_state(&expected).is_empty());
 
@@ -685,6 +801,32 @@ fn recovery_gate_refuses_a_suffix_invalidated_by_the_prefix() {
     let second = recover(&mut again, &dir).unwrap();
     assert!(second.already_committed, "override must commit the log");
     assert!(again.diff_state(&expected).is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash between writing `manifest.tmp` and renaming it over `manifest`
+/// leaves the old manifest whole: the directory still opens and recovers to
+/// the oracle, and the stray temp file is never read.
+#[test]
+fn a_stray_manifest_temp_file_beside_an_intact_manifest_is_ignored() {
+    let (sc, strategy) = gate_scenario();
+    let dir = wal_dir("stray-tmp");
+    let err = sc
+        .run_with(
+            &strategy,
+            wal_opts(cfg(&dir).with_faults(FaultPlan::crash_before(6))),
+        )
+        .expect_err("injected crash");
+    assert!(err.to_string().contains("injected crash"), "{err}");
+    let manifest = std::fs::read_to_string(dir.join("manifest")).unwrap();
+    std::fs::write(dir.join("manifest.tmp"), &manifest[..manifest.len() / 2]).unwrap();
+
+    WalLog::open(&dir).expect("the intact manifest opens");
+    let mut recovered = sc.warehouse.clone();
+    let outcome = recover(&mut recovered, &dir).unwrap();
+    assert_eq!(outcome.resumed, 3);
+    let expected = sc.warehouse.expected_final_state().unwrap();
+    assert!(recovered.diff_state(&expected).is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
